@@ -11,7 +11,15 @@ state propagates as x' = Phi x + xi with Phi = exp(A dt) and xi drawn from
 the exact transition covariance Sigma(dt) = P_inf - Phi P_inf Phi^T.  The
 update is distributionally exact for any dt, so timestep refinement changes
 statistics only through sampling noise, never through bias; the stability
-guard below merely keeps spectra well resolved.
+guard below merely keeps spectra well resolved.  Steps are taken in blocks:
+one matrix product against the stacked powers of Phi gives every state of
+a block from its start state and its draws, and only the start states are
+carried from block to block.
+
+The driven oracle appends the drive oscillator (cos wt, sin wt) to the mode
+state, which makes the driven system linear with a constant generator, and
+steps it with the exact propagator expm(M dt) (Van Loan, IEEE TAC 23(3),
+1978).
 
 Randomness: numpy Philox (counter-based) generators, one independent
 stream per ensemble member derived with SeedSequence.spawn; Gaussian
@@ -33,7 +41,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import signal as sp_signal
-from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from .acoustics import CONVENTION_TWO_SIDED, SpectrumSeries
@@ -64,6 +71,9 @@ STABILITY_LIMIT = 0.05
 MIN_STATIONARY_DURATIONS = 50.0
 
 _CHUNK_STEPS = 16384  # fixed so the random stream split never varies
+_BLOCK_STEPS = 32      # steps propagated by one matrix product
+
+_SAMPLES_PER_PERIOD = 256  # demodulation samples per drive period
 
 
 class StabilityGuardViolated(ValueError):
@@ -238,6 +248,7 @@ def integrate_langevin(config: SdeRunConfig, scenario: Scenario) -> TrajectorySt
     phi, sig = transition(config.mode_omega, config.damping, sigma2,
                           config.timestep)
     noise_l = _noise_factor(sig) if sigma2 > 0.0 else None
+    powers, noise_map = _block_operators(phi, noise_l, _BLOCK_STEPS)
     gens = _member_generators(config.seed, config.ensemble_size)
 
     m = config.ensemble_size
@@ -248,16 +259,20 @@ def integrate_langevin(config: SdeRunConfig, scenario: Scenario) -> TrajectorySt
     done = 0
     while done < total:
         span = min(_CHUNK_STEPS, total - done)
+        n_blocks = -(-span // _BLOCK_STEPS)
+        z = None
         if noise_l is not None:
-            z = np.stack([g.standard_normal((span, 2)) for g in gens], axis=2)
-        for i in range(span):
-            x = phi @ x
-            if noise_l is not None:
-                x = x + noise_l @ z[i]
-            t = done + i
-            if t >= n_burn:
-                q[:, t - n_burn] = x[0]
-                u[:, t - n_burn] = x[1]
+            # zero draws pad the last block; the rows they reach are dropped
+            z = np.zeros((n_blocks * _BLOCK_STEPS, 2, m))
+            for member, g in enumerate(gens):
+                z[:span, :, member] = g.standard_normal((span, 2))
+        states = _propagate_blocks(x, z, powers, noise_map, n_blocks)[:span]
+        x = states[-1]
+        keep = max(n_burn - done, 0)
+        if keep < span:
+            dest = slice(done + keep - n_burn, done + span - n_burn)
+            q[:, dest] = states[keep:, 0, :].T
+            u[:, dest] = states[keep:, 1, :].T
         done += span
 
     member_mean_u2 = np.mean(u**2, axis=1)
@@ -298,16 +313,65 @@ def integrate_langevin(config: SdeRunConfig, scenario: Scenario) -> TrajectorySt
             "rng": "numpy.random.Philox, per-member SeedSequence.spawn",
             "normal_transform": "Generator.standard_normal (ziggurat)",
             "numpy_version": np.__version__,
+            "n_steps": total,
+            "timestep": config.timestep,
         },
         velocity=u if config.keep_samples else None,
         position=q if config.keep_samples else None,
     )
 
 
+def _block_operators(phi: np.ndarray, noise_l: np.ndarray | None,
+                     block: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """Operators that advance the state ``block`` steps at once.
+
+    powers[k] = Phi^(k+1) carries the start state to row k of a block.
+    noise_map is the lower-block-triangular (2 block, 2 block) matrix whose
+    (k, j) block is Phi^(k-j) L for j <= k: applied to the block's stacked
+    draws z_0 .. z_(block-1) it gives the noise each row has accumulated,
+    sum_(j<=k) Phi^(k-j) L z_j.  noise_map is None for unforced runs.
+    """
+    stack = [np.eye(2)]
+    for _ in range(block):
+        stack.append(phi @ stack[-1])
+    powers = np.stack(stack[1:])
+    if noise_l is None:
+        return powers, None
+    noise_map = np.zeros((2 * block, 2 * block))
+    for k in range(block):
+        for j in range(k + 1):
+            noise_map[2 * k:2 * k + 2, 2 * j:2 * j + 2] = stack[k - j] @ noise_l
+    return powers, noise_map
+
+
+def _propagate_blocks(x: np.ndarray, z: np.ndarray | None, powers: np.ndarray,
+                      noise_map: np.ndarray | None, n_blocks: int) -> np.ndarray:
+    """States (n_blocks * block, 2, members) after each step from x.
+
+    z holds the draws, (n_blocks * block, 2, members), or is None for an
+    unforced run.  Row k of a block is Phi^(k+1) x_start plus the block's
+    accumulated noise; only the start states pass from block to block.
+    """
+    block = len(powers)
+    m = x.shape[1]
+    if z is None:
+        noise = np.zeros((n_blocks, block, 2, m))
+    else:
+        noise = (noise_map @ z.reshape(n_blocks, 2 * block, m)).reshape(
+            n_blocks, block, 2, m)
+    starts = np.empty((n_blocks, 2, m))
+    for b in range(n_blocks):
+        starts[b] = x
+        x = powers[-1] @ x + noise[b, -1]
+    states = powers @ starts[:, None] + noise
+    return states.reshape(n_blocks * block, 2, m)
+
+
 def _ensemble_acf(u: np.ndarray, n_lags: int) -> np.ndarray:
     """Unbiased autocovariance averaged over ensemble members via FFT."""
     m, n = u.shape
-    nfft = 1 << int(math.ceil(math.log2(2 * n)))
+    # exact for the kept lags: no circular wrap reaches lag n_lags
+    nfft = 1 << int(math.ceil(math.log2(n + n_lags + 1)))
     spec = np.fft.rfft(u, nfft, axis=1)
     corr = np.fft.irfft(spec * np.conj(spec), nfft, axis=1)[:, :n_lags + 1]
     counts = n - np.arange(n_lags + 1)
@@ -324,7 +388,9 @@ def estimate_psd(samples, sample_rate: float, window: str = "hann",
     samples may be (n,) or (members, n); member periodograms are averaged.
     The returned density satisfies variance = integral PSD dw / pi
     (two-sided), i.e. ``series_variance`` of the result approximates the
-    time-domain variance.
+    time-domain variance.  Segments are not detrended: the oracle's samples
+    are zero-mean fluctuations, and removing each segment's mean would take
+    the low-frequency part of their variance with it.
     """
     x = np.atleast_2d(np.asarray(samples, dtype=float))
     n = x.shape[1]
@@ -337,7 +403,7 @@ def estimate_psd(samples, sample_rate: float, window: str = "hann",
             f"nperseg {nperseg} exceeds the {n} samples available")
     freqs, pxx = sp_signal.welch(x, fs=sample_rate, window=window,
                                  nperseg=nperseg, noverlap=noverlap,
-                                 detrend="constant", scaling="density",
+                                 detrend=False, scaling="density",
                                  axis=1)
     mean_pxx = pxx.mean(axis=0)
     # scipy is one-sided per ordinary Hz; ours is two-sided with dw/pi measure
@@ -382,24 +448,29 @@ class DrivenModeResult:
 
     amplitude is the complex phasor in the exp(-i w t) convention:
     A(t) = Re[amplitude exp(-i w t)].  drift is the relative change of the
-    phasor between the last two demodulation windows.
+    phasor between the last two demodulation windows.  n_samples and
+    sample_dt describe the demodulation grid spanning both windows.
     """
 
     amplitude: complex
     drift: float
     drive_omega: float
+    n_samples: int
+    sample_dt: float
 
 
 def integrate_driven(mode_omega: float, damping: float, drive_strength: float,
                      drive_omega: float, periods_per_window: int = 20,
-                     settle_time: float | None = None,
-                     samples_per_period: int = 256,
-                     rtol: float = 1e-11) -> DrivenModeResult:
+                     settle_time: float | None = None) -> DrivenModeResult:
     """Integrate A'' + Gamma A' + w_j^2 A = d/dt[S cos(w t)] to steady state.
 
-    Uses an adaptive Runge-Kutta integration from rest, then demodulates two
-    consecutive integer-period windows.  Raises NotConverged if the phasor
-    still drifts by more than 0.1% between windows.
+    The drive oscillator (cos w t, sin w t) is part of the state, so the
+    system has a constant 4x4 generator M and its exact propagator is
+    expm(M t).  From rest, one propagator covers the settle time (default
+    30/damping); then equal steps of expm(M dt) sample two consecutive
+    integer-period windows, each demodulated by the trapezoid rule.
+    Raises NotConverged if the phasor still drifts by more than 0.1%
+    between windows.
     """
     if not (drive_omega > 0.0) or not (damping > 0.0):
         raise ValueError("drive frequency and damping must be positive")
@@ -407,24 +478,30 @@ def integrate_driven(mode_omega: float, damping: float, drive_strength: float,
     if settle_time is None:
         settle_time = 30.0 / damping
 
-    def rhs(t, y):
-        return [y[1], -damping * y[1] - mode_omega**2 * y[0]
-                - drive_strength * drive_omega * math.sin(drive_omega * t)]
-
+    # state (A, A', cos w t, sin w t)
+    generator = np.array([
+        [0.0, 1.0, 0.0, 0.0],
+        [-mode_omega**2, -damping, 0.0, -drive_strength * drive_omega],
+        [0.0, 0.0, 0.0, -drive_omega],
+        [0.0, 0.0, drive_omega, 0.0],
+    ])
     window = periods_per_window * period
-    t_end = settle_time + 2.0 * window
-    n_eval = 2 * periods_per_window * samples_per_period + 1
+    n_eval = 2 * periods_per_window * _SAMPLES_PER_PERIOD + 1
     t_eval = settle_time + np.linspace(0.0, 2.0 * window, n_eval)
-    sol = solve_ivp(rhs, (0.0, t_end), [0.0, 0.0], method="RK45",
-                    rtol=rtol, atol=1e-30, t_eval=t_eval, max_step=period / 16)
-    if not sol.success:
-        raise NotConverged(f"integration failed: {sol.message}")
+    sample_dt = 2.0 * window / (n_eval - 1)
+    step = expm(generator * sample_dt)
+    y = expm(generator * settle_time) @ np.array([0.0, 0.0, 1.0, 0.0])
+    response = np.empty(n_eval)
+    response[0] = y[0]
+    for i in range(1, n_eval):
+        y = step @ y
+        response[i] = y[0]
 
     half = n_eval // 2
     phasors = []
     for sl in (slice(0, half + 1), slice(half, n_eval)):
-        t = sol.t[sl]
-        a = sol.y[0][sl]
+        t = t_eval[sl]
+        a = response[sl]
         ci = 2.0 / window * np.trapezoid(a * np.cos(drive_omega * t), t)
         cq = 2.0 / window * np.trapezoid(a * np.sin(drive_omega * t), t)
         phasors.append(complex(ci, cq))
@@ -433,4 +510,5 @@ def integrate_driven(mode_omega: float, damping: float, drive_strength: float,
         raise NotConverged(
             f"steady state drifting {drift:.2e} between windows")
     return DrivenModeResult(amplitude=phasors[1], drift=drift,
-                            drive_omega=drive_omega)
+                            drive_omega=drive_omega, n_samples=n_eval,
+                            sample_dt=sample_dt)

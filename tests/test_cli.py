@@ -173,6 +173,17 @@ def test_validate_noise_passes(capsys):
     assert out.rstrip().endswith("overall: PASS")
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_validate_noise_welch_variance_unbiased(capsys, seed):
+    # per-segment detrending used to remove about 6% of the variance here
+    code, out, _ = run(capsys, "validate-noise", "--members", "64",
+                       "--duration-dampings", "2000", "--seed", str(seed))
+    assert code == 0
+    line = next(l for l in out.splitlines() if l.startswith("psd variance:"))
+    rel_err = float(line.split("(rel err ", 1)[1].split("%", 1)[0])
+    assert rel_err < 2.0
+
+
 def test_validate_noise_detects_wrong_tolerance(capsys):
     # an impossible tolerance must flip the exit code, not crash
     code, out, _ = run(capsys, "validate-noise", "--psd-tolerance", "0.0")

@@ -7,6 +7,8 @@ import pytest
 from parsim import noise, quantities
 from parsim.acoustics import SpectrumSeries
 from parsim.oracle import (
+    _BLOCK_STEPS,
+    _CHUNK_STEPS,
     FreeDecay,
     InsufficientStatistics,
     NotConverged,
@@ -14,6 +16,8 @@ from parsim.oracle import (
     SegmentTooShort,
     StabilityGuardViolated,
     ThermalForcing,
+    _member_generators,
+    _noise_factor,
     estimate_psd,
     integrate_driven,
     integrate_langevin,
@@ -119,19 +123,31 @@ def test_basic_config_guards():
 # ---------------------------------------------------------------------------
 # free decay against the closed-form damped oscillator
 
-def test_free_decay_matches_closed_form(anthrax):
+def _check_free_decay(scenario, timestep, duration, tolerance):
     q0 = 1.0e-9
-    config = SdeRunConfig(timestep=1.0e-6, duration=2.0e-3, seed=5,
+    config = SdeRunConfig(timestep=timestep, duration=duration, seed=5,
                           ensemble_size=1, mode_omega=MODE_OMEGA,
                           damping=DAMPING, forcing=FreeDecay(q0, 0.0),
                           keep_samples=True)
-    stats = integrate_langevin(config, anthrax)
+    stats = integrate_langevin(config, scenario)
     t = (1.0 + np.arange(stats.n_samples)) * config.timestep
     half = DAMPING / 2.0
     wd = math.sqrt(MODE_OMEGA**2 - half**2)
     expected = q0 * np.exp(-half * t) * (np.cos(wd * t)
                                          + half / wd * np.sin(wd * t))
-    assert np.max(np.abs(stats.position[0] - expected)) < 1.0e-10 * q0
+    assert np.max(np.abs(stats.position[0] - expected)) < tolerance * q0
+
+
+def test_free_decay_matches_closed_form(anthrax):
+    _check_free_decay(anthrax, timestep=1.0e-6, duration=2.0e-3,
+                      tolerance=1.0e-10)
+
+
+def test_free_decay_fine_timestep(anthrax):
+    # at dt = 1e-9 s a direct-form second-order recursion drifts by ~1e-8 q0;
+    # stepping the state with powers of the exact transition does not
+    _check_free_decay(anthrax, timestep=1.0e-9, duration=2.0e-4,
+                      tolerance=1.0e-11)
 
 
 def test_free_decay_overdamped(anthrax):
@@ -147,6 +163,66 @@ def test_free_decay_overdamped(anthrax):
     expected = u0 * (np.exp(slow * t) - np.exp(fast * t)) / (slow - fast)
     scale = float(np.max(np.abs(expected)))
     assert np.max(np.abs(stats.position[0] - expected)) < 1.0e-8 * scale
+
+
+# ---------------------------------------------------------------------------
+# blocked stepper against the per-step loop
+
+def _reference_trajectory(config, scenario):
+    """Per-step loop x <- Phi x + L z over the engine's own draws.
+
+    The config must set burn_in; thermal forcing uses the default diffusion.
+    """
+    rho_v = scenario.gas.density * scenario.cell.volume
+    kt = quantities.K_BOLTZMANN * scenario.gas.temperature
+    m = config.ensemble_size
+    if isinstance(config.forcing, FreeDecay):
+        sigma2 = 0.0
+        x = np.tile([[config.forcing.initial_position],
+                     [config.forcing.initial_velocity]], (1, m))
+    else:
+        sigma2 = 2.0 * config.damping * kt / rho_v
+        x = np.zeros((2, m))
+    n_burn = int(round(config.burn_in / config.timestep))
+    total = n_burn + int(round(config.duration / config.timestep))
+    phi, sig = transition(config.mode_omega, config.damping, sigma2,
+                          config.timestep)
+    noise_l = _noise_factor(sig) if sigma2 > 0.0 else None
+    gens = _member_generators(config.seed, m)
+    states = np.empty((total, 2, m))
+    for done in range(0, total, _CHUNK_STEPS):
+        span = min(_CHUNK_STEPS, total - done)
+        if noise_l is not None:
+            z = np.stack([g.standard_normal((span, 2)) for g in gens], axis=2)
+        for i in range(span):
+            x = phi @ x
+            if noise_l is not None:
+                x = x + noise_l @ z[i]
+            states[done + i] = x
+    return n_burn, states[n_burn:, 0, :].T, states[n_burn:, 1, :].T
+
+
+@pytest.mark.parametrize("mode_omega,forcing", [
+    (MODE_OMEGA, ThermalForcing()),        # underdamped
+    (DAMPING / 2.0, ThermalForcing()),     # critically damped
+    (1.0e4, ThermalForcing()),             # overdamped
+    (0.0, ThermalForcing()),               # free Ornstein-Uhlenbeck velocity
+    (MODE_OMEGA, FreeDecay(1.0e-9, 2.0e-5)),
+])
+def test_blocked_stepper_matches_per_step_loop(anthrax, mode_omega, forcing):
+    config = SdeRunConfig(timestep=1.0e-6, duration=1.7e-2, seed=11,
+                          ensemble_size=3, mode_omega=mode_omega,
+                          damping=DAMPING, forcing=forcing,
+                          burn_in=2.03e-4, keep_samples=True)
+    n_burn, q_ref, u_ref = _reference_trajectory(config, anthrax)
+    assert n_burn % _BLOCK_STEPS != 0
+    assert n_burn + q_ref.shape[1] > _CHUNK_STEPS
+    stats = integrate_langevin(config, anthrax)
+    assert stats.metadata["n_steps"] == n_burn + stats.n_samples
+    assert stats.metadata["timestep"] == config.timestep
+    for got, want in ((stats.position, q_ref), (stats.velocity, u_ref)):
+        scale = float(np.max(np.abs(want)))
+        assert np.max(np.abs(got - want)) <= 1.0e-12 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +338,7 @@ def test_estimate_psd_white_noise_parseval():
     series = estimate_psd(x, sample_rate=1.0e6, nperseg=4096)
     var = series_variance(series)
     assert math.isclose(var, 1.0, rel_tol=0.02)
-    # white: flat away from the detrended DC bin
+    # white: flat across the band
     mid = series.values[len(series.values) // 4: len(series.values) // 2]
     assert abs(float(np.mean(mid)) / (var / np.max(series.omega) * math.pi / 2.0) - 1.0) < 0.05
 
@@ -328,6 +404,10 @@ def test_driven_amplitude_matches_analytic(drive_omega):
     expected = _driven_phasor(mode_omega, damping, strength, drive_omega)
     assert abs(result.amplitude - expected) / abs(expected) < 5.0e-3
     assert result.drift < 1.0e-3
+    assert result.n_samples == 2 * 20 * 256 + 1
+    period = 2.0 * math.pi / drive_omega
+    assert math.isclose(result.sample_dt * (result.n_samples - 1),
+                        2.0 * 20 * period, rel_tol=1e-12)
 
 
 def test_driven_zero_frequency_mode():

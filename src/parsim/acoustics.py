@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import integrate, special
 
 from .quantities import CellGeometry, GasProperties, Scenario, sound_speed
 
@@ -107,6 +106,8 @@ class AcousticMode:
 
     def pressure(self, z, r, phi=0.0):
         """Evaluate the mode profile; accepts scalars or arrays."""
+        from scipy import special
+
         axial = np.cos(self.axial_wavenumber * np.asarray(z, dtype=float))
         radial = special.jv(self.bessel_order,
                             self.radial_wavenumber * np.asarray(r, dtype=float))
@@ -119,6 +120,8 @@ def _radial_roots(m: int, count: int) -> np.ndarray:
     """First ``count`` positive roots of J_m', verified against J_m'."""
     if count == 0:
         return np.empty(0)
+    from scipy import special
+
     roots = special.jnp_zeros(m, count)
     residual = np.abs(special.jvp(m, roots))
     if np.any(residual > _ROOT_RESIDUAL_LIMIT):
@@ -133,6 +136,8 @@ def _norm_constant(q: int, m: int, alpha: float) -> float:
     eps_q = 1.0 if q == 0 else 2.0
     if alpha == 0.0:
         return math.sqrt(eps_q)
+    from scipy import special
+
     if m == 0:
         radial_mean = special.j0(alpha) ** 2
     else:
@@ -279,6 +284,8 @@ def _overlap_closed_form(mode: AcousticMode, shape, cell: CellGeometry) -> float
             raise ValueError("beam radius must lie in (0, cell radius]")
         if mode.bessel_root == 0.0:
             return cell.volume
+        from scipy import special
+
         kr = mode.radial_wavenumber
         rb = shape.radius
         radial = rb * special.j1(kr * rb) / kr   # integral of J0(kr r) r dr
@@ -290,6 +297,8 @@ def _overlap_closed_form(mode: AcousticMode, shape, cell: CellGeometry) -> float
 def _overlap_quadrature(mode: AcousticMode, shape, cell: CellGeometry) -> float:
     if mode.bessel_order > 0:
         return 0.0  # axisymmetric shapes cannot excite m > 0
+    from scipy import integrate, special
+
     profile = _shape_profile(shape, cell)
     a, l = cell.radius, cell.length
     # scaled coordinates keep both integrals O(1) so error targets are

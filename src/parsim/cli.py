@@ -188,9 +188,9 @@ def _parse_sweep(spec: str):
     return paths, values
 
 
-def _with_value(scenario: Scenario, path: str, value: float) -> Scenario:
+def _with_value(scenario: Scenario, path: str, value) -> Scenario:
     if path == "spore_density":
-        return dataclasses.replace(scenario, spore_density=float(value))
+        return dataclasses.replace(scenario, spore_density=value)
     section, sep, attr = path.partition(".")
     if not sep or section not in _SECTIONS:
         raise ValueError(
@@ -199,27 +199,42 @@ def _with_value(scenario: Scenario, path: str, value: float) -> Scenario:
     component = getattr(scenario, section)
     if attr not in {f.name for f in dataclasses.fields(component)}:
         raise ValueError(f"{section} has no attribute {attr!r}")
-    replaced = dataclasses.replace(component, **{attr: float(value)})
+    replaced = dataclasses.replace(component, **{attr: value})
     return dataclasses.replace(scenario, **{section: replaced})
+
+
+def _cells(column, n: int) -> list[str]:
+    """A CSV column of n reprs; a quantity the sweep leaves fixed repeats."""
+    column = np.asarray(column).tolist()   # Python floats and ints
+    return list(map(repr, column)) if isinstance(column, list) else [repr(column)] * n
 
 
 def _cmd_sweep(args) -> int:
     scenario, origin = _load(args)
     paths, values = _parse_sweep(args.vary)
-    rows = []
-    for value in values:
-        point = scenario
-        for path in paths:
-            point = _with_value(point, path, value)
-        try:
-            validate_scenario(point)
-        except ScenarioValidationError as exc:
-            raise SchemaError(
-                f"sweep point {args.vary.partition('=')[0]}={value!r} "
-                f"invalid: {exc}") from exc
-        report = min_density(point, snr=args.snr,
-                             linewidth_convention=args.linewidth_convention)
-        rows.append((value, report))
+    # every point at once: the swept fields hold the whole value array
+    points = scenario
+    for path in paths:
+        points = _with_value(points, path, values)
+    try:
+        validate_scenario(points)
+    except ScenarioValidationError as exc:
+        raise SchemaError(
+            f"sweep point {args.vary.partition('=')[0]}="
+            f"{float(values[exc.point])!r} invalid: {exc}") from exc
+    try:
+        # numpy would warn and go on where math raises
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            report = min_density(points, snr=args.snr,
+                                 linewidth_convention=args.linewidth_convention)
+    except FloatingPointError as exc:
+        raise ValueError(f"sweep arithmetic out of range: {exc}") from exc
+    bits = sum(bit * report.warning_flags[code]
+               for code, bit in WARNING_BITS.items())
+    n = len(values)
+    columns = [_cells(values, n)] * len(paths)
+    columns += [_cells(c, n) for c in (report.rho_min, report.h_r, report.eta,
+                                       report.h_nep, bits)]
 
     lines = [
         f"# parsim sweep (version {__version__})",
@@ -230,11 +245,7 @@ def _cmd_sweep(args) -> int:
         f"# vary: {args.vary}",
         ",".join(paths) + ",rho_min_m3,h_r_w_m3,eta,h_nep_w_sqrt_s_m3,warning_bits",
     ]
-    for value, report in rows:
-        cells = [repr(float(value))] * len(paths)
-        cells += [repr(report.rho_min), repr(report.h_r), repr(report.eta),
-                  repr(report.h_nep), str(warning_bits(report.warnings))]
-        lines.append(",".join(cells))
+    lines.extend(map(",".join, zip(*columns)))
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

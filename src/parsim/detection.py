@@ -14,16 +14,18 @@ floor integrated over the detection bandwidth, gives the detection limit
 Guards: intensities at or above the cascade-breakdown threshold of the gas
 are flagged, as is a detection limit so low that fewer than a handful of
 particles would occupy the cell (the continuum-suspension picture breaks
-down there).
+down there).  A scenario without Raman heating (no active molecules, no
+cross section or no collisional decay) is refused: nothing is detectable.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import noise, raman, thermal
-from .quantities import Scenario
+from .quantities import ParticleSpec, Scenario, first_failure, value_at, xp
 
 __all__ = [
     "DetectionReport",
@@ -58,7 +60,7 @@ def available_power_density(spore_density: float, eta: float, h_r: float,
 def breakdown_guard(pump_intensity: float, stokes_intensity: float,
                     threshold: float = BREAKDOWN_INTENSITY) -> bool:
     """True when either beam risks cascade breakdown of the buffer gas."""
-    return max(pump_intensity, stokes_intensity) >= threshold
+    return (pump_intensity >= threshold) | (stokes_intensity >= threshold)
 
 
 def sparse_regime_flag(density: float, cell_volume: float,
@@ -69,7 +71,11 @@ def sparse_regime_flag(density: float, cell_volume: float,
 
 @dataclass(frozen=True)
 class DetectionReport:
-    """Detection limit with its full intermediate trace."""
+    """Detection limit with its full intermediate trace.
+
+    warning_flags maps each warning code, in report order, to where it
+    holds: a bool, or a bool array for a scenario holding sweep arrays.
+    """
 
     rho_min: float               # 1/m^3
     h_r: float                   # W/m^3 heating density inside the particle
@@ -79,11 +85,29 @@ class DetectionReport:
     intensity_product: float     # I_p I_s, W^2/m^4
     h_available: float | None    # W/m^3 at the scenario's own density, if given
     snr: float
-    warnings: tuple[str, ...]
+    warning_flags: dict[str, bool | np.ndarray]
     gain: raman.RamanGainResult
     deposition: raman.HeatDeposition
     thermal: thermal.ThermalReport
     nep: noise.NepResult
+
+    @property
+    def warnings(self) -> tuple[str, ...]:
+        """Warning codes that hold at one point or more, in report order."""
+        return tuple(code for code, flag in self.warning_flags.items()
+                     if (flag.any() if isinstance(flag, np.ndarray) else flag))
+
+
+def _negate(flag):
+    return ~flag if isinstance(flag, np.ndarray) else not flag
+
+
+def _no_heating(particle: ParticleSpec, point: int) -> str:
+    for name in ("active_density", "raman_cross_section", "collisional_rate"):
+        value = value_at(getattr(particle, name), point)
+        if not (value > 0.0):
+            return f"particle.{name} is {value!r}: no Raman heating, nothing to detect"
+    return "the Raman signal per particle underflows to 0: nothing to detect"
 
 
 def min_density(scenario: Scenario, snr: float = 1.0,
@@ -91,12 +115,13 @@ def min_density(scenario: Scenario, snr: float = 1.0,
     """Minimum detectable particle density for one scenario.
 
     snr scales the required signal-to-noise ratio (1 means signal equal to
-    the integrated noise floor).
+    the integrated noise floor).  Swept fields give a report of arrays, one
+    entry per point; a refusal names the first point refused.
     """
     if not (snr > 0.0):
         raise ValueError("snr must be positive")
     laser = scenario.laser
-    if laser.pump_intensity * laser.stokes_intensity <= 0.0:
+    if first_failure(laser.pump_intensity * laser.stokes_intensity > 0.0) is not None:
         raise ValueError("both beam intensities must be positive to detect anything")
 
     gain = raman.gain_coefficient(scenario, linewidth_convention)
@@ -104,19 +129,23 @@ def min_density(scenario: Scenario, snr: float = 1.0,
     therm = thermal.thermal_report(scenario)
     floor = noise.nep(scenario, laser.modulation_omega)
 
-    root_bw = math.sqrt(scenario.detector.signal_damping)
+    signal_damping = scenario.detector.signal_damping
+    root_bw = xp(signal_damping).sqrt(signal_damping)
     signal_per_density = (therm.eta * deposition.h_r * scenario.particle.volume
                           * scenario.cell.detector_coverage)
+    point = first_failure(signal_per_density > 0.0)
+    if point is not None:
+        raise ValueError(_no_heating(scenario.particle, point))
     rho_min = snr * floor.h_nep * root_bw / signal_per_density
 
-    warnings: list[str] = []
-    if breakdown_guard(laser.pump_intensity, laser.stokes_intensity):
-        warnings.append(BREAKDOWN_RISK)
-    warnings.extend(therm.warnings)
-    warnings.extend(floor.warnings)
-    if sparse_regime_flag(rho_min, scenario.cell.volume):
-        warnings.append(SPARSE_SUSPENSION)
-    warnings.append(NEP_CONVENTION_NOTE)
+    flags = {
+        BREAKDOWN_RISK: breakdown_guard(laser.pump_intensity,
+                                        laser.stokes_intensity),
+        thermal.TIMESCALES_NOT_SEPARATED: _negate(therm.efficiency.separated),
+        noise.MODULATION_NOT_SMALL: _negate(floor.small_modulation),
+        SPARSE_SUSPENSION: sparse_regime_flag(rho_min, scenario.cell.volume),
+        NEP_CONVENTION_NOTE: True,
+    }
 
     h_avail = None
     if scenario.spore_density is not None:
@@ -132,7 +161,7 @@ def min_density(scenario: Scenario, snr: float = 1.0,
         intensity_product=laser.pump_intensity * laser.stokes_intensity,
         h_available=h_avail,
         snr=snr,
-        warnings=tuple(warnings),
+        warning_flags=flags,
         gain=gain,
         deposition=deposition,
         thermal=therm,

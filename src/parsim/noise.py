@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .acoustics import CONVENTION_TWO_SIDED, SpectrumSeries
-from .quantities import Scenario, sound_speed
+from .quantities import Scenario, everywhere, first_failure, sound_speed, xp
 
 __all__ = [
     "NoiseSpectrumResult",
@@ -152,6 +152,8 @@ class NepResult:
 
     vh_nep  W s^(1/2), volume-integrated heating per root bandwidth
     h_nep   W m^-3 s^(1/2), heating density per root bandwidth
+    small_modulation  the modulation lies well below the detector mode
+    warnings          warning codes (empty when small at every point)
     """
 
     vh_nep: float
@@ -166,18 +168,18 @@ def nep(scenario: Scenario, modulation_omega: float | None = None) -> NepResult:
     detector mode's thermal noise floor."""
     if modulation_omega is None:
         modulation_omega = scenario.laser.modulation_omega
-    if modulation_omega < 0.0:
+    if first_failure(modulation_omega >= 0.0) is not None:
         raise ValueError("modulation frequency cannot be negative")
     gas = scenario.gas
     det = scenario.detector
     c = sound_speed(gas)
     v = scenario.cell.volume
-    vh = math.sqrt(v * det.noise_damping * gas.density * c**2
-                   * scenario.constants.k_boltzmann * gas.temperature
-                   * (modulation_omega**2 + det.signal_damping**2)) \
-        / (det.noise_mode_omega * (gas.gamma - 1.0))
+    vh2 = (v * det.noise_damping * gas.density * c**2
+           * scenario.constants.k_boltzmann * gas.temperature
+           * (modulation_omega**2 + det.signal_damping**2))
+    vh = xp(vh2).sqrt(vh2) / (det.noise_mode_omega * (gas.gamma - 1.0))
     small = modulation_omega <= _SMALL_MODULATION_FRACTION * det.noise_mode_omega
-    warnings = () if small else (MODULATION_NOT_SMALL,)
+    warnings = () if everywhere(small) else (MODULATION_NOT_SMALL,)
     return NepResult(
         vh_nep=vh,
         h_nep=vh / v,

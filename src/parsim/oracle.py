@@ -37,11 +37,10 @@ Parseval checks.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import signal as sp_signal
-from scipy.linalg import expm
 
 from .acoustics import CONVENTION_TWO_SIDED, SpectrumSeries
 from .quantities import Scenario, sound_speed
@@ -165,6 +164,8 @@ def transition(mode_omega: float, damping: float, sigma2: float,
     """
     g = damping
     if mode_omega > 0.0:
+        from scipy.linalg import expm
+
         a = np.array([[0.0, 1.0], [-mode_omega**2, -g]])
         phi = expm(a * dt)
         p_inf = np.diag([sigma2 / (2.0 * g * mode_omega**2),
@@ -401,6 +402,8 @@ def estimate_psd(samples, sample_rate: float, window: str = "hann",
     if nperseg > n:
         raise SegmentTooShort(
             f"nperseg {nperseg} exceeds the {n} samples available")
+    from scipy import signal as sp_signal
+
     freqs, pxx = sp_signal.welch(x, fs=sample_rate, window=window,
                                  nperseg=nperseg, noverlap=noverlap,
                                  detrend=False, scaling="density",
@@ -474,9 +477,16 @@ def integrate_driven(mode_omega: float, damping: float, drive_strength: float,
     """
     if not (drive_omega > 0.0) or not (damping > 0.0):
         raise ValueError("drive frequency and damping must be positive")
-    period = 2.0 * math.pi / drive_omega
+    if not isinstance(periods_per_window, numbers.Integral) or periods_per_window < 1:
+        raise ValueError("periods_per_window must be a positive integer, "
+                         f"got {periods_per_window!r}")
     if settle_time is None:
         settle_time = 30.0 / damping
+    if not (math.isfinite(settle_time) and settle_time >= 0.0):
+        raise ValueError(f"settle_time must be finite and >= 0, got {settle_time!r}")
+    from scipy.linalg import expm
+
+    period = 2.0 * math.pi / drive_omega
 
     # state (A, A', cos w t, sin w t)
     generator = np.array([

@@ -13,12 +13,22 @@ A ``Scenario`` is a dumb record; nothing is checked at construction time so
 that values parsed from external input can be assembled first and examined
 afterwards.  ``validate_scenario`` performs the checks and reports every
 violation at once instead of stopping at the first.
+
+Broadcasting
+------------
+Any float field may instead hold a 1-D numpy array, one entry per point of
+a sweep; fields that do not vary stay floats.  The validator and the
+closed forms of the detection chain take either: on floats they compute
+with ``math`` and return Python floats, on arrays with numpy and return
+arrays.  A check over a sweep fails at the first point that breaks it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 __all__ = [
     "HBAR",
@@ -40,6 +50,10 @@ __all__ = [
     "validate_scenario",
     "sound_speed",
     "optimal_cell_radius",
+    "xp",
+    "first_failure",
+    "everywhere",
+    "value_at",
 ]
 
 # CODATA 2018, exact where the SI defines them so
@@ -218,63 +232,119 @@ class Violation:
 
 
 class ScenarioValidationError(ValueError):
-    """Raised with the complete list of violations, not just the first."""
+    """Raised with the complete list of violations, not just the first.
 
-    def __init__(self, violations: list[Violation]):
+    point is the index of the first invalid point of a scenario holding
+    sweep arrays (0 for a plain scenario); the violations are that point's.
+    """
+
+    def __init__(self, violations: list[Violation], point: int = 0):
         self.violations = list(violations)
+        self.point = point
         lines = "; ".join(str(v) for v in self.violations)
         super().__init__(f"invalid scenario: {lines}")
 
 
-def _check_positive(out: list[Violation], prefix: str, **values: float) -> None:
-    for name, value in values.items():
-        if not (value > 0.0) or not math.isfinite(value):
-            out.append(Violation(NEGATIVE_QUANTITY, f"{prefix}.{name}",
-                                 f"must be finite and > 0, got {value!r}"))
+def xp(value):
+    """The module to compute with: numpy for an array, math otherwise."""
+    return np if isinstance(value, np.ndarray) else math
 
 
-def _check_nonnegative(out: list[Violation], prefix: str, **values: float) -> None:
+def first_failure(ok) -> int | None:
+    """Index of the first point where a check fails, None if it holds.
+
+    ok is a bool for one scenario (a failure is point 0) or a bool array
+    for a sweep.
+    """
+    if ok is True:
+        return None
+    if ok is False:
+        return 0
+    failed = np.flatnonzero(np.logical_not(ok))
+    return int(failed[0]) if failed.size else None
+
+
+def everywhere(flag) -> bool:
+    """True if a flag (a bool, or a bool array over a sweep) holds at every point."""
+    return bool(flag.all()) if isinstance(flag, np.ndarray) else bool(flag)
+
+
+def value_at(value, point: int):
+    """One point's value of a field that is a float or a sweep array."""
+    return float(value[point]) if isinstance(value, np.ndarray) else value
+
+
+_INF = math.inf
+
+
+def _require(out: list, ok, code: str, field: str, message: str,
+             value=None) -> None:
+    """Record a violation at the first point where ok fails.
+
+    The message gains ", got <value>" (that point's value) when a value
+    is given.  Callers skip the call when ok is True, the common case.
+    """
+    point = first_failure(ok)
+    if point is None:
+        return
+    if value is not None:
+        message = f"{message}, got {value_at(value, point)!r}"
+    out.append((point, Violation(code, field, message)))
+
+
+def _check_positive(out: list, prefix: str, **values: float) -> None:
     for name, value in values.items():
-        if not (value >= 0.0) or not math.isfinite(value):
-            out.append(Violation(NEGATIVE_QUANTITY, f"{prefix}.{name}",
-                                 f"must be finite and >= 0, got {value!r}"))
+        # a valid float passes the cheap test; arrays take the broadcast one
+        if (value > 0.0) is not True or not value < _INF:
+            _require(out, (value > 0.0) & (value < _INF), NEGATIVE_QUANTITY,
+                     f"{prefix}.{name}", "must be finite and > 0", value)
+
+
+def _check_nonnegative(out: list, prefix: str, **values: float) -> None:
+    for name, value in values.items():
+        if (value >= 0.0) is not True or not value < _INF:
+            _require(out, (value >= 0.0) & (value < _INF), NEGATIVE_QUANTITY,
+                     f"{prefix}.{name}", "must be finite and >= 0", value)
 
 
 def validate_scenario(scenario: Scenario) -> Scenario:
     """Check a scenario candidate, returning it if sound.
 
-    Raises ScenarioValidationError carrying every violation found.  Derived
+    Raises ScenarioValidationError carrying every violation found (of the
+    first invalid point, for a scenario holding arrays).  Derived
     quantities (cell volume, particle equivalent radius, sound speed) are
     implemented as recompute-on-read, so a validated scenario cannot drift
     out of internal consistency afterwards.
     """
-    v: list[Violation] = []
+    v: list[tuple[int, Violation]] = []
     gas, cell, laser, particle, det = (scenario.gas, scenario.cell,
                                        scenario.laser, scenario.particle,
                                        scenario.detector)
 
     _check_positive(v, "gas", pressure=gas.pressure, temperature=gas.temperature,
                     density=gas.density, molecule_mass=gas.molecule_mass)
-    if not (gas.gamma > 1.0):
-        v.append(Violation(GAMMA_NOT_ABOVE_ONE, "gas.gamma",
-                           f"heat capacity ratio must exceed 1, got {gas.gamma!r}"))
+    if (ok := gas.gamma > 1.0) is not True:
+        _require(v, ok, GAMMA_NOT_ABOVE_ONE, "gas.gamma",
+                 "heat capacity ratio must exceed 1", gas.gamma)
 
     _check_positive(v, "cell", length=cell.length, radius=cell.radius)
-    if not (0.0 < cell.detector_coverage <= 1.0):
-        v.append(Violation(OUT_OF_RANGE, "cell.detector_coverage",
-                           f"must lie in (0, 1], got {cell.detector_coverage!r}"))
+    coverage = cell.detector_coverage
+    if (ok := (0.0 < coverage) & (coverage <= 1.0)) is not True:
+        _require(v, ok, OUT_OF_RANGE, "cell.detector_coverage",
+                 "must lie in (0, 1]", coverage)
 
     _check_positive(v, "laser", pump_omega=laser.pump_omega,
-                    stokes_omega=laser.stokes_omega)
+                    stokes_omega=laser.stokes_omega,
+                    modulation_omega=laser.modulation_omega)
     _check_nonnegative(v, "laser", pump_intensity=laser.pump_intensity,
-                       stokes_intensity=laser.stokes_intensity,
-                       modulation_omega=laser.modulation_omega)
-    if not (laser.refractive_index >= 1.0):
-        v.append(Violation(OUT_OF_RANGE, "laser.refractive_index",
-                           f"must be >= 1, got {laser.refractive_index!r}"))
-    if not (laser.pump_omega > laser.stokes_omega):
-        v.append(Violation(STOKES_NOT_BELOW_PUMP, "laser.stokes_omega",
-                           "Stokes frequency must lie below the pump frequency"))
+                       stokes_intensity=laser.stokes_intensity)
+    index = laser.refractive_index
+    if (ok := (index >= 1.0) & (index < _INF)) is not True:
+        _require(v, ok, OUT_OF_RANGE, "laser.refractive_index",
+                 "must be finite and >= 1", index)
+    if (ok := laser.pump_omega > laser.stokes_omega) is not True:
+        _require(v, ok, STOKES_NOT_BELOW_PUMP, "laser.stokes_omega",
+                 "Stokes frequency must lie below the pump frequency")
 
     _check_positive(v, "particle", volume=particle.volume,
                     molecule_count=particle.molecule_count,
@@ -284,12 +354,13 @@ def validate_scenario(scenario: Scenario) -> Scenario:
                        raman_cross_section=particle.raman_cross_section,
                        collisional_rate=particle.collisional_rate,
                        radiative_rate=particle.radiative_rate)
-    if not (0.0 < particle.raman_fraction <= 1.0):
-        v.append(Violation(OUT_OF_RANGE, "particle.raman_fraction",
-                           f"must lie in (0, 1], got {particle.raman_fraction!r}"))
-    if not (particle.collisional_rate + particle.radiative_rate > 0.0):
-        v.append(Violation(OUT_OF_RANGE, "particle.collisional_rate",
-                           "collisional and radiative decay rates cannot both vanish"))
+    fraction = particle.raman_fraction
+    if (ok := (0.0 < fraction) & (fraction <= 1.0)) is not True:
+        _require(v, ok, OUT_OF_RANGE, "particle.raman_fraction",
+                 "must lie in (0, 1]", fraction)
+    if (ok := particle.collisional_rate + particle.radiative_rate > 0.0) is not True:
+        _require(v, ok, OUT_OF_RANGE, "particle.collisional_rate",
+                 "collisional and radiative decay rates cannot both vanish")
     if particle.radius_override is not None:
         _check_positive(v, "particle", radius_override=particle.radius_override)
 
@@ -303,18 +374,20 @@ def validate_scenario(scenario: Scenario) -> Scenario:
     k = scenario.constants
     expected_r = k.k_boltzmann * k.avogadro
     if abs(k.gas_constant - expected_r) > 1e-12 * expected_r:
-        v.append(Violation(
+        v.append((0, Violation(
             INCONSISTENT_DERIVED_FIELD, "constants.gas_constant",
-            f"gas constant {k.gas_constant!r} disagrees with k_B * N_A = {expected_r!r}"))
+            f"gas constant {k.gas_constant!r} disagrees with k_B * N_A = {expected_r!r}")))
 
     if v:
-        raise ScenarioValidationError(v)
+        point = min(p for p, _ in v)
+        raise ScenarioValidationError([x for p, x in v if p == point], point)
     return scenario
 
 
 def sound_speed(gas: GasProperties) -> float:
     """Adiabatic sound speed c = sqrt(gamma p / rho)."""
-    return math.sqrt(gas.gamma * gas.pressure / gas.density)
+    c2 = gas.gamma * gas.pressure / gas.density
+    return xp(c2).sqrt(c2)
 
 
 def optimal_cell_radius(wavelength: float, length: float) -> float:

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .quantities import SPEED_OF_LIGHT, Scenario
+from .quantities import SPEED_OF_LIGHT, Scenario, first_failure, xp
 
 __all__ = [
     "RamanGainResult",
@@ -94,7 +94,7 @@ def population_factor(raman_shift: float, temperature: float, hbar: float,
                       k_boltzmann: float) -> float:
     """Thermal population contrast 1 - exp(-hbar dw / kT), in [0, 1]."""
     x = hbar * raman_shift / (k_boltzmann * temperature)
-    return -math.expm1(-x)
+    return -xp(x).expm1(-x)
 
 
 def gain_coefficient(scenario: Scenario,
@@ -148,7 +148,7 @@ def heat_source_density(scenario: Scenario,
     laser = scenario.laser
     particle = scenario.particle
     total_rate = particle.collisional_rate + particle.radiative_rate
-    if total_rate <= 0.0:
+    if first_failure(total_rate > 0.0) is not None:
         raise ValueError("collisional and radiative decay rates cannot both vanish")
     branching = particle.collisional_rate / total_rate
 

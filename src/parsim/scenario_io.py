@@ -12,6 +12,10 @@ required key is reported in one message.  Lenient mode downgrades unknown
 keys to warnings (typo-tolerant exploration) but never silently drops a
 required field.  Plain YAML loaders parse exponent literals like ``1.0e12``
 as strings, so numeric fields are coerced from strings when needed.
+Parsing uses libyaml's C parser when PyYAML was built with it, and the
+pure-Python parser otherwise.  Both resolve scalars the same way; they word
+a syntax error differently and may place it on a different line (an
+unclosed ``{`` at the end of the text, for one).
 
 Writing uses repr precision, which round-trips doubles exactly.
 ``scenario_hash`` digests the canonical flattened form, so any two equal
@@ -54,6 +58,8 @@ __all__ = [
 FORMAT_VERSION = 1
 
 _TWO_PI = 2.0 * math.pi
+
+_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 
 class ParseError(ValueError):
@@ -150,7 +156,7 @@ def _coerce_number(value, where: str) -> float:
 
 def _parse_yaml(text: str):
     try:
-        return yaml.safe_load(text)
+        return yaml.load(text, Loader=_LOADER)
     except yaml.MarkedYAMLError as exc:
         mark = exc.problem_mark
         if mark is not None:

@@ -29,7 +29,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .quantities import GasProperties, PhysicalConstants, Scenario
+import numpy as np
+
+from .quantities import (
+    GasProperties,
+    PhysicalConstants,
+    Scenario,
+    everywhere,
+    first_failure,
+    xp,
+)
 
 __all__ = [
     "CollisionalCooling",
@@ -57,7 +66,8 @@ def collision_rate(gas: GasProperties, radius: float,
     molecular speed: flux of momentum-carrying molecules onto the surface.
     """
     k = constants or PhysicalConstants()
-    u_g = math.sqrt(3.0 * k.k_boltzmann * gas.temperature / gas.molecule_mass)
+    u_g2 = 3.0 * k.k_boltzmann * gas.temperature / gas.molecule_mass
+    u_g = xp(u_g2).sqrt(u_g2)
     return gas.pressure * 4.0 * math.pi * radius**2 / (2.0 * gas.molecule_mass * u_g)
 
 
@@ -89,7 +99,7 @@ def collisional_timescale(molecule_count: float, collisions_per_second: float,
                           constants: PhysicalConstants | None = None,
                           accommodation: float = 1.0) -> CollisionalCooling:
     """Cooling time constant tau = (c_v/R)(N_S/N_c)/accommodation."""
-    if not (collisions_per_second > 0.0):
+    if first_failure(collisions_per_second > 0.0) is not None:
         raise ValueError("collision rate must be positive")
     if not (0.0 < accommodation <= 1.0):
         raise ValueError("accommodation coefficient must lie in (0, 1]")
@@ -114,7 +124,8 @@ class EfficiencyResult:
     drive_separation      modulation_time / tau_coll
     radiative_separation  tau_rad / tau_coll
     chain_separation      tau_rad / modulation_time
-    warnings          list of warning codes (empty when eta == 1)
+    separated         collisions dominate both other timescales, so eta == 1
+    warnings          warning codes (empty when separated at every point)
     """
 
     eta: float
@@ -122,6 +133,7 @@ class EfficiencyResult:
     drive_separation: float
     radiative_separation: float
     chain_separation: float
+    separated: bool | np.ndarray
     warnings: tuple[str, ...]
 
 
@@ -136,19 +148,23 @@ def transfer_efficiency(tau_collisional: float, tau_radiative: float,
     the dominance ratio.  Otherwise the collisional branching fraction is
     returned and a warning is recorded.
     """
-    if not (tau_collisional > 0.0) or not (tau_radiative > 0.0):
+    if first_failure((tau_collisional > 0.0) & (tau_radiative > 0.0)) is not None:
         raise ValueError("timescales must be positive")
-    if not (modulation_omega > 0.0):
+    if first_failure(modulation_omega > 0.0) is not None:
         raise ValueError("modulation frequency must be positive")
     t_mod = 1.0 / modulation_omega
     drive_sep = t_mod / tau_collisional
     rad_sep = tau_radiative / tau_collisional
     chain_sep = tau_radiative / t_mod
-    if drive_sep >= dominance_ratio and rad_sep >= dominance_ratio:
-        return EfficiencyResult(1.0, t_mod, drive_sep, rad_sep, chain_sep, ())
-    eta = tau_radiative / (tau_radiative + tau_collisional)
+    separated = (drive_sep >= dominance_ratio) & (rad_sep >= dominance_ratio)
+    collisional_fraction = tau_radiative / (tau_radiative + tau_collisional)
+    if isinstance(separated, np.ndarray):
+        eta = np.where(separated, 1.0, collisional_fraction)
+    else:
+        eta = 1.0 if separated else collisional_fraction
+    warnings = () if everywhere(separated) else (TIMESCALES_NOT_SEPARATED,)
     return EfficiencyResult(eta, t_mod, drive_sep, rad_sep, chain_sep,
-                            (TIMESCALES_NOT_SEPARATED,))
+                            separated, warnings)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,13 @@
+import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import parsim
 from parsim import cli
 from parsim.cli import WARNING_BITS, main, warning_bits
 from parsim.detection import BREAKDOWN_RISK, NEP_CONVENTION_NOTE
@@ -150,6 +156,66 @@ def test_sweep_invalid_point_exits_2(capsys):
                        "--vary", "gas.temperature=lin:-100:300:3")
     assert code == 2
     assert "sweep point" in err
+    # the first invalid point, printed as a plain float
+    assert "gas.temperature=-100.0 invalid" in err
+    code, _, err = run(capsys, "sweep",
+                       "--vary", "gas.temperature=lin:300:-300:4")
+    assert code == 2
+    assert "gas.temperature=-100.0 invalid" in err
+    assert "got -100.0 [negative_quantity]" in err
+
+
+# scenarios without a detectable signal: each must end in a refusal with
+# exit 2, never in a traceback
+ZERO_HEATING = {
+    "raman_cross_section_m2_sr: 3.25e-33": "raman_cross_section_m2_sr: 0.0",
+    "active_density_m3: 4.0e+26": "active_density_m3: 0",
+    "collisional_rate_rad_s: 1000000000000.0": "collisional_rate_rad_s: 0.0",
+    "refractive_index: 1.0": "refractive_index: .inf",
+    "modulation_omega_rad_s: 100.0": "modulation_omega_rad_s: 0.0",
+}
+
+
+def _cli(*argv):
+    src = str(Path(parsim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "parsim.cli", *argv],
+                          env=env, capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("line", sorted(ZERO_HEATING))
+def test_report_refuses_scenarios_without_signal(tmp_path, anthrax, line):
+    text = dumps_scenario(anthrax)
+    assert line in text
+    path = tmp_path / "dark.yaml"
+    path.write_text(text.replace(line, ZERO_HEATING[line]))
+    result = _cli("report", "--scenario", str(path))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ")
+    assert "Traceback" not in result.stderr
+    field = ZERO_HEATING[line].split("_")[0]
+    assert field in result.stderr
+
+
+@pytest.mark.parametrize("path, spec", [
+    ("particle.raman_cross_section", "lin:1e-33:0:3"),
+    ("particle.active_density", "lin:0:4e26:3"),
+    ("particle.collisional_rate", "lin:1e12:0:5"),
+])
+def test_sweep_refuses_a_dark_point_like_report(capsys, tmp_path, anthrax,
+                                                path, spec):
+    swept = run(capsys, "sweep", "--vary", f"{path}={spec}")
+    attr = path.split(".")[1]
+    particle = dataclasses.replace(anthrax.particle, **{attr: 0.0})
+    file = tmp_path / "point.yaml"
+    file.write_text(dumps_scenario(dataclasses.replace(anthrax,
+                                                       particle=particle)))
+    single = run(capsys, "report", "--scenario", str(file))
+    assert swept == single
+    assert swept[0] == 2 and swept[1] == ""
+    assert swept[2] == f"error: {path} is 0.0: no Raman heating, nothing to detect\n"
 
 
 def test_modes_table(capsys):

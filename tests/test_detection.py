@@ -2,6 +2,7 @@ import dataclasses
 import math
 import random
 
+import numpy as np
 import pytest
 
 from parsim import detection, noise, thermal
@@ -51,6 +52,34 @@ def test_min_density_needs_light(anthrax):
     laser = dataclasses.replace(anthrax.laser, pump_intensity=0.0)
     with pytest.raises(ValueError):
         min_density(dataclasses.replace(anthrax, laser=laser))
+
+
+@pytest.mark.parametrize("name", ["active_density", "raman_cross_section",
+                                  "collisional_rate"])
+def test_min_density_refuses_zero_heating(anthrax, name):
+    # each passes validation (checked >= 0) but leaves no signal
+    particle = dataclasses.replace(anthrax.particle, **{name: 0.0})
+    scenario = dataclasses.replace(anthrax, particle=particle)
+    with pytest.raises(ValueError, match=f"particle.{name} is 0.0"):
+        min_density(scenario)
+
+
+def test_min_density_broadcasts_over_a_sweep(anthrax):
+    intensities = np.geomspace(1.0e8, 1.0e16, 9)
+    laser = dataclasses.replace(anthrax.laser, pump_intensity=intensities)
+    swept = min_density(dataclasses.replace(anthrax, laser=laser))
+    assert swept.rho_min.shape == (9,)
+    for i, value in enumerate(intensities.tolist()):
+        laser = dataclasses.replace(anthrax.laser, pump_intensity=value)
+        point = min_density(dataclasses.replace(anthrax, laser=laser))
+        assert math.isclose(swept.rho_min[i], point.rho_min, rel_tol=1e-13)
+        assert swept.eta == point.eta
+        flags = {code: flag[i] if isinstance(flag, np.ndarray) else flag
+                 for code, flag in swept.warning_flags.items()}
+        assert flags == point.warning_flags
+    # codes that hold at any point, in report order
+    assert swept.warnings == (BREAKDOWN_RISK, SPARSE_SUSPENSION,
+                              NEP_CONVENTION_NOTE)
 
 
 def test_min_density_intensity_scaling(anthrax):

@@ -441,6 +441,20 @@ def test_driven_guards():
         integrate_driven(1.0e4, -5.0, 1.0, 100.0)
 
 
+@pytest.mark.parametrize("kwargs, name", [
+    ({"periods_per_window": 0}, "periods_per_window"),
+    ({"periods_per_window": -2}, "periods_per_window"),
+    ({"periods_per_window": 1.5}, "periods_per_window"),
+    ({"settle_time": -1.0}, "settle_time"),
+    ({"settle_time": math.inf}, "settle_time"),
+    ({"settle_time": math.nan}, "settle_time"),
+])
+def test_driven_argument_checks(kwargs, name):
+    # a negative settle time would integrate backwards in time
+    with pytest.raises(ValueError, match=name):
+        integrate_driven(1.0e4, 100.0, 1.0, 1.0e4, **kwargs)
+
+
 def test_trajectory_csv(anthrax):
     config = SdeRunConfig(timestep=1.0e-6, duration=2.0e-5, seed=3,
                           ensemble_size=2, mode_omega=MODE_OMEGA,

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from parsim import quantities as q
@@ -150,6 +151,38 @@ def test_validate_decay_rates_cannot_both_vanish(anthrax):
     with pytest.raises(q.ScenarioValidationError) as err:
         q.validate_scenario(bad)
     assert any(v.code == q.OUT_OF_RANGE for v in err.value.violations)
+
+
+def test_validate_refractive_index_must_be_finite(anthrax):
+    # an infinite index makes the Stokes velocity, and so the gain, zero
+    with pytest.raises(q.ScenarioValidationError) as err:
+        q.validate_scenario(_broken(anthrax, refractive_index=math.inf))
+    assert [(v.code, v.field) for v in err.value.violations] == [
+        (q.OUT_OF_RANGE, "laser.refractive_index")]
+
+
+def test_validate_modulation_must_be_positive(anthrax):
+    # thermal.transfer_efficiency refuses w = 0, so validation must too
+    with pytest.raises(q.ScenarioValidationError) as err:
+        q.validate_scenario(_broken(anthrax, modulation_omega=0.0))
+    assert [(v.code, v.field) for v in err.value.violations] == [
+        (q.NEGATIVE_QUANTITY, "laser.modulation_omega")]
+
+
+def test_validate_sweep_reports_first_invalid_point(anthrax):
+    gas = dataclasses.replace(anthrax.gas,
+                              temperature=np.array([300.0, 300.0, -1.0, 300.0]),
+                              pressure=np.array([1.0e5, -2.0, -3.0, 1.0e5]))
+    swept = dataclasses.replace(anthrax, gas=gas)
+    with pytest.raises(q.ScenarioValidationError) as err:
+        q.validate_scenario(swept)
+    # point 1 breaks only the pressure; point 2 breaks both
+    assert err.value.point == 1
+    assert [str(v) for v in err.value.violations] == [
+        "gas.pressure: must be finite and > 0, got -2.0 [negative_quantity]"]
+    ok = dataclasses.replace(gas, pressure=np.full(4, 1.0e5),
+                             temperature=np.linspace(100.0, 400.0, 4))
+    q.validate_scenario(dataclasses.replace(anthrax, gas=ok))
 
 
 def test_validate_zero_intensity_is_allowed(anthrax):

@@ -3,6 +3,7 @@ import math
 import textwrap
 
 import pytest
+import yaml
 
 from parsim import scenario_io
 from parsim.quantities import ATOMIC_MASS, ScenarioValidationError
@@ -210,3 +211,57 @@ def test_dumps_uses_canonical_keys(anthrax):
     assert "pressure_pa:" in text
     assert "noise_mode_omega_rad_s:" in text
     assert "_hz:" not in text.replace("linewidth_hz:", "")
+
+
+def _loader_inputs(anthrax):
+    """The YAML texts the tests above load, valid and broken."""
+    gas_block = MINIMAL[MINIMAL.index("gas:\n"):MINIMAL.index("cell:\n")]
+    optionals = dataclasses.replace(
+        anthrax, spore_density=2.5e4,
+        cell=dataclasses.replace(anthrax.cell, detector_coverage=0.7),
+        particle=dataclasses.replace(anthrax.particle, radius_override=9.0e-7))
+    return [
+        MINIMAL,
+        dumps_scenario(anthrax),
+        dumps_scenario(optionals),
+        MINIMAL.replace("  noise_mode_omega_rad_s: 4.0e4", "  noise_mode_hz: 2.0e3"),
+        MINIMAL.replace("  molecule_mass_kg: 4.649509386e-26",
+                        "  molecule_mass_amu: 28.0"),
+        MINIMAL.replace("  noise_mode_omega_rad_s: 4.0e4",
+                        "  noise_mode_omega_rad_s: 4.0e4\n  noise_mode_hz: 2.0e3"),
+        MINIMAL + "orientation: vertical\n",
+        MINIMAL.replace("  length_m: 0.1", "  length_m: 0.1\n  color: red"),
+        MINIMAL.replace("  pressure_pa: 101325.0\n", "").replace("  length_m: 0.1\n", ""),
+        MINIMAL.replace("detector:\n", "detector_typo:\n"),
+        MINIMAL.replace("format_version: 1\n", ""),
+        MINIMAL.replace("format_version: 1", "format_version: 99"),
+        "format_version: 1\ngas: [unclosed\n",
+        "",
+        "- 1\n- 2\n",
+        MINIMAL.replace(gas_block, "gas: 17\n"),
+        MINIMAL.replace("  temperature_k: 300.0", "  temperature_k: warm"),
+        MINIMAL.replace("  adiabatic_index: 1.4", "  adiabatic_index: 0.9"),
+    ]
+
+
+def _outcome(text):
+    try:
+        result = loads_scenario(text)
+    except ParseError as exc:
+        # libyaml words the problem differently; the position must agree
+        return "ParseError", str(exc).split(":")[0]
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+    return result.scenario, result.warnings
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+def test_c_and_python_loaders_agree(anthrax, monkeypatch):
+    assert scenario_io._LOADER is yaml.CSafeLoader
+    texts = _loader_inputs(anthrax)
+    fast = [_outcome(text) for text in texts]
+    monkeypatch.setattr(scenario_io, "_LOADER", yaml.SafeLoader)
+    slow = [_outcome(text) for text in texts]
+    assert fast == slow
+    assert fast[0][0] == loads_scenario(MINIMAL).scenario
+    assert fast[12] == ("ParseError", "line 3, column 1")

@@ -1,0 +1,105 @@
+"""`parsim sweep` evaluates every point in one broadcast pass.
+
+The reference here is the per-point loop the command used to run: one
+scalar scenario per value, validated and passed through min_density.
+"""
+
+import dataclasses
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import parsim
+from parsim import cli
+from parsim.detection import min_density
+from parsim.presets import anthrax_stp
+from parsim.quantities import validate_scenario
+
+# about 450 ulp: far above the ~25 roundings of the chain, below the
+# benchmark's 1e-12 reference tolerance
+REL_TOL = 1e-13
+
+SPECS = [
+    "laser.pump_intensity,laser.stokes_intensity=log:1e8:1e16:41",
+    "laser.pump_intensity=log:1e9:1e17:33",
+    "gas.pressure=log:1e2:1e7:41",
+    "laser.modulation_omega=log:1:1e6:41",
+    "gas.temperature=lin:100:3000:41",
+    "particle.volume=log:1e-21:1e-15:17",
+    "detector.noise_mode_omega=log:1e3:1e6:17",
+]
+
+
+def _scalar_rows(spec):
+    """The per-point reference: (value, rho_min, h_r, eta, h_nep, bits)."""
+    paths, values = cli._parse_sweep(spec)
+    rows = []
+    for value in values.tolist():
+        point = anthrax_stp()
+        for path in paths:
+            section, _, attr = path.partition(".")
+            part = dataclasses.replace(getattr(point, section), **{attr: value})
+            point = dataclasses.replace(point, **{section: part})
+        report = min_density(validate_scenario(point))
+        rows.append((value, report.rho_min, report.h_r, report.eta,
+                     report.h_nep, cli.warning_bits(report.warnings)))
+    return rows
+
+
+def _sweep_rows(capsys, spec):
+    assert cli.main(["sweep", "--vary", spec]) == 0
+    out = capsys.readouterr().out
+    lines = [l for l in out.splitlines() if l and not l.startswith("#")]
+    n_paths = len(lines[0].split(",")) - 5
+    rows = []
+    for line in lines[1:]:
+        cells = line.split(",")
+        assert len(set(cells[:n_paths])) == 1
+        rows.append(tuple(float(c) for c in cells[n_paths - 1:-1])
+                    + (int(cells[-1]),))
+    return rows
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_array_sweep_matches_scalar_loop(capsys, spec):
+    swept = _sweep_rows(capsys, spec)
+    reference = _scalar_rows(spec)
+    assert len(swept) == len(reference)
+    for got, want in zip(swept, reference):
+        assert got[0] == want[0]
+        assert got[-1] == want[-1]
+        for a, b in zip(got[1:-1], want[1:-1]):
+            assert math.isclose(a, b, rel_tol=REL_TOL), (spec, got, want)
+
+
+def test_sweeps_cover_every_warning_bit_and_the_eta_switch():
+    rows = [row for spec in SPECS for row in _scalar_rows(spec)]
+    bits = {row[-1] for row in rows}
+    for bit in cli.WARNING_BITS.values():
+        assert any(b & bit for b in bits), bit
+        assert any(not b & bit for b in bits), bit
+    etas = {row[3] == 1.0 for row in rows}
+    assert etas == {True, False}
+
+
+def test_analytic_commands_import_no_scipy():
+    script = "\n".join([
+        "import contextlib, io, sys",
+        "from parsim.cli import main",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    assert main(['report']) == 0",
+        "    assert main(['sweep', '--vary', 'gas.pressure=log:1e3:1e6:1000']) == 0",
+        "    assert main(['presets']) == 0",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+    ])
+    src = str(Path(parsim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"

@@ -16,10 +16,13 @@ are flagged, as is a detection limit so low that fewer than a handful of
 particles would occupy the cell (the continuum-suspension picture breaks
 down there).  A scenario without Raman heating (no active molecules, no
 cross section or no collisional decay) is refused: nothing is detectable.
+So is one whose arithmetic leaves the range of a double (say, a product of
+intensities above 1.8e308 W^2/m^4): its numbers would be inf, nan or 0.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,14 +113,50 @@ def _no_heating(particle: ParticleSpec, point: int) -> str:
     return "the Raman signal per particle underflows to 0: nothing to detect"
 
 
+def _first_non_finite(result, prefix: str = "") -> tuple[str, float] | None:
+    """(dotted field name, value) of the first Python float field not finite.
+
+    numpy scalars and arrays are left out: they raise under errstate.
+    """
+    for name, value in vars(result).items():
+        if type(value) is float:
+            if not math.isfinite(value):
+                return prefix + name, value
+        elif hasattr(value, "__dataclass_fields__"):   # is_dataclass, faster
+            found = _first_non_finite(value, f"{prefix}{name}.")
+            if found is not None:
+                return found
+    return None
+
+
 def min_density(scenario: Scenario, snr: float = 1.0,
                 linewidth_convention: str = "ordinary") -> DetectionReport:
     """Minimum detectable particle density for one scenario.
 
     snr scales the required signal-to-noise ratio (1 means signal equal to
     the integrated noise floor).  Swept fields give a report of arrays, one
-    entry per point; a refusal names the first point refused.
+    entry per point; a refusal names the first point refused.  Arithmetic
+    that overflows, divides by zero or turns invalid is refused with a
+    ValueError saying "arithmetic out of range".
     """
+    try:
+        # numpy warns and goes on where math raises
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            report = _min_density(scenario, snr, linewidth_convention)
+    except ArithmeticError as exc:
+        # FloatingPointError from numpy names the operation; math and Python
+        # floats raise OverflowError or ZeroDivisionError
+        detail = "overflow" if isinstance(exc, OverflowError) else exc
+        raise ValueError(f"arithmetic out of range: {detail}") from exc
+    # a Python float multiplication overflows to inf without raising
+    found = _first_non_finite(report)
+    if found is not None:
+        raise ValueError(f"arithmetic out of range: {found[0]} is {found[1]!r}")
+    return report
+
+
+def _min_density(scenario: Scenario, snr: float,
+                 linewidth_convention: str) -> DetectionReport:
     if not (snr > 0.0):
         raise ValueError("snr must be positive")
     laser = scenario.laser

@@ -10,7 +10,8 @@ import pytest
 import parsim
 from parsim import cli
 from parsim.cli import WARNING_BITS, main, warning_bits
-from parsim.detection import BREAKDOWN_RISK, NEP_CONVENTION_NOTE
+from parsim.detection import BREAKDOWN_RISK, NEP_CONVENTION_NOTE, min_density
+from parsim.quantities import validate_scenario
 from parsim.scenario_io import dumps_scenario
 
 
@@ -216,6 +217,51 @@ def test_sweep_refuses_a_dark_point_like_report(capsys, tmp_path, anthrax,
     assert swept == single
     assert swept[0] == 2 and swept[1] == ""
     assert swept[2] == f"error: {path} is 0.0: no Raman heating, nothing to detect\n"
+
+
+# scenarios whose arithmetic leaves the range of a double: field values,
+# and the sweep whose first point is that scenario
+OUT_OF_RANGE = {
+    "intensities": ({"laser": {"pump_intensity": 1.0e200,
+                               "stokes_intensity": 1.0e200}},
+                    "laser.pump_intensity,laser.stokes_intensity=log:1e200:1e201:2"),
+    "temperature": ({"gas": {"temperature": 1.0e300}},
+                    "gas.temperature=lin:1e300:1e301:2"),
+}
+
+
+def _with_fields(scenario, fields):
+    for section, values in fields.items():
+        part = dataclasses.replace(getattr(scenario, section), **values)
+        scenario = dataclasses.replace(scenario, **{section: part})
+    return scenario
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
+def test_min_density_refuses_arithmetic_out_of_range(anthrax, case):
+    # the intensities used to give h_r = inf and rho_min = 0.0, the
+    # temperature an OverflowError from T^4
+    scenario = validate_scenario(_with_fields(anthrax, OUT_OF_RANGE[case][0]))
+    with pytest.raises(ValueError, match="^arithmetic out of range: "):
+        min_density(scenario)
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
+def test_report_refuses_arithmetic_out_of_range(capsys, tmp_path, anthrax, case):
+    fields, spec = OUT_OF_RANGE[case]
+    path = tmp_path / "huge.yaml"
+    path.write_text(dumps_scenario(_with_fields(anthrax, fields)))
+    result = _cli("report", "--scenario", str(path))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: arithmetic out of range: ")
+    assert result.stderr.count("\n") == 1
+    assert "Traceback" not in result.stderr
+    # a sweep starting at the same point refuses it the same way
+    code, out, err = run(capsys, "sweep", "--vary", spec)
+    assert (code, out) == (result.returncode, result.stdout)
+    assert err.startswith("error: arithmetic out of range: ")
+    assert err.count("\n") == 1
 
 
 def test_modes_table(capsys):

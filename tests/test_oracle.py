@@ -9,15 +9,19 @@ from parsim.acoustics import SpectrumSeries
 from parsim.oracle import (
     _BLOCK_STEPS,
     _CHUNK_STEPS,
+    _SAMPLES_PER_PERIOD,
     FreeDecay,
     InsufficientStatistics,
     NotConverged,
     SdeRunConfig,
+    STABILITY_LIMIT,
     SegmentTooShort,
     StabilityGuardViolated,
     ThermalForcing,
+    _expm,
     _member_generators,
     _noise_factor,
+    _welch,
     estimate_psd,
     integrate_driven,
     integrate_langevin,
@@ -72,6 +76,69 @@ def test_transition_zero_frequency_closed_forms():
     assert math.isclose(sig[1, 1], uu, rel_tol=1e-8)
     assert math.isclose(sig[0, 1], qu, rel_tol=1e-8)
     assert math.isclose(sig[0, 0], qq, rel_tol=1e-7)
+
+
+# (mode_omega, damping): underdamped, critically damped, overdamped, w >> Gamma
+PHI_CASES = [(MODE_OMEGA, DAMPING), (2.5e4, 5.0e4), (1.0e4, 5.0e4), (1.0e6, 1.0e2)]
+
+
+@pytest.mark.parametrize("mode_omega, damping", PHI_CASES)
+@pytest.mark.parametrize("fraction", [1.0, 0.3, 1.0 / 7.0])
+def test_expm_matches_scipy_on_phi(mode_omega, damping, fraction):
+    from scipy.linalg import expm
+
+    # Phi pairs entries of order w^2 dt with dt; unbalanced Pade-13 leaves
+    # relative errors of 1e-9 to 1e-5 in the small ones
+    dt = fraction * STABILITY_LIMIT / max(mode_omega, damping)
+    a = np.array([[0.0, 1.0], [-mode_omega**2, -damping]]) * dt
+    want = expm(a)
+    assert np.all(np.abs(_expm(a) - want) <= 1e-14 * np.abs(want))
+
+
+def _driven_generator(mode_omega, damping, strength, drive_omega):
+    return np.array([
+        [0.0, 1.0, 0.0, 0.0],
+        [-mode_omega**2, -damping, 0.0, -strength * drive_omega],
+        [0.0, 0.0, 0.0, -drive_omega],
+        [0.0, 0.0, drive_omega, 0.0],
+    ])
+
+
+# the acceptance configurations (Q about 100) and the benchmark's (Q = 12)
+DRIVEN_CASES = [
+    (10377.685870383077, 100.0, 2.0e-3, 2.5e3),
+    (10377.685870383077, 100.0, 2.0e-3, 2.1e4),
+    (0.0, 100.0, 1.0, 250.0),
+    (1.0e4, 1.0e4 / 12.0, 1.0e-3, 1.0e4),
+    (1.0e4, 1.0e4 / 12.0, 1.0e-3, 1.6e4),
+]
+
+
+@pytest.mark.parametrize("args", DRIVEN_CASES)
+def test_expm_matches_scipy_at_sample_dt(args):
+    from scipy.linalg import expm
+
+    period = 2.0 * math.pi / args[3]
+    a = _driven_generator(*args) * (period / _SAMPLES_PER_PERIOD)
+    want = expm(a)
+    assert np.linalg.norm(_expm(a) - want, 1) <= 1e-13 * np.linalg.norm(want, 1)
+
+
+@pytest.mark.parametrize("args", DRIVEN_CASES)
+def test_expm_settle_propagator_accuracy(args):
+    # scipy.linalg.expm itself is off by up to 1.8e-12 here, so the
+    # reference is a 60-digit exponential.  The bound is a few eps times the
+    # spectral radius of M t, the condition of the exponential of a
+    # rotation by that many radians; unbalanced Pade-13 misses it by factors
+    # of 170 to 2000 wherever the mode frequency is not 0.
+    mpmath = pytest.importorskip("mpmath")
+    a = _driven_generator(*args) * (30.0 / args[1])
+    with mpmath.workdps(60):
+        exact = mpmath.expm(mpmath.matrix(a.tolist()))
+        want = np.array(exact.tolist(), dtype=float)
+    radius = float(np.max(np.abs(np.linalg.eigvals(a))))
+    err = np.linalg.norm(_expm(a) - want, 1) / np.linalg.norm(want, 1)
+    assert err <= 1e-15 * max(1.0, radius)
 
 
 def test_transition_covariance_positive():
@@ -353,6 +420,20 @@ def test_estimate_psd_sinusoid():
     assert math.isclose(var, amp**2 / 2.0, rel_tol=0.02)
     peak = series.omega[int(np.argmax(series.values))]
     assert abs(peak - 2.0 * math.pi * f0) < 2.0 * (series.omega[1] - series.omega[0])
+
+
+@pytest.mark.parametrize("nperseg", [8, 9, 1024, 4096])
+@pytest.mark.parametrize("shape", [(9000,), (3, 9000)])
+def test_welch_matches_scipy(nperseg, shape):
+    from scipy import signal
+
+    x = np.random.Generator(np.random.Philox(27)).standard_normal(shape)
+    freqs, pxx = _welch(x, 2.0e5, nperseg)
+    want_freqs, want = signal.welch(np.atleast_2d(x), fs=2.0e5, window="hann",
+                                    nperseg=nperseg, detrend=False, axis=1)
+    want = want.mean(axis=0)
+    np.testing.assert_array_equal(freqs, want_freqs)
+    assert np.all(np.abs(pxx - want) <= 1e-13 * want)
 
 
 def test_estimate_psd_guards():

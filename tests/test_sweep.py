@@ -87,14 +87,12 @@ def test_sweeps_cover_every_warning_bit_and_the_eta_switch():
     assert etas == {True, False}
 
 
-def test_analytic_commands_import_no_scipy():
+def _scipy_modules_after(*lines):
+    """scipy modules loaded by a fresh interpreter running the given lines."""
     script = "\n".join([
         "import contextlib, io, sys",
         "from parsim.cli import main",
-        "with contextlib.redirect_stdout(io.StringIO()):",
-        "    assert main(['report']) == 0",
-        "    assert main(['sweep', '--vary', 'gas.pressure=log:1e3:1e6:1000']) == 0",
-        "    assert main(['presets']) == 0",
+        *lines,
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
     ])
     src = str(Path(parsim.__file__).resolve().parents[1])
@@ -102,4 +100,22 @@ def test_analytic_commands_import_no_scipy():
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     result = subprocess.run([sys.executable, "-c", script], env=env,
                             capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip()
+
+
+def test_analytic_commands_import_no_scipy():
+    assert _scipy_modules_after(
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    assert main(['report']) == 0",
+        "    assert main(['sweep', '--vary', 'gas.pressure=log:1e3:1e6:1000']) == 0",
+        "    assert main(['presets']) == 0",
+    ) == "[]"
+
+
+def test_oracle_engines_import_no_scipy():
+    assert _scipy_modules_after(
+        "from parsim.oracle import integrate_driven",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    assert main(['validate-noise', '--members', '4']) == 0",
+        "integrate_driven(1.0e4, 100.0, 1.0e-3, 1.0e4)",
+    ) == "[]"

@@ -282,6 +282,9 @@ def _cmd_modes(args) -> int:
 # validate-noise
 
 def _cmd_validate_noise(args) -> int:
+    if not (0.0 < args.duration_dampings < math.inf):
+        raise ValueError("--duration-dampings must be positive and finite, "
+                         f"got {args.duration_dampings!r}")
     scenario, origin = _load(args)
     det = scenario.detector
     gas = scenario.gas
@@ -301,6 +304,10 @@ def _cmd_validate_noise(args) -> int:
         psd_nperseg=nperseg,
     )
     stats = integrate_langevin(config, scenario)
+    meta = stats.metadata
+    print(f"langevin: {stats.n_members} members, {meta['n_steps']} steps each "
+          f"at dt {meta['timestep']!r} s, wall {meta['wall_s']:.3f} s",
+          file=sys.stderr)
 
     lines = [f"noise model validation: {origin}",
              f"seed {args.seed}, {args.members} members, "

@@ -8,37 +8,47 @@ check.  It integrates the mode dynamics
 
 with the exact Gaussian transition of the linear SDE: over a step dt the
 state propagates as x' = Phi x + xi with Phi = exp(A dt) and xi drawn from
-the exact transition covariance Sigma(dt) = P_inf - Phi P_inf Phi^T.  The
-update is distributionally exact for any dt, so timestep refinement changes
-statistics only through sampling noise, never through bias; the stability
-guard below merely keeps spectra well resolved.  Steps are taken in blocks:
-one matrix product against the stacked powers of Phi gives every state of
-a block from its start state and its draws, and only the start states are
-carried from block to block.
+the exact transition covariance Sigma(dt), the integral of
+exp(A s) Q exp(A^T s) over one step.  Phi and Sigma come from one block
+exponential (Van Loan, IEEE TAC 23(3), 1978, Theorem 1), which needs
+neither the stationary covariance the oracle is meant to check nor a
+separate form for w_j = 0.  The update is distributionally exact for any
+dt, so timestep refinement changes statistics only through sampling
+noise, never through bias; the stability guard below merely keeps spectra
+well resolved.  Steps are taken in blocks: one matrix product against the
+stacked powers of Phi gives every state of a block from its start state
+and its draws, and only the start states are carried from block to block.
+
+The reductions are streamed.  Each chunk of states is reduced as soon as
+it is produced, into a per-member sum of u^2, per-member lag products for
+the autocovariance and Welch segment powers, and only short carries pass
+between chunks: the last n_lags velocities and the samples of the
+unfinished Welch segment.  Memory therefore grows with the ensemble, not
+with the run length; the trajectories are stored only on request.
 
 The driven oracle appends the drive oscillator (cos wt, sin wt) to the mode
 state, which makes the driven system linear with a constant generator, and
-steps it with the exact propagator expm(M dt) (Van Loan, IEEE TAC 23(3),
-1978).  Both oracles take their matrix exponentials from ``_expm``: power-
-of-two diagonal balancing, then Pade-13 scaling and squaring (Higham, SIAM
-J. Matrix Anal. Appl. 26(4), 2005).  Balancing matters here: the mode
-generator pairs entries of order w_j^2 dt with dt, and without it the
-small entries of Phi come out of the squarings with relative errors of
-1e-9 to 1e-5 instead of 1e-16.
+steps it with the exact propagator expm(M dt).  Both oracles take their
+matrix exponentials from ``_expm``: power-of-two diagonal balancing, then
+Pade-13 scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26(4),
+2005).  Balancing matters here: the mode generator pairs entries of order
+w_j^2 dt with dt, and without it the small entries of Phi come out of the
+squarings with relative errors of 1e-9 to 1e-5 instead of 1e-16.
 
 Randomness: numpy Philox (counter-based) generators, one independent
 stream per ensemble member derived with SeedSequence.spawn; Gaussian
 variates from Generator.standard_normal (ziggurat).  Identical
-configurations therefore reproduce bit-identical statistics.  Ensemble
-reductions use compensated summation so results do not depend on member
-order.
+configurations therefore reproduce bit-identical statistics, whether or
+not the trajectories are kept.  Ensemble reductions use compensated
+summation over members so results do not depend on member order.
 
 PSD estimates follow the package convention (see ``noise``): two-sided in
 angular frequency, variance = two-sided integral of the PSD with measure
 dw / pi.  ``series_variance`` is the discrete counterpart used for
-Parseval checks.  The estimator is ``_welch``, Welch's averaged periodogram
+Parseval checks.  The estimator is ``_Welch``, Welch's averaged periodogram
 (IEEE Trans. Audio Electroacoust. 15(2), 1967) with a periodic Hann window
-and half-overlapping segments.
+and half-overlapping segments; ``estimate_psd`` feeds it a whole array,
+``integrate_langevin`` one chunk at a time.
 
 The module needs numpy only.
 """
@@ -47,6 +57,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -139,8 +150,8 @@ class SdeRunConfig:
     keep_samples: bool = False
 
     def validate(self) -> None:
-        if not (self.timestep > 0.0) or not (self.duration > 0.0):
-            raise ValueError("timestep and duration must be positive")
+        if not (0.0 < self.timestep < math.inf) or not (0.0 < self.duration < math.inf):
+            raise ValueError("timestep and duration must be positive and finite")
         if not (self.damping > 0.0) or self.mode_omega < 0.0:
             raise ValueError("damping must be positive, mode_omega non-negative")
         rate = max(self.damping, self.mode_omega)
@@ -166,28 +177,19 @@ def transition(mode_omega: float, damping: float, sigma2: float,
     """Exact transition (Phi, Sigma) of the state (q, u) over one step.
 
     sigma2 is the white-force PSD strength: du gets sigma dW with
-    sigma^2 = 2 D / (rho0 V)^2.  For mode_omega > 0 the transition
-    covariance comes from the stationary fixed point,
-    Sigma = P_inf - Phi P_inf Phi^T; for mode_omega = 0 the closed
-    integrated Ornstein-Uhlenbeck forms are used.
+    sigma^2 = 2 D / (rho0 V)^2, so Q = diag(0, sigma2).  With
+    C = expm([[-A, Q], [0, A^T]] dt), Phi = C22^T and Sigma = Phi C12
+    (Van Loan 1978).  mode_omega = 0 needs no separate branch.
     """
-    g = damping
-    if mode_omega > 0.0:
-        a = np.array([[0.0, 1.0], [-mode_omega**2, -g]])
-        phi = _expm(a * dt)
-        p_inf = np.diag([sigma2 / (2.0 * g * mode_omega**2),
-                         sigma2 / (2.0 * g)])
-        sig = p_inf - phi @ p_inf @ phi.T
-        sig = 0.5 * (sig + sig.T)
-        return phi, sig
-    decay = math.exp(-g * dt)
-    phi = np.array([[1.0, (1.0 - decay) / g], [0.0, decay]])
-    s_uu = sigma2 * (1.0 - decay**2) / (2.0 * g)
-    s_qu = sigma2 * (1.0 - decay) ** 2 / (2.0 * g**2)
-    s_qq = sigma2 / g**2 * (dt - 2.0 * (1.0 - decay) / g
-                            + (1.0 - decay**2) / (2.0 * g))
-    sig = np.array([[s_qq, s_qu], [s_qu, s_uu]])
-    return phi, sig
+    a = np.array([[0.0, 1.0], [-mode_omega**2, -damping]])
+    block = np.zeros((4, 4))
+    block[:2, :2] = -a
+    block[1, 3] = sigma2
+    block[2:, 2:] = a.T
+    c = _expm(block * dt)
+    phi = c[2:, 2:].T
+    sig = phi @ c[:2, 2:]
+    return phi, 0.5 * (sig + sig.T)
 
 
 # Pade-13 numerator coefficients and the 1-norm up to which the degree-13
@@ -293,7 +295,12 @@ def _member_generators(seed: int, count: int) -> list[np.random.Generator]:
 
 
 def integrate_langevin(config: SdeRunConfig, scenario: Scenario) -> TrajectoryStats:
-    """Integrate the mode SDE and reduce the ensemble to statistics."""
+    """Integrate the mode SDE and reduce the ensemble to statistics.
+
+    Every chunk of kept states is reduced as soon as it is produced; see the
+    module docstring.  metadata["wall_s"] is the wall time of the call.
+    """
+    started = time.perf_counter()
     config.validate()
     gas = scenario.gas
     k = scenario.constants
@@ -320,15 +327,28 @@ def integrate_langevin(config: SdeRunConfig, scenario: Scenario) -> TrajectorySt
     if n_keep < 2:
         raise ValueError("duration must cover at least two timesteps")
 
+    m = config.ensemble_size
+    acf_span = (config.acf_max_lag if config.acf_max_lag is not None
+                else 5.0 / config.damping)
+    n_lags = min(n_keep - 1, int(round(acf_span / config.timestep)))
+    lag_products = _LagProducts(m, n_lags)
+    u2_sums = np.zeros(m)
+    welch = None
+    if config.psd_nperseg is not None:
+        welch = _Welch(config.psd_nperseg, n_keep)
+        # the mode's pressure amplitude; the velocity for mode_omega = 0
+        pressure_per_q = (gas.density * sound_speed(gas) * config.mode_omega
+                          if config.mode_omega > 0.0 else None)
+    if config.keep_samples:
+        q = np.empty((m, n_keep))
+        u = np.empty((m, n_keep))
+
     phi, sig = transition(config.mode_omega, config.damping, sigma2,
                           config.timestep)
     noise_l = _noise_factor(sig) if sigma2 > 0.0 else None
     powers, noise_map = _block_operators(phi, noise_l, _BLOCK_STEPS)
-    gens = _member_generators(config.seed, config.ensemble_size)
+    gens = _member_generators(config.seed, m)
 
-    m = config.ensemble_size
-    q = np.empty((m, n_keep))
-    u = np.empty((m, n_keep))
     x = x0.copy()
     total = n_burn + n_keep
     done = 0
@@ -345,40 +365,38 @@ def integrate_langevin(config: SdeRunConfig, scenario: Scenario) -> TrajectorySt
         x = states[-1]
         keep = max(n_burn - done, 0)
         if keep < span:
-            dest = slice(done + keep - n_burn, done + span - n_burn)
-            q[:, dest] = states[keep:, 0, :].T
-            u[:, dest] = states[keep:, 1, :].T
+            # (members, samples) rows of this chunk's kept positions, velocities
+            q_c, u_c = np.ascontiguousarray(states[keep:].transpose(1, 2, 0))
+            u2_sums += np.sum(u_c * u_c, axis=1)
+            lag_products.feed(u_c)
+            if welch is not None:
+                welch.feed(u_c if pressure_per_q is None else pressure_per_q * q_c)
+            if config.keep_samples:
+                dest = slice(done + keep - n_burn, done + span - n_burn)
+                q[:, dest] = q_c
+                u[:, dest] = u_c
         done += span
 
-    member_mean_u2 = np.mean(u**2, axis=1)
+    member_mean_u2 = u2_sums / n_keep
     mean_u2 = math.fsum(member_mean_u2.tolist()) / m
     if m > 1:
         stderr = float(np.std(member_mean_u2, ddof=1)) / math.sqrt(m)
     else:
         stderr = float("nan")
 
-    acf_span = (config.acf_max_lag if config.acf_max_lag is not None
-                else 5.0 / config.damping)
-    n_lags = min(n_keep - 1, int(round(acf_span / config.timestep)))
-    acf = _ensemble_acf(u, n_lags)
-    lags = np.arange(n_lags + 1) * config.timestep
-
+    per_member = lag_products.sums / (n_keep - np.arange(n_lags + 1))
+    acf = np.array([math.fsum(per_member[:, lag].tolist()) / m
+                    for lag in range(n_lags + 1)])
     psd = None
-    if config.psd_nperseg is not None:
-        if config.mode_omega > 0.0:
-            c = sound_speed(gas)
-            samples = gas.density * c * config.mode_omega * q
-        else:
-            samples = u
-        psd = estimate_psd(samples, 1.0 / config.timestep,
-                           nperseg=config.psd_nperseg)
+    if welch is not None:
+        psd = _two_sided_angular(*welch.density(1.0 / config.timestep))
 
     return TrajectoryStats(
         mean_u2=mean_u2,
         mean_u2_stderr=stderr,
         equipartition_ratio=rho_v * mean_u2 / kt,
         member_mean_u2=member_mean_u2,
-        acf_lags=lags,
+        acf_lags=np.arange(n_lags + 1) * config.timestep,
         acf=acf,
         psd=psd,
         n_members=m,
@@ -390,6 +408,7 @@ def integrate_langevin(config: SdeRunConfig, scenario: Scenario) -> TrajectorySt
             "numpy_version": np.__version__,
             "n_steps": total,
             "timestep": config.timestep,
+            "wall_s": time.perf_counter() - started,
         },
         velocity=u if config.keep_samples else None,
         position=q if config.keep_samples else None,
@@ -442,22 +461,107 @@ def _propagate_blocks(x: np.ndarray, z: np.ndarray | None, powers: np.ndarray,
     return states.reshape(n_blocks * block, 2, m)
 
 
-def _ensemble_acf(u: np.ndarray, n_lags: int) -> np.ndarray:
-    """Unbiased autocovariance averaged over ensemble members via FFT.
+def _fast_len(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n, a length numpy's FFT transforms quickly."""
+    best = 1 << max(n - 1, 0).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # smallest p35 * 2^a >= n
+            best = min(best, p35 << max(-(-n // p35) - 1, 0).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
-    One member at a time, so that only one member's spectrum is alive.
+
+def _lag_sums(x: np.ndarray, n_lags: int) -> np.ndarray:
+    """(rows, n_lags + 1) sums over j of x[:, j] x[:, j + k], via FFT."""
+    # a transform of n + n_lags points keeps the circular wrap off lag n_lags
+    nfft = _fast_len(x.shape[1] + n_lags)
+    spec = np.fft.rfft(x, nfft, axis=1)
+    return np.fft.irfft(spec.real**2 + spec.imag**2, nfft, axis=1)[:, :n_lags + 1]
+
+
+class _LagProducts:
+    """Per-member sums of u[i] u[i + k], k <= n_lags, over a chunked stream.
+
+    A pair is counted with the chunk that holds its later sample.  Each chunk
+    is fed behind the last n_lags samples before it (zeros before the first
+    sample), and the lag sums of that prefix alone, counted with earlier
+    chunks, are taken off again.  The prefix may span several earlier
+    chunks, so n_lags is not bounded by the chunk length.
     """
-    m, n = u.shape
-    # exact for the kept lags: no circular wrap reaches lag n_lags
-    nfft = 1 << int(math.ceil(math.log2(n + n_lags + 1)))
-    counts = n - np.arange(n_lags + 1)
-    per_member = np.empty((m, n_lags + 1))
-    for member, row in enumerate(u):
-        spec = np.fft.rfft(row, nfft)
-        corr = np.fft.irfft(spec * np.conj(spec), nfft)[:n_lags + 1]
-        per_member[member] = corr / counts
-    return np.array([math.fsum(per_member[:, k].tolist()) / m
-                     for k in range(n_lags + 1)])
+
+    def __init__(self, members: int, n_lags: int):
+        self.n_lags = n_lags
+        self.tail = np.zeros((members, n_lags))
+        self.sums = np.zeros((members, n_lags + 1))
+
+    def feed(self, chunk: np.ndarray) -> None:
+        ext = np.concatenate((self.tail, chunk), axis=1)
+        self.sums += _lag_sums(ext, self.n_lags) - _lag_sums(self.tail, self.n_lags)
+        self.tail = ext[:, ext.shape[1] - self.n_lags:].copy()
+
+
+class _Welch:
+    """Welch's averaged periodogram of rows fed in consecutive column chunks.
+
+    Periodic Hann window, segments of nperseg samples starting every
+    nperseg - nperseg // 2 samples, no detrending: the estimate of
+    scipy.signal.welch(x, fs, "hann", nperseg, detrend=False) averaged over
+    rows.  Samples that do not yet complete a segment are carried to the
+    next chunk.  Rows are transformed one at a time, so only one row's
+    segments are held at once.  n is the row length that will be fed.
+    """
+
+    def __init__(self, nperseg: int, n: int):
+        if nperseg < 8:
+            raise SegmentTooShort("nperseg below 8 cannot resolve anything")
+        if nperseg > n:
+            raise SegmentTooShort(
+                f"nperseg {nperseg} exceeds the {n} samples available")
+        self.nperseg = nperseg
+        self.step = nperseg - nperseg // 2
+        self.window = 0.5 - 0.5 * np.cos(2.0 * math.pi / nperseg * np.arange(nperseg))
+        self.power = np.zeros(nperseg // 2 + 1)
+        self.count = 0
+        self.carry = None
+
+    def feed(self, x: np.ndarray) -> None:
+        if self.carry is not None:
+            x = np.concatenate((self.carry, x), axis=1)
+        n_seg = max(0, (x.shape[1] - self.nperseg) // self.step + 1)
+        if n_seg:
+            for row in x:
+                segments = np.lib.stride_tricks.sliding_window_view(
+                    row, self.nperseg)[::self.step]
+                spec = np.fft.rfft(segments * self.window, axis=1)
+                self.power += np.sum(spec.real**2 + spec.imag**2, axis=0)
+            self.count += n_seg * len(x)
+        self.carry = x[:, n_seg * self.step:].copy()
+
+    def density(self, fs: float) -> tuple[np.ndarray, np.ndarray]:
+        """Frequencies (Hz) and the one-sided density per ordinary Hz."""
+        pxx = self.power / (self.count * fs * np.sum(self.window**2))
+        # fold the negative frequencies in; DC and an even length's Nyquist
+        # bin have no mirror
+        pxx[1:(self.nperseg + 1) // 2] *= 2.0
+        return np.fft.rfftfreq(self.nperseg, 1.0 / fs), pxx
+
+
+def _welch(x: np.ndarray, fs: float, nperseg: int) -> tuple[np.ndarray, np.ndarray]:
+    """One-sided Welch density per ordinary Hz, averaged over rows of x."""
+    x = np.atleast_2d(x)
+    welch = _Welch(nperseg, x.shape[1])
+    welch.feed(x)
+    return welch.density(fs)
+
+
+def _two_sided_angular(freqs: np.ndarray, pxx: np.ndarray) -> SpectrumSeries:
+    # one-sided per ordinary Hz to the package's two-sided dw/pi measure
+    return SpectrumSeries(2.0 * math.pi * freqs, pxx / 4.0,
+                          "power-density", convention=CONVENTION_TWO_SIDED)
 
 
 def estimate_psd(samples, sample_rate: float,
@@ -466,7 +570,7 @@ def estimate_psd(samples, sample_rate: float,
 
     samples may be (n,) or (members, n); member periodograms are averaged.
     Segments of nperseg samples (default min(4096, n)) overlap by half and
-    are tapered with a periodic Hann window (see ``_welch``).  The returned
+    are tapered with a periodic Hann window (see ``_Welch``).  The returned
     density satisfies variance = integral PSD dw / pi (two-sided), i.e.
     ``series_variance`` of the result approximates the time-domain
     variance.  Segments are not detrended: the oracle's samples are
@@ -474,41 +578,9 @@ def estimate_psd(samples, sample_rate: float,
     the low-frequency part of their variance with it.
     """
     x = np.atleast_2d(np.asarray(samples, dtype=float))
-    n = x.shape[1]
     if nperseg is None:
-        nperseg = min(4096, n)
-    if nperseg < 8:
-        raise SegmentTooShort("nperseg below 8 cannot resolve anything")
-    if nperseg > n:
-        raise SegmentTooShort(
-            f"nperseg {nperseg} exceeds the {n} samples available")
-    freqs, pxx = _welch(x, sample_rate, nperseg)
-    # _welch is one-sided per ordinary Hz; ours is two-sided with dw/pi measure
-    return SpectrumSeries(2.0 * math.pi * freqs, pxx / 4.0,
-                          "power-density", convention=CONVENTION_TWO_SIDED)
-
-
-def _welch(x: np.ndarray, fs: float, nperseg: int) -> tuple[np.ndarray, np.ndarray]:
-    """One-sided Welch density per ordinary Hz, averaged over rows of x.
-
-    Periodic Hann window, segments overlapping by nperseg // 2, no
-    detrending: the estimate of scipy.signal.welch(x, fs, "hann", nperseg,
-    detrend=False) averaged over members.  Members are transformed one at a
-    time, so only one member's segments are held at once.
-    """
-    x = np.atleast_2d(x)
-    step = nperseg - nperseg // 2
-    window = 0.5 - 0.5 * np.cos(2.0 * math.pi / nperseg * np.arange(nperseg))
-    total = np.zeros(nperseg // 2 + 1)
-    for row in x:
-        segments = np.lib.stride_tricks.sliding_window_view(row, nperseg)[::step]
-        spec = np.fft.rfft(segments * window, axis=1)
-        total += np.mean(spec.real**2 + spec.imag**2, axis=0)
-    pxx = total / (len(x) * fs * np.sum(window**2))
-    # fold the negative frequencies in; DC and an even length's Nyquist bin
-    # have no mirror
-    pxx[1:(nperseg + 1) // 2] *= 2.0
-    return np.fft.rfftfreq(nperseg, 1.0 / fs), pxx
+        nperseg = min(4096, x.shape[1])
+    return _two_sided_angular(*_welch(x, sample_rate, nperseg))
 
 
 def series_variance(series: SpectrumSeries) -> float:

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -294,6 +295,46 @@ def test_validate_noise_welch_variance_unbiased(capsys, seed):
     line = next(l for l in out.splitlines() if l.startswith("psd variance:"))
     rel_err = float(line.split("(rel err ", 1)[1].split("%", 1)[0])
     assert rel_err < 2.0
+
+
+# stdout of the default `validate-noise` as printed before the Langevin
+# reductions were streamed and the transition covariance came from one block
+# exponential; only the Welch variance, a sum of rounded terms, moved
+VALIDATE_NOISE_DEFAULT = """\
+noise model validation: preset:anthrax_stp
+seed 1234, 32 members, 4000 samples at dt 1e-06 s
+equipartition: ratio 0.9883 +- 0.0176 (z = 0.66, limit 4.0) PASS
+psd variance: welch 5.867137583519852e-08 vs analytic 5.87555891685e-08 (rel err 0.1%, limit 15%) PASS
+overall: PASS
+"""
+
+
+def test_validate_noise_stdout_unchanged_run_metadata_on_stderr(capsys):
+    code, out, err = run(capsys, "validate-noise")
+    assert code == 0
+    welch = re.compile(r"welch (\S+) vs")
+    assert welch.sub("welch W vs", out) == welch.sub("welch W vs", VALIDATE_NOISE_DEFAULT)
+    assert math.isclose(float(welch.search(out)[1]),
+                        float(welch.search(VALIDATE_NOISE_DEFAULT)[1]), rel_tol=1e-12)
+    # 200 kept dampings and 10 of burn-in at 20 steps per damping time
+    assert re.fullmatch(r"langevin: 32 members, 4200 steps each at dt 1e-06 s, "
+                        r"wall \d+\.\d{3} s\n", err)
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "0", "-5", "-0.0"])
+def test_validate_noise_refuses_bad_duration(capsys, value):
+    code, out, err = run(capsys, "validate-noise", f"--duration-dampings={value}")
+    assert (code, out) == (2, "")
+    assert err == ("error: --duration-dampings must be positive and finite, "
+                   f"got {float(value)!r}\n")
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_validate_noise_bad_duration_exits_2_without_traceback(value):
+    result = _cli("validate-noise", "--duration-dampings", value)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == ("error: --duration-dampings must be positive and "
+                             f"finite, got {value}\n")
 
 
 def test_validate_noise_detects_wrong_tolerance(capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -76,6 +77,41 @@ def test_transition_zero_frequency_closed_forms():
     assert math.isclose(sig[1, 1], uu, rel_tol=1e-8)
     assert math.isclose(sig[0, 1], qu, rel_tol=1e-8)
     assert math.isclose(sig[0, 0], qq, rel_tol=1e-7)
+
+
+# (mode_omega, damping, dt): the validate-noise step, a step 100 times finer,
+# a lightly damped mode and the free Ornstein-Uhlenbeck velocity
+VAN_LOAN_CASES = [(MODE_OMEGA, DAMPING, 1.0e-6), (MODE_OMEGA, DAMPING, 1.0e-8),
+                  (1.0e3, 10.0, 1.0e-5), (0.0, DAMPING, 1.0e-6)]
+
+
+def _transition_covariance_60_digits(mode_omega, damping, sigma2, dt):
+    """Sigma from the stationary fixed point, or the closed integrated-OU
+    forms at mode_omega = 0, in 60-digit arithmetic, where the cancellation
+    of P_inf - Phi P_inf Phi^T costs nothing."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        w, g, s2, h = (mpmath.mpf(v) for v in (mode_omega, damping, sigma2, dt))
+        if mode_omega > 0.0:
+            phi = mpmath.expm(mpmath.matrix([[0, 1], [-w**2, -g]]) * h)
+            p_inf = mpmath.diag([s2 / (2 * g * w**2), s2 / (2 * g)])
+            sig = p_inf - phi * p_inf * phi.T
+        else:
+            decay = mpmath.exp(-g * h)
+            s_qu = s2 * (1 - decay) ** 2 / (2 * g**2)
+            sig = mpmath.matrix([
+                [s2 / g**2 * (h - 2 * (1 - decay) / g + (1 - decay**2) / (2 * g)),
+                 s_qu],
+                [s_qu, s2 * (1 - decay**2) / (2 * g)]])
+        return np.array(sig.tolist(), dtype=float)
+
+
+@pytest.mark.parametrize("mode_omega, damping, dt", VAN_LOAN_CASES)
+def test_transition_covariance_matches_60_digits(mode_omega, damping, dt):
+    # P_inf - Phi P_inf Phi^T in doubles erred by up to 3.5e-6 in Sigma_qq
+    want = _transition_covariance_60_digits(mode_omega, damping, SIGMA2, dt)
+    _, sig = transition(mode_omega, damping, SIGMA2, dt)
+    assert np.all(np.abs(sig - want) <= 1e-14 * np.abs(want))
 
 
 # (mode_omega, damping): underdamped, critically damped, overdamped, w >> Gamma
@@ -181,6 +217,13 @@ def test_basic_config_guards():
     with pytest.raises(ValueError):
         SdeRunConfig(timestep=-1.0, duration=1.0, seed=1, ensemble_size=4,
                      mode_omega=MODE_OMEGA, damping=DAMPING).validate()
+    for bad in (math.inf, math.nan):
+        for field_name in ("timestep", "duration"):
+            config = SdeRunConfig(timestep=1.0e-6, duration=1.0e-2, seed=1,
+                                  ensemble_size=4, mode_omega=MODE_OMEGA,
+                                  damping=DAMPING)
+            with pytest.raises(ValueError, match="finite"):
+                dataclasses.replace(config, **{field_name: bad}).validate()
     with pytest.raises(ValueError):
         SdeRunConfig(timestep=1.0e-6, duration=1.0e-2, seed=1,
                      ensemble_size=4, mode_omega=MODE_OMEGA,
@@ -394,6 +437,115 @@ def test_member_reduction_uses_all_members(anthrax):
     assert math.isclose(stats.mean_u2, float(np.mean(stats.member_mean_u2)),
                         rel_tol=1e-12)
     assert stats.velocity is None and stats.position is None
+
+
+# ---------------------------------------------------------------------------
+# streamed reductions against the whole-array ones
+
+def _ensemble_acf(u, n_lags):
+    """Unbiased autocovariance averaged over members, from whole rows."""
+    m, n = u.shape
+    # exact for the kept lags: no circular wrap reaches lag n_lags
+    nfft = 1 << int(math.ceil(math.log2(n + n_lags + 1)))
+    counts = n - np.arange(n_lags + 1)
+    per_member = np.empty((m, n_lags + 1))
+    for member, row in enumerate(u):
+        spec = np.fft.rfft(row, nfft)
+        corr = np.fft.irfft(spec * np.conj(spec), nfft)[:n_lags + 1]
+        per_member[member] = corr / counts
+    return np.array([math.fsum(per_member[:, k].tolist()) / m
+                     for k in range(n_lags + 1)])
+
+
+STREAM_CASES = {
+    # burn-in of 203 steps, not a multiple of the block
+    "underdamped": dict(ensemble_size=3, mode_omega=MODE_OMEGA, burn_in=2.03e-4,
+                        duration=4.0e-2, psd_nperseg=1024),
+    "lags_beyond_chunk": dict(ensemble_size=2, mode_omega=MODE_OMEGA,
+                              duration=5.0e-2, acf_max_lag=2.0e-2,
+                              psd_nperseg=1000),
+    "segment_beyond_chunk": dict(ensemble_size=2, mode_omega=MODE_OMEGA,
+                                 burn_in=1.1e-5, duration=8.0e-2,
+                                 psd_nperseg=32768),
+    "zero_frequency_velocity": dict(ensemble_size=3, mode_omega=0.0,
+                                    duration=4.0e-2, psd_nperseg=2048),
+    "free_decay": dict(ensemble_size=1, mode_omega=MODE_OMEGA, duration=3.5e-2,
+                       forcing=FreeDecay(1.0e-9, 2.0e-5), acf_max_lag=2.0e-2,
+                       psd_nperseg=4096),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(STREAM_CASES))
+def kept_run(request):
+    from parsim.presets import anthrax_stp
+    scenario = anthrax_stp()
+    config = SdeRunConfig(timestep=1.0e-6, seed=19, damping=DAMPING,
+                          keep_samples=True, **STREAM_CASES[request.param])
+    return scenario, config, integrate_langevin(config, scenario)
+
+
+def test_streamed_reductions_match_whole_arrays(kept_run):
+    scenario, config, stats = kept_run
+    u, q = stats.velocity, stats.position
+    assert stats.metadata["n_steps"] > 2 * _CHUNK_STEPS
+    n_lags = len(stats.acf) - 1
+    assert _rel(stats.acf, _ensemble_acf(u, n_lags)) <= 1e-13
+    want = np.mean(u**2, axis=1)
+    assert np.all(np.abs(stats.member_mean_u2 - want) <= 1e-13 * want)
+    if config.mode_omega > 0.0:
+        gas = scenario.gas
+        samples = gas.density * quantities.sound_speed(gas) * config.mode_omega * q
+    else:
+        samples = u
+    freqs, pxx = _welch(samples, 1.0 / config.timestep, config.psd_nperseg)
+    np.testing.assert_array_equal(stats.psd.omega, 2.0 * math.pi * freqs)
+    assert np.all(np.abs(stats.psd.values - pxx / 4.0) <= 1e-13 * pxx / 4.0)
+
+
+def test_streamed_lags_and_segments_cover_the_cases():
+    # the cases above reach lags and segments longer than one chunk
+    assert round(STREAM_CASES["lags_beyond_chunk"]["acf_max_lag"] / 1.0e-6) > _CHUNK_STEPS
+    assert STREAM_CASES["segment_beyond_chunk"]["psd_nperseg"] > _CHUNK_STEPS
+    assert round(STREAM_CASES["underdamped"]["burn_in"] / 1.0e-6) % _BLOCK_STEPS
+
+
+def test_kept_samples_do_not_change_statistics(kept_run):
+    scenario, config, kept = kept_run
+    bare = integrate_langevin(dataclasses.replace(config, keep_samples=False),
+                              scenario)
+    assert bare.velocity is None and bare.position is None
+    assert bare.mean_u2 == kept.mean_u2
+    assert np.array_equal(bare.mean_u2_stderr, kept.mean_u2_stderr, equal_nan=True)
+    for name in ("member_mean_u2", "acf", "acf_lags"):
+        assert np.array_equal(getattr(bare, name), getattr(kept, name))
+    assert np.array_equal(bare.psd.values, kept.psd.values)
+
+
+def _traced_peak(config, scenario):
+    tracemalloc.start()
+    try:
+        integrate_langevin(config, scenario)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_langevin_memory_independent_of_run_length(anthrax):
+    # whole (members, samples) arrays would add 2 x 8 x 1.9e5 doubles, 23 MiB
+    config = SdeRunConfig(timestep=1.0e-6, duration=6.4e-2, seed=4,
+                          ensemble_size=8, mode_omega=MODE_OMEGA,
+                          damping=DAMPING, psd_nperseg=1024)
+    short = _traced_peak(config, anthrax)
+    long = _traced_peak(dataclasses.replace(config, duration=2.56e-1), anthrax)
+    assert long <= short + 2 * 2**20
+
+
+def test_langevin_wall_time_in_metadata(anthrax):
+    config = SdeRunConfig(timestep=1.0e-6, duration=1.5e-3, seed=42,
+                          ensemble_size=4, mode_omega=MODE_OMEGA,
+                          damping=DAMPING)
+    wall = integrate_langevin(config, anthrax).metadata["wall_s"]
+    assert isinstance(wall, float) and 0.0 < wall < 60.0
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,12 @@ as a command line tool.
 
 Unit discipline: SI throughout; every frequency is angular (rad/s)
 unless a name says otherwise (``linewidth_hz``).
+
+The names from ``acoustics`` and ``oracle`` (and those two modules) are
+imported on first use, so the scalar detection chain runs without numpy.
 """
+
+import importlib
 
 from .quantities import (
     ATOMIC_MASS,
@@ -48,21 +53,6 @@ from .thermal import (
     thermal_report,
     transfer_efficiency,
 )
-from .acoustics import (
-    AcousticMode,
-    BeamCylinder,
-    HeatSourceField,
-    PointSources,
-    PulseTrainEnvelope,
-    SinusoidalEnvelope,
-    SpectrumSeries,
-    UniformCell,
-    cylinder_modes,
-    mode_overlap,
-    pressure_field,
-    signal_spectrum,
-    spectrum_csv,
-)
 from .noise import (
     diffusion_coefficient,
     mode_noise_budget,
@@ -71,17 +61,6 @@ from .noise import (
     velocity_correlation,
 )
 from .detection import DetectionReport, min_density
-from .oracle import (
-    FreeDecay,
-    SdeRunConfig,
-    ThermalForcing,
-    estimate_psd,
-    integrate_driven,
-    integrate_langevin,
-    series_variance,
-    trajectory_csv,
-    transition,
-)
 from .presets import anthrax_stp, build_preset, preset_names
 from .scenario_io import (
     load_scenario,
@@ -122,3 +101,30 @@ __all__ = [
     "anthrax_stp", "build_preset", "preset_names",
     "load_scenario", "loads_scenario", "scenario_hash", "write_scenario",
 ]
+
+# public names resolved on first access (PEP 562), by defining module
+_LAZY = {
+    **dict.fromkeys((
+        "AcousticMode", "BeamCylinder", "HeatSourceField", "PointSources",
+        "PulseTrainEnvelope", "SinusoidalEnvelope", "SpectrumSeries",
+        "UniformCell", "cylinder_modes", "mode_overlap", "pressure_field",
+        "signal_spectrum", "spectrum_csv"), "acoustics"),
+    **dict.fromkeys((
+        "FreeDecay", "SdeRunConfig", "ThermalForcing", "estimate_psd",
+        "integrate_driven", "integrate_langevin", "series_variance",
+        "trajectory_csv", "transition"), "oracle"),
+}
+
+
+def __getattr__(name):
+    if name in ("acoustics", "oracle"):
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

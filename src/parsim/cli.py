@@ -25,13 +25,9 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .acoustics import cylinder_modes
 from .detection import BREAKDOWN_RISK, NEP_CONVENTION_NOTE, SPARSE_SUSPENSION, min_density
 from .noise import MODULATION_NOT_SMALL
-from .oracle import SdeRunConfig, integrate_langevin, series_variance
 from .presets import PRESETS, build_preset, preset_names
 from .quantities import Scenario, ScenarioValidationError, sound_speed, validate_scenario
 from .raman import LINEWIDTH_CONVENTIONS
@@ -164,6 +160,8 @@ _SECTIONS = ("gas", "cell", "laser", "particle", "detector")
 
 def _parse_sweep(spec: str):
     """Parse "path[,path...]=lin|log:lo:hi:n" into (paths, values)."""
+    import numpy as np
+
     head, sep, tail = spec.partition("=")
     if not sep:
         raise ValueError("sweep spec needs the form path=lin|log:lo:hi:n")
@@ -177,14 +175,16 @@ def _parse_sweep(spec: str):
     if kind not in ("lin", "log"):
         raise ValueError(f"unknown sweep spacing {kind!r} (use lin or log)")
     lo, hi, n = float(lo_s), float(hi_s), int(n_s)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"sweep endpoints must be finite, got {lo!r} and {hi!r}")
     if n < 2:
         raise ValueError("sweep needs at least 2 points")
-    if kind == "log":
-        if lo <= 0.0 or hi <= 0.0:
-            raise ValueError("log sweeps need positive endpoints")
-        values = np.geomspace(lo, hi, n)
-    else:
-        values = np.linspace(lo, hi, n)
+    if kind == "log" and (lo <= 0.0 or hi <= 0.0):
+        raise ValueError("log sweeps need positive endpoints")
+    try:
+        values = (np.geomspace if kind == "log" else np.linspace)(lo, hi, n)
+    except MemoryError:
+        raise ValueError(f"sweep of {n} points does not fit in memory") from None
     return paths, values
 
 
@@ -205,6 +205,8 @@ def _with_value(scenario: Scenario, path: str, value) -> Scenario:
 
 def _cells(column, n: int) -> list[str]:
     """A CSV column of n reprs; a quantity the sweep leaves fixed repeats."""
+    import numpy as np
+
     column = np.asarray(column).tolist()   # Python floats and ints
     return list(map(repr, column)) if isinstance(column, list) else [repr(column)] * n
 
@@ -249,6 +251,8 @@ def _cmd_sweep(args) -> int:
 # modes
 
 def _cmd_modes(args) -> int:
+    from .acoustics import cylinder_modes
+
     scenario, origin = _load(args)
     max_axial, max_azimuthal, max_radial = (args.max_axial, args.max_azimuthal,
                                             args.max_radial)
@@ -282,6 +286,8 @@ def _cmd_modes(args) -> int:
 # validate-noise
 
 def _cmd_validate_noise(args) -> int:
+    from .oracle import SdeRunConfig, integrate_langevin, series_variance
+
     if not (0.0 < args.duration_dampings < math.inf):
         raise ValueError("--duration-dampings must be positive and finite, "
                          f"got {args.duration_dampings!r}")

@@ -22,13 +22,17 @@ intensities above 1.8e308 W^2/m^4): its numbers would be inf, nan or 0.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import sys
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import noise, raman, thermal
-from .quantities import ParticleSpec, Scenario, first_failure, value_at, xp
+from .quantities import ParticleSpec, Scenario, first_failure, is_array, value_at, xp
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DetectionReport",
@@ -98,11 +102,11 @@ class DetectionReport:
     def warnings(self) -> tuple[str, ...]:
         """Warning codes that hold at one point or more, in report order."""
         return tuple(code for code, flag in self.warning_flags.items()
-                     if (flag.any() if isinstance(flag, np.ndarray) else flag))
+                     if (flag.any() if is_array(flag) else flag))
 
 
 def _negate(flag):
-    return ~flag if isinstance(flag, np.ndarray) else not flag
+    return ~flag if is_array(flag) else not flag
 
 
 def _no_heating(particle: ParticleSpec, point: int) -> str:
@@ -139,9 +143,13 @@ def min_density(scenario: Scenario, snr: float = 1.0,
     that overflows, divides by zero or turns invalid is refused with a
     ValueError saying "arithmetic out of range".
     """
+    # numpy warns and goes on where math raises; without numpy loaded no
+    # value is an array and math raises by itself
+    np = sys.modules.get("numpy")
+    guard = (contextlib.nullcontext() if np is None else
+             np.errstate(over="raise", divide="raise", invalid="raise"))
     try:
-        # numpy warns and goes on where math raises
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
+        with guard:
             report = _min_density(scenario, snr, linewidth_convention)
     except ArithmeticError as exc:
         # FloatingPointError from numpy names the operation; math and Python

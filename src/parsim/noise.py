@@ -48,11 +48,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .acoustics import CONVENTION_TWO_SIDED, SpectrumSeries
 from .quantities import Scenario, everywhere, first_failure, sound_speed, xp
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .acoustics import SpectrumSeries
 
 __all__ = [
     "NoiseSpectrumResult",
@@ -91,6 +94,8 @@ def velocity_correlation(scenario: Scenario, lag: float) -> float:
 
 
 def _thermal_psd(omega, mode_omega: float, scenario: Scenario):
+    import numpy as np
+
     gas = scenario.gas
     c2 = gas.gamma * gas.pressure / gas.density
     num = (gas.density * c2 * mode_omega**2 * scenario.detector.noise_damping
@@ -119,6 +124,10 @@ class NoiseSpectrumResult:
 def noise_spectrum(mode_omega: float, scenario: Scenario,
                    omega_grid) -> NoiseSpectrumResult:
     """Thermal pressure-amplitude PSD of a detector mode at mode_omega."""
+    import numpy as np
+
+    from .acoustics import CONVENTION_TWO_SIDED, SpectrumSeries
+
     if mode_omega < 0.0:
         raise ValueError("mode frequency cannot be negative")
     grid = np.asarray(omega_grid, dtype=float)
@@ -141,6 +150,8 @@ def mode_noise_budget(mode_omegas, scenario: Scenario,
     Diagnostic for the single-mode approximation: the first detector mode
     should dominate the sum at signal frequencies.
     """
+    import numpy as np
+
     omegas = np.asarray(mode_omegas, dtype=float)
     return np.array([
         float(_thermal_psd(analysis_omega, wj, scenario)) for wj in omegas])

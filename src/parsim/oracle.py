@@ -622,6 +622,7 @@ class DrivenModeResult:
     A(t) = Re[amplitude exp(-i w t)].  drift is the relative change of the
     phasor between the last two demodulation windows.  n_samples and
     sample_dt describe the demodulation grid spanning both windows.
+    wall_s is the wall time of the call.
     """
 
     amplitude: complex
@@ -629,6 +630,7 @@ class DrivenModeResult:
     drive_omega: float
     n_samples: int
     sample_dt: float
+    wall_s: float
 
 
 def integrate_driven(mode_omega: float, damping: float, drive_strength: float,
@@ -644,6 +646,7 @@ def integrate_driven(mode_omega: float, damping: float, drive_strength: float,
     Raises NotConverged if the phasor still drifts by more than 0.1%
     between windows.
     """
+    started = time.perf_counter()
     if not (drive_omega > 0.0) or not (damping > 0.0):
         raise ValueError("drive frequency and damping must be positive")
     if not isinstance(periods_per_window, numbers.Integral) or periods_per_window < 1:
@@ -688,4 +691,5 @@ def integrate_driven(mode_omega: float, damping: float, drive_strength: float,
             f"steady state drifting {drift:.2e} between windows")
     return DrivenModeResult(amplitude=phasors[1], drift=drift,
                             drive_omega=drive_omega, n_samples=n_eval,
-                            sample_dt=sample_dt)
+                            sample_dt=sample_dt,
+                            wall_s=time.perf_counter() - started)

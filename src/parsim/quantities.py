@@ -21,14 +21,15 @@ a sweep; fields that do not vary stay floats.  The validator and the
 closed forms of the detection chain take either: on floats they compute
 with ``math`` and return Python floats, on arrays with numpy and return
 arrays.  A check over a sweep fails at the first point that breaks it.
+numpy is imported only by callers that pass arrays: on floats the chain
+runs without it (``is_array`` tells the two apart without importing it).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
-
-import numpy as np
 
 __all__ = [
     "HBAR",
@@ -50,6 +51,7 @@ __all__ = [
     "validate_scenario",
     "sound_speed",
     "optimal_cell_radius",
+    "is_array",
     "xp",
     "first_failure",
     "everywhere",
@@ -245,9 +247,19 @@ class ScenarioValidationError(ValueError):
         super().__init__(f"invalid scenario: {lines}")
 
 
+def is_array(value) -> bool:
+    """True for a numpy array (a sweep field), without importing numpy.
+
+    An ndarray cannot exist before numpy is in sys.modules, so a process
+    that never imported numpy holds no array.
+    """
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(value, np.ndarray)
+
+
 def xp(value):
     """The module to compute with: numpy for an array, math otherwise."""
-    return np if isinstance(value, np.ndarray) else math
+    return sys.modules["numpy"] if is_array(value) else math
 
 
 def first_failure(ok) -> int | None:
@@ -260,18 +272,20 @@ def first_failure(ok) -> int | None:
         return None
     if ok is False:
         return 0
+    import numpy as np
+
     failed = np.flatnonzero(np.logical_not(ok))
     return int(failed[0]) if failed.size else None
 
 
 def everywhere(flag) -> bool:
     """True if a flag (a bool, or a bool array over a sweep) holds at every point."""
-    return bool(flag.all()) if isinstance(flag, np.ndarray) else bool(flag)
+    return bool(flag.all()) if is_array(flag) else bool(flag)
 
 
 def value_at(value, point: int):
     """One point's value of a field that is a float or a sweep array."""
-    return float(value[point]) if isinstance(value, np.ndarray) else value
+    return float(value[point]) if is_array(value) else value
 
 
 _INF = math.inf

@@ -28,8 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .quantities import (
     GasProperties,
@@ -37,8 +36,12 @@ from .quantities import (
     Scenario,
     everywhere,
     first_failure,
+    is_array,
     xp,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "CollisionalCooling",
@@ -158,8 +161,8 @@ def transfer_efficiency(tau_collisional: float, tau_radiative: float,
     chain_sep = tau_radiative / t_mod
     separated = (drive_sep >= dominance_ratio) & (rad_sep >= dominance_ratio)
     collisional_fraction = tau_radiative / (tau_radiative + tau_collisional)
-    if isinstance(separated, np.ndarray):
-        eta = np.where(separated, 1.0, collisional_fraction)
+    if is_array(separated):
+        eta = xp(separated).where(separated, 1.0, collisional_fraction)
     else:
         eta = 1.0 if separated else collisional_fraction
     warnings = () if everywhere(separated) else (TIMESCALES_NOT_SEPARATED,)

@@ -186,6 +186,29 @@ def _cli(*argv):
                           env=env, capture_output=True, text=True)
 
 
+@pytest.mark.parametrize("spec", ["gas.pressure=lin:1e3:inf:3",
+                                  "gas.pressure=log:nan:1e6:10"])
+def test_sweep_refuses_non_finite_endpoints(spec):
+    # these used to build a grid holding nan, with a numpy RuntimeWarning
+    # first and an error naming gas.pressure=nan after
+    result = _cli("sweep", "--vary", spec)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: sweep endpoints must be finite")
+    assert result.stderr.count("\n") == 1
+    assert "RuntimeWarning" not in result.stderr
+
+
+def test_sweep_refuses_a_grid_that_does_not_fit_in_memory():
+    # 10^14 doubles are 728 TiB: the allocation fails at once, before a
+    # single page is touched
+    result = _cli("sweep", "--vary", "gas.pressure=log:1e3:1e6:100000000000000")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == ("error: sweep of 100000000000000 points does "
+                             "not fit in memory\n")
+
+
 @pytest.mark.parametrize("line", sorted(ZERO_HEATING))
 def test_report_refuses_scenarios_without_signal(tmp_path, anthrax, line):
     text = dumps_scenario(anthrax)

@@ -641,6 +641,7 @@ def test_driven_amplitude_matches_analytic(drive_omega):
     period = 2.0 * math.pi / drive_omega
     assert math.isclose(result.sample_dt * (result.n_samples - 1),
                         2.0 * 20 * period, rel_tol=1e-12)
+    assert 0.0 < result.wall_s < math.inf
 
 
 def test_driven_zero_frequency_mode():

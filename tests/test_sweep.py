@@ -19,6 +19,7 @@ from parsim import cli
 from parsim.detection import min_density
 from parsim.presets import anthrax_stp
 from parsim.quantities import validate_scenario
+from parsim.scenario_io import dumps_scenario
 
 # about 450 ulp: far above the ~25 roundings of the chain, below the
 # benchmark's 1e-12 reference tolerance
@@ -87,13 +88,13 @@ def test_sweeps_cover_every_warning_bit_and_the_eta_switch():
     assert etas == {True, False}
 
 
-def _scipy_modules_after(*lines):
-    """scipy modules loaded by a fresh interpreter running the given lines."""
+def _modules_after(prefix, *lines):
+    """Modules under prefix loaded by a fresh interpreter running the lines."""
     script = "\n".join([
         "import contextlib, io, sys",
         "from parsim.cli import main",
         *lines,
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        f"print(sorted(m for m in sys.modules if (m + '.').startswith({prefix + '.'!r})))",
     ])
     src = str(Path(parsim.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -104,7 +105,8 @@ def _scipy_modules_after(*lines):
 
 
 def test_analytic_commands_import_no_scipy():
-    assert _scipy_modules_after(
+    assert _modules_after(
+        "scipy",
         "with contextlib.redirect_stdout(io.StringIO()):",
         "    assert main(['report']) == 0",
         "    assert main(['sweep', '--vary', 'gas.pressure=log:1e3:1e6:1000']) == 0",
@@ -113,9 +115,62 @@ def test_analytic_commands_import_no_scipy():
 
 
 def test_oracle_engines_import_no_scipy():
-    assert _scipy_modules_after(
+    assert _modules_after(
+        "scipy",
         "from parsim.oracle import integrate_driven",
         "with contextlib.redirect_stdout(io.StringIO()):",
         "    assert main(['validate-noise', '--members', '4']) == 0",
         "integrate_driven(1.0e4, 100.0, 1.0e-3, 1.0e4)",
     ) == "[]"
+
+
+GOLDEN_SPORE = Path(__file__).parent / "golden" / "spore.yaml"
+
+# report and presets run the scalar chain with math alone, and so do the
+# refusals of a dark particle and of an overflow to inf
+SCALAR_COMMANDS = {
+    "report": (["report"], None, 0),
+    "report_scenario": (["report", "--scenario", str(GOLDEN_SPORE)], None, 0),
+    "zero_cross_section": (["report", "--scenario"],
+                           {"particle": {"raman_cross_section": 0.0}}, 2),
+    "overflow": (["report", "--scenario"],
+                 {"laser": {"pump_intensity": 1.0e200,
+                            "stokes_intensity": 1.0e200}}, 2),
+    "presets": (["presets"], None, 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCALAR_COMMANDS))
+def test_scalar_commands_import_no_numpy(tmp_path, anthrax, case):
+    argv, fields, code = SCALAR_COMMANDS[case]
+    if fields is not None:
+        scenario = anthrax
+        for section, values in fields.items():
+            part = dataclasses.replace(getattr(scenario, section), **values)
+            scenario = dataclasses.replace(scenario, **{section: part})
+        path = tmp_path / f"{case}.yaml"
+        path.write_text(dumps_scenario(scenario))
+        argv = [*argv, str(path)]
+    assert _modules_after(
+        "numpy",
+        "with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):",
+        f"    assert main({argv!r}) == {code}",
+    ) == "[]"
+
+
+@pytest.mark.parametrize("module", ["parsim.oracle", "parsim.acoustics"])
+def test_cli_import_loads_no_oracle_or_acoustics(module):
+    assert _modules_after(module) == "[]"
+
+
+def test_package_names_resolve():
+    for name in parsim.__all__:
+        assert getattr(parsim, name) is not None, name
+    namespace = {}
+    exec("from parsim import *", namespace)
+    assert set(parsim.__all__) <= set(namespace)
+    assert namespace["integrate_driven"] is parsim.oracle.integrate_driven
+    assert namespace["SpectrumSeries"] is parsim.acoustics.SpectrumSeries
+    with pytest.raises(AttributeError, match="no_such_name"):
+        parsim.no_such_name

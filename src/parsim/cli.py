@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -298,8 +299,9 @@ def _cmd_validate_noise(args) -> int:
     fastest = max(det.noise_damping, det.noise_mode_omega)
     dt = 0.05 / fastest
     duration = args.duration_dampings / det.noise_damping
-    n_keep = int(round(duration / dt))
-    nperseg = min(1024, 1 << int(math.log2(max(n_keep, 8))))
+    # 1024 samples, or the largest power of two that a shorter run holds
+    n_keep = round(min(duration / dt, 1024.0))
+    nperseg = 1 << int(math.log2(max(n_keep, 8)))
     config = SdeRunConfig(
         timestep=dt,
         duration=duration,
@@ -307,9 +309,14 @@ def _cmd_validate_noise(args) -> int:
         ensemble_size=args.members,
         mode_omega=det.noise_mode_omega,
         damping=det.noise_damping,
+        acf_max_lag=0.0,   # no ACF is printed
         psd_nperseg=nperseg,
     )
-    stats = integrate_langevin(config, scenario)
+    try:
+        stats = integrate_langevin(config, scenario)
+    except MemoryError:
+        raise ValueError(f"an ensemble of {args.members} members does not "
+                         "fit in memory") from None
     meta = stats.metadata
     print(f"langevin: {stats.n_members} members, {meta['n_steps']} steps each "
           f"at dt {meta['timestep']!r} s, wall {meta['wall_s']:.3f} s",
@@ -423,6 +430,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # parsim's largest matrix, the oracle's 64 x 64 noise map, is too small
+    # for a BLAS thread pool to repay starting one; set before any command
+    # imports numpy, and a value the user set still wins
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

@@ -15,9 +15,11 @@ neither the stationary covariance the oracle is meant to check nor a
 separate form for w_j = 0.  The update is distributionally exact for any
 dt, so timestep refinement changes statistics only through sampling
 noise, never through bias; the stability guard below merely keeps spectra
-well resolved.  Steps are taken in blocks: one matrix product against the
-stacked powers of Phi gives every state of a block from its start state
-and its draws, and only the start states are carried from block to block.
+well resolved.  Steps are taken in blocks, with one row of state per
+ensemble member: one matrix product maps every block's draws to the noise
+it accumulates, the blocks' start states follow from that noise by
+recursive doubling, and one product against the stacked powers of Phi
+lifts every start state to its block's states.
 
 The reductions are streamed.  Each chunk of states is reduced as soon as
 it is produced, into a per-member sum of u^2, per-member lag products for
@@ -28,12 +30,13 @@ with the run length; the trajectories are stored only on request.
 
 The driven oracle appends the drive oscillator (cos wt, sin wt) to the mode
 state, which makes the driven system linear with a constant generator, and
-steps it with the exact propagator expm(M dt).  Both oracles take their
-matrix exponentials from ``_expm``: power-of-two diagonal balancing, then
-Pade-13 scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26(4),
-2005).  Balancing matters here: the mode generator pairs entries of order
-w_j^2 dt with dt, and without it the small entries of Phi come out of the
-squarings with relative errors of 1e-9 to 1e-5 instead of 1e-16.
+steps it with the exact propagator expm(M dt), through the same blocked
+stepper without noise.  Both oracles take their matrix exponentials from
+``_expm``: power-of-two diagonal balancing, then Pade-13 scaling and
+squaring (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005).  Balancing
+matters here: the mode generator pairs entries of order w_j^2 dt with dt,
+and without it the small entries of Phi come out of the squarings with
+relative errors of 1e-9 to 1e-5 instead of 1e-16.
 
 Randomness: numpy Philox (counter-based) generators, one independent
 stream per ensemble member derived with SeedSequence.spawn; Gaussian
@@ -74,6 +77,7 @@ __all__ = [
     "StabilityGuardViolated",
     "InsufficientStatistics",
     "SegmentTooShort",
+    "RunTooLong",
     "NotConverged",
     "transition",
     "integrate_langevin",
@@ -88,6 +92,10 @@ STABILITY_LIMIT = 0.05
 
 # run length required before stationary statistics are trusted
 MIN_STATIONARY_DURATIONS = 50.0
+
+# members x (burn-in + kept) steps above which a run is refused before it
+# starts: 1e3 s at 100 ns per member-step
+MAX_MEMBER_STEPS = 1.0e10
 
 _CHUNK_STEPS = 16384  # fixed so the random stream split never varies
 _BLOCK_STEPS = 32      # steps propagated by one matrix product
@@ -105,6 +113,10 @@ class InsufficientStatistics(ValueError):
 
 class SegmentTooShort(ValueError):
     """Not enough samples for the requested spectral segment length."""
+
+
+class RunTooLong(ValueError):
+    """More member-steps than MAX_MEMBER_STEPS."""
 
 
 class NotConverged(RuntimeError):
@@ -298,7 +310,10 @@ def integrate_langevin(config: SdeRunConfig, scenario: Scenario) -> TrajectorySt
     """Integrate the mode SDE and reduce the ensemble to statistics.
 
     Every chunk of kept states is reduced as soon as it is produced; see the
-    module docstring.  metadata["wall_s"] is the wall time of the call.
+    module docstring.  An acf_max_lag of 0 skips the lag products: acf is
+    then [mean_u2].  A run of more than MAX_MEMBER_STEPS member-steps raises
+    RunTooLong before anything is allocated.  metadata["wall_s"] is the wall
+    time of the call.
     """
     started = time.perf_counter()
     config.validate()
@@ -306,32 +321,38 @@ def integrate_langevin(config: SdeRunConfig, scenario: Scenario) -> TrajectorySt
     k = scenario.constants
     rho_v = gas.density * scenario.cell.volume
     kt = k.k_boltzmann * gas.temperature
+    thermal = isinstance(config.forcing, ThermalForcing)
+    m = config.ensemble_size
 
-    if isinstance(config.forcing, ThermalForcing):
-        diffusion = config.forcing.diffusion
-        if diffusion is None:
-            diffusion = rho_v * config.damping * kt
-        sigma2 = 2.0 * diffusion / rho_v**2
-        burn_default = 10.0 / config.damping
-        x0 = np.zeros((2, config.ensemble_size))
-    else:
-        sigma2 = 0.0
-        burn_default = 0.0
-        x0 = np.tile(np.array([[config.forcing.initial_position],
-                               [config.forcing.initial_velocity]]),
-                     (1, config.ensemble_size))
-
-    burn_in = config.burn_in if config.burn_in is not None else burn_default
+    burn_in = config.burn_in
+    if burn_in is None:
+        burn_in = 10.0 / config.damping if thermal else 0.0
+    member_steps = m * (burn_in + config.duration) / config.timestep
+    if not member_steps <= MAX_MEMBER_STEPS:
+        raise RunTooLong(
+            f"{m} members of {member_steps / m:.3g} steps each are "
+            f"{member_steps:.3g} member-steps, above the limit of "
+            f"{MAX_MEMBER_STEPS:.3g}")
     n_burn = int(round(burn_in / config.timestep))
     n_keep = int(round(config.duration / config.timestep))
     if n_keep < 2:
         raise ValueError("duration must cover at least two timesteps")
 
-    m = config.ensemble_size
+    if thermal:
+        diffusion = config.forcing.diffusion
+        if diffusion is None:
+            diffusion = rho_v * config.damping * kt
+        sigma2 = 2.0 * diffusion / rho_v**2
+        x = np.zeros((m, 2))
+    else:
+        sigma2 = 0.0
+        x = np.tile([config.forcing.initial_position,
+                     config.forcing.initial_velocity], (m, 1))
+
     acf_span = (config.acf_max_lag if config.acf_max_lag is not None
                 else 5.0 / config.damping)
     n_lags = min(n_keep - 1, int(round(acf_span / config.timestep)))
-    lag_products = _LagProducts(m, n_lags)
+    lag_products = _LagProducts(m, n_lags) if n_lags > 0 else None
     u2_sums = np.zeros(m)
     welch = None
     if config.psd_nperseg is not None:
@@ -346,10 +367,9 @@ def integrate_langevin(config: SdeRunConfig, scenario: Scenario) -> TrajectorySt
     phi, sig = transition(config.mode_omega, config.damping, sigma2,
                           config.timestep)
     noise_l = _noise_factor(sig) if sigma2 > 0.0 else None
-    powers, noise_map = _block_operators(phi, noise_l, _BLOCK_STEPS)
+    lift, noise_map = _block_operators(phi, noise_l, _BLOCK_STEPS)
     gens = _member_generators(config.seed, m)
 
-    x = x0.copy()
     total = n_burn + n_keep
     done = 0
     while done < total:
@@ -357,18 +377,20 @@ def integrate_langevin(config: SdeRunConfig, scenario: Scenario) -> TrajectorySt
         n_blocks = -(-span // _BLOCK_STEPS)
         z = None
         if noise_l is not None:
-            # zero draws pad the last block; the rows they reach are dropped
-            z = np.zeros((n_blocks * _BLOCK_STEPS, 2, m))
+            # each member's draws fill its own row, step after step; zero
+            # draws pad the last block, and the states they reach are dropped
+            z = np.zeros((m, 2 * _BLOCK_STEPS * n_blocks))
             for member, g in enumerate(gens):
-                z[:span, :, member] = g.standard_normal((span, 2))
-        states = _propagate_blocks(x, z, powers, noise_map, n_blocks)[:span]
-        x = states[-1]
+                g.standard_normal(out=z[member, :2 * span])
+        states = _propagate_blocks(x, z, lift, noise_map, n_blocks)[:, :span]
+        x = states[:, -1]
         keep = max(n_burn - done, 0)
         if keep < span:
-            # (members, samples) rows of this chunk's kept positions, velocities
-            q_c, u_c = np.ascontiguousarray(states[keep:].transpose(1, 2, 0))
+            # (members, samples) views of this chunk's kept positions, velocities
+            q_c, u_c = states[:, keep:, 0], states[:, keep:, 1]
             u2_sums += np.sum(u_c * u_c, axis=1)
-            lag_products.feed(u_c)
+            if lag_products is not None:
+                lag_products.feed(u_c)
             if welch is not None:
                 welch.feed(u_c if pressure_per_q is None else pressure_per_q * q_c)
             if config.keep_samples:
@@ -384,9 +406,12 @@ def integrate_langevin(config: SdeRunConfig, scenario: Scenario) -> TrajectorySt
     else:
         stderr = float("nan")
 
-    per_member = lag_products.sums / (n_keep - np.arange(n_lags + 1))
-    acf = np.array([math.fsum(per_member[:, lag].tolist()) / m
-                    for lag in range(n_lags + 1)])
+    if lag_products is None:
+        acf = np.array([mean_u2])
+    else:
+        per_member = lag_products.sums / (n_keep - np.arange(n_lags + 1))
+        acf = np.array([math.fsum(per_member[:, lag].tolist()) / m
+                        for lag in range(n_lags + 1)])
     psd = None
     if welch is not None:
         psd = _two_sided_angular(*welch.density(1.0 / config.timestep))
@@ -417,48 +442,68 @@ def integrate_langevin(config: SdeRunConfig, scenario: Scenario) -> TrajectorySt
 
 def _block_operators(phi: np.ndarray, noise_l: np.ndarray | None,
                      block: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """Operators that advance the state ``block`` steps at once.
+    """Operators that advance rows of d-wide state ``block`` steps at once.
 
-    powers[k] = Phi^(k+1) carries the start state to row k of a block.
-    noise_map is the lower-block-triangular (2 block, 2 block) matrix whose
-    (k, j) block is Phi^(k-j) L for j <= k: applied to the block's stacked
-    draws z_0 .. z_(block-1) it gives the noise each row has accumulated,
-    sum_(j<=k) Phi^(k-j) L z_j.  noise_map is None for unforced runs.
+    A step maps a state row x to x Phi^T.  lift = [Phi^T, (Phi^2)^T, ...,
+    (Phi^block)^T], (d, block d), carries a block's start row to its stacked
+    rows: row k is x (Phi^(k+1))^T.  noise_map is the lower-block-triangular
+    (block d, block d) matrix whose (k, j) block is Phi^(k-j) L for j <= k:
+    applied to the block's stacked draws z_0 .. z_(block-1) it gives the
+    noise each row has accumulated, sum_(j<=k) Phi^(k-j) L z_j.  noise_map
+    is None for unforced runs.
     """
-    stack = [np.eye(2)]
+    d = len(phi)
+    stack = [np.eye(d)]
     for _ in range(block):
         stack.append(phi @ stack[-1])
-    powers = np.stack(stack[1:])
+    lift = np.concatenate([power.T for power in stack[1:]], axis=1)
     if noise_l is None:
-        return powers, None
-    noise_map = np.zeros((2 * block, 2 * block))
+        return lift, None
+    noise_map = np.zeros((d * block, d * block))
     for k in range(block):
         for j in range(k + 1):
-            noise_map[2 * k:2 * k + 2, 2 * j:2 * j + 2] = stack[k - j] @ noise_l
-    return powers, noise_map
+            noise_map[d * k:d * k + d, d * j:d * j + d] = stack[k - j] @ noise_l
+    return lift, noise_map
 
 
-def _propagate_blocks(x: np.ndarray, z: np.ndarray | None, powers: np.ndarray,
+def _propagate_blocks(x: np.ndarray, z: np.ndarray | None, lift: np.ndarray,
                       noise_map: np.ndarray | None, n_blocks: int) -> np.ndarray:
-    """States (n_blocks * block, 2, members) after each step from x.
+    """States (members, n_blocks * block, d) after each step from the rows x.
 
-    z holds the draws, (n_blocks * block, 2, members), or is None for an
-    unforced run.  Row k of a block is Phi^(k+1) x_start plus the block's
-    accumulated noise; only the start states pass from block to block.
+    x is (members, d).  z holds each member's draws in one row, d per step,
+    (members, n_blocks * block * d), or is None for an unforced run.  Row k
+    of a block is its start row lifted to step k + 1 plus the noise the block
+    has accumulated.  The start rows follow s_(b+1) = s_b P + e_b, with P the
+    last d columns of lift and e_b the noise block b ends with.
     """
-    block = len(powers)
-    m = x.shape[1]
-    if z is None:
-        noise = np.zeros((n_blocks, block, 2, m))
-    else:
-        noise = (noise_map @ z.reshape(n_blocks, 2 * block, m)).reshape(
-            n_blocks, block, 2, m)
-    starts = np.empty((n_blocks, 2, m))
-    for b in range(n_blocks):
-        starts[b] = x
-        x = powers[-1] @ x + noise[b, -1]
-    states = powers @ starts[:, None] + noise
-    return states.reshape(n_blocks * block, 2, m)
+    m, d = x.shape
+    width = lift.shape[1]
+    # the start rows are the sums s_b = sum_(j<=b) w_j P^(b-j) over the
+    # terms w = (x, e_0, .., e_(n_blocks-2))
+    starts = np.zeros((m, n_blocks, d))
+    starts[:, 0] = x
+    if noise_map is not None:
+        noise = (z.reshape(m * n_blocks, width) @ noise_map.T).reshape(
+            m, n_blocks, width)
+        starts[:, 1:] = noise[:, :-1, width - d:]
+    _sum_powers(starts, lift[:, width - d:])
+    states = (starts.reshape(m * n_blocks, d) @ lift).reshape(m, n_blocks, width)
+    if noise_map is not None:
+        states += noise
+    return states.reshape(m, -1, d)
+
+
+def _sum_powers(w: np.ndarray, p: np.ndarray) -> None:
+    """Replace each w[:, b] by sum_(j<=b) w[:, j] p^(b-j), in place.
+
+    Recursive doubling (Hillis and Steele, CACM 29(12), 1986): after the
+    round with shift h, w[:, b] holds the sum over j in (b - 2h, b].
+    """
+    shift = 1
+    while shift < w.shape[1]:
+        w[:, shift:] += w[:, :-shift] @ p
+        p = p @ p
+        shift *= 2
 
 
 def _fast_len(n: int) -> int:
@@ -669,13 +714,11 @@ def integrate_driven(mode_omega: float, damping: float, drive_strength: float,
     n_eval = 2 * periods_per_window * _SAMPLES_PER_PERIOD + 1
     t_eval = settle_time + np.linspace(0.0, 2.0 * window, n_eval)
     sample_dt = 2.0 * window / (n_eval - 1)
-    step = _expm(generator * sample_dt)
+    lift, _ = _block_operators(_expm(generator * sample_dt), None, _BLOCK_STEPS)
     y = _expm(generator * settle_time) @ np.array([0.0, 0.0, 1.0, 0.0])
-    response = np.empty(n_eval)
-    response[0] = y[0]
-    for i in range(1, n_eval):
-        y = step @ y
-        response[i] = y[0]
+    n_blocks = -(-(n_eval - 1) // _BLOCK_STEPS)
+    states = _propagate_blocks(y[None, :], None, lift, None, n_blocks)
+    response = np.concatenate(([y[0]], states[0, :n_eval - 1, 0]))
 
     half = n_eval // 2
     phasors = []

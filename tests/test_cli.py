@@ -178,12 +178,15 @@ ZERO_HEATING = {
 }
 
 
-def _cli(*argv):
+def _env():
     src = str(Path(parsim.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def _cli(*argv):
     return subprocess.run([sys.executable, "-m", "parsim.cli", *argv],
-                          env=env, capture_output=True, text=True)
+                          env=_env(), capture_output=True, text=True, timeout=60)
 
 
 @pytest.mark.parametrize("spec", ["gas.pressure=lin:1e3:inf:3",
@@ -358,6 +361,57 @@ def test_validate_noise_bad_duration_exits_2_without_traceback(value):
     assert (result.returncode, result.stdout) == (2, "")
     assert result.stderr == ("error: --duration-dampings must be positive and "
                              f"finite, got {value}\n")
+
+
+@pytest.mark.parametrize("argv", [("--duration-dampings", "1e12"),
+                                  ("--duration-dampings", "1e300"),
+                                  ("--duration-dampings", "1.7e308"),
+                                  ("--members", "100000000")])
+def test_validate_noise_refuses_runs_that_cannot_finish(argv):
+    # these used to run silently for years (1e12), end in an
+    # _ArrayMemoryError traceback (1e8 members) or overflow the step count
+    result = _cli("validate-noise", *argv)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith("error: ")
+    assert result.stderr.count("\n") == 1
+    assert "member-steps, above the limit of 1e+10" in result.stderr
+
+
+def test_validate_noise_ensemble_out_of_memory_exits_2(capsys, monkeypatch):
+    from parsim import oracle
+
+    def out_of_memory(config, scenario):
+        raise MemoryError
+
+    monkeypatch.setattr(oracle, "integrate_langevin", out_of_memory)
+    code, out, err = run(capsys, "validate-noise", "--members", "5000000",
+                         "--duration-dampings", "50")
+    assert (code, out) == (2, "")
+    assert err == "error: an ensemble of 5000000 members does not fit in memory\n"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="needs the per-thread entries of /proc")
+@pytest.mark.parametrize("preset, want", [(None, "1"), ("2", "2")])
+def test_cli_runs_blas_single_threaded_unless_told(tmp_path, preset, want):
+    # OpenBLAS starts its thread pool when numpy is imported
+    script = (
+        "import os, sys\n"
+        "from parsim.cli import main\n"
+        "code = main(['sweep', '--vary', 'gas.pressure=lin:1e4:1e5:3',"
+        " '--out', sys.argv[1]])\n"
+        "print(code, len(os.listdir('/proc/self/task')),"
+        " os.environ['OPENBLAS_NUM_THREADS'])\n")
+    env = _env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    result = subprocess.run([sys.executable, "-c", script, str(tmp_path / "s.csv")],
+                            env=env, capture_output=True, text=True, timeout=60)
+    code, threads, setting = result.stdout.split()
+    assert (code, setting) == ("0", want)
+    if preset is None:
+        assert threads == "1"
 
 
 def test_validate_noise_detects_wrong_tolerance(capsys):

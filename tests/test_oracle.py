@@ -14,6 +14,7 @@ from parsim.oracle import (
     FreeDecay,
     InsufficientStatistics,
     NotConverged,
+    RunTooLong,
     SdeRunConfig,
     STABILITY_LIMIT,
     SegmentTooShort,
@@ -510,15 +511,22 @@ def test_streamed_lags_and_segments_cover_the_cases():
 
 
 def test_kept_samples_do_not_change_statistics(kept_run):
+    # nor does skipping the autocovariance, which validate-noise never prints
     scenario, config, kept = kept_run
     bare = integrate_langevin(dataclasses.replace(config, keep_samples=False),
                               scenario)
+    acf_free = integrate_langevin(dataclasses.replace(config, acf_max_lag=0.0),
+                                  scenario)
     assert bare.velocity is None and bare.position is None
-    assert bare.mean_u2 == kept.mean_u2
-    assert np.array_equal(bare.mean_u2_stderr, kept.mean_u2_stderr, equal_nan=True)
-    for name in ("member_mean_u2", "acf", "acf_lags"):
+    for run in (bare, acf_free):
+        assert run.mean_u2 == kept.mean_u2
+        assert np.array_equal(run.mean_u2_stderr, kept.mean_u2_stderr, equal_nan=True)
+        assert np.array_equal(run.member_mean_u2, kept.member_mean_u2)
+        assert np.array_equal(run.psd.values, kept.psd.values)
+    for name in ("acf", "acf_lags"):
         assert np.array_equal(getattr(bare, name), getattr(kept, name))
-    assert np.array_equal(bare.psd.values, kept.psd.values)
+    assert acf_free.acf.tolist() == [kept.mean_u2]
+    assert acf_free.acf_lags.tolist() == [0.0]
 
 
 def _traced_peak(config, scenario):
@@ -538,6 +546,22 @@ def test_langevin_memory_independent_of_run_length(anthrax):
     short = _traced_peak(config, anthrax)
     long = _traced_peak(dataclasses.replace(config, duration=2.56e-1), anthrax)
     assert long <= short + 2 * 2**20
+
+
+def test_run_too_long_refused_before_allocating(anthrax):
+    # 10^9 members of 1.1e4 steps: the refusal comes before the state rows,
+    # 16 GB of them, or a single generator
+    config = SdeRunConfig(timestep=1.0e-6, duration=1.0e-2, seed=1,
+                          ensemble_size=10**9, mode_omega=MODE_OMEGA,
+                          damping=DAMPING)
+    tracemalloc.start()
+    try:
+        with pytest.raises(RunTooLong, match="member-steps"):
+            integrate_langevin(config, anthrax)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_langevin_wall_time_in_metadata(anthrax):
@@ -642,6 +666,41 @@ def test_driven_amplitude_matches_analytic(drive_omega):
     assert math.isclose(result.sample_dt * (result.n_samples - 1),
                         2.0 * 20 * period, rel_tol=1e-12)
     assert 0.0 < result.wall_s < math.inf
+
+
+def _per_step_driven_phasor(mode_omega, damping, strength, drive_omega):
+    """integrate_driven's phasor at its defaults, from a per-step loop."""
+    generator = _driven_generator(mode_omega, damping, strength, drive_omega)
+    settle = 30.0 / damping
+    window = 20 * 2.0 * math.pi / drive_omega
+    n_eval = 2 * 20 * _SAMPLES_PER_PERIOD + 1
+    t = settle + np.linspace(0.0, 2.0 * window, n_eval)
+    step = _expm(generator * (2.0 * window / (n_eval - 1)))
+    y = _expm(generator * settle) @ np.array([0.0, 0.0, 1.0, 0.0])
+    response = np.empty(n_eval)
+    response[0] = y[0]
+    for i in range(1, n_eval):
+        y = step @ y
+        response[i] = y[0]
+    t, a = t[n_eval // 2:], response[n_eval // 2:]
+    return complex(2.0 / window * np.trapezoid(a * np.cos(drive_omega * t), t),
+                   2.0 / window * np.trapezoid(a * np.sin(drive_omega * t), t))
+
+
+# the acceptance mode (Q about 100) and the benchmark's (Q = 12), each on
+# the low flank, at resonance and on the high flank
+@pytest.mark.parametrize("args", [
+    (10377.685870383077, 100.0, 2.0e-3, 2.5e3),
+    (10377.685870383077, 100.0, 2.0e-3, 10377.685870383077),
+    (10377.685870383077, 100.0, 2.0e-3, 2.1e4),
+    (1.0e4, 1.0e4 / 12.0, 1.0e-3, 6.0e3),
+    (1.0e4, 1.0e4 / 12.0, 1.0e-3, 1.0e4),
+    (1.0e4, 1.0e4 / 12.0, 1.0e-3, 1.6e4),
+])
+def test_blocked_driven_stepper_matches_per_step_loop(args):
+    want = _per_step_driven_phasor(*args)
+    got = integrate_driven(*args).amplitude
+    assert abs(got - want) <= 1.0e-12 * abs(want)
 
 
 def test_driven_zero_frequency_mode():

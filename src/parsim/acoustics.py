@@ -53,7 +53,6 @@ __all__ = [
     "SpectrumSeries",
     "SignalSpectrumResult",
     "RootFindingFailure",
-    "QuadratureNotConverged",
     "cylinder_modes",
     "mode_overlap",
     "signal_spectrum",
@@ -67,16 +66,9 @@ CONVENTION_ONE_SIDED = "one-sided-angular"
 # jnp_zeros residual above this means the root table cannot be trusted
 _ROOT_RESIDUAL_LIMIT = 1e-10
 
-_QUAD_RELATIVE_TARGET = 1e-10
-_QUAD_ABSOLUTE_FLOOR = 1e-14
-
 
 class RootFindingFailure(RuntimeError):
     """A Bessel-derivative root did not verify against the function itself."""
-
-
-class QuadratureNotConverged(RuntimeError):
-    """Adaptive quadrature could not certify the requested accuracy."""
 
 
 @dataclass(frozen=True)
@@ -237,42 +229,17 @@ class HeatSourceField:
     envelope: SinusoidalEnvelope | PulseTrainEnvelope
 
 
-def _shape_profile(shape, cell: CellGeometry):
-    """Dimensionless profile s(z, r) with unit cell average, axisymmetric part."""
-    if isinstance(shape, UniformCell):
-        return lambda z, r: 1.0
-    if isinstance(shape, BeamCylinder):
-        if not (0.0 < shape.radius <= cell.radius):
-            raise ValueError("beam radius must lie in (0, cell radius]")
-        boost = cell.radius**2 / shape.radius**2
-        rb = shape.radius
-        return lambda z, r: boost if r <= rb else 0.0
-    raise TypeError(f"no integrable profile for {type(shape).__name__}")
+def mode_overlap(mode: AcousticMode, shape, cell: CellGeometry) -> float:
+    """Overlap integral O_j = integral p_j s dV, in m^3, in closed form.
 
-
-def mode_overlap(mode: AcousticMode, shape, cell: CellGeometry,
-                 method: str = "auto") -> float:
-    """Overlap integral O_j = integral p_j s dV, in m^3.
-
-    ``method="auto"`` uses exact closed forms where one exists (all bundled
-    shapes have one) and falls back to adaptive quadrature otherwise;
-    ``method="quadrature"`` forces the adaptive evaluation, raising
-    QuadratureNotConverged when the estimated error is above 1e-8 relative.
+    Every bundled shape has one; any other shape raises TypeError.
     """
-    if method not in ("auto", "quadrature"):
-        raise ValueError(f"unknown overlap method {method!r}")
     if isinstance(shape, PointSources):
         if len(shape.positions) != len(shape.weights):
             raise ValueError("point sources need one weight per position")
         total = sum(w * mode.pressure(z, r, phi)
                     for (z, r, phi), w in zip(shape.positions, shape.weights))
         return cell.volume * total
-    if method == "quadrature":
-        return _overlap_quadrature(mode, shape, cell)
-    return _overlap_closed_form(mode, shape, cell)
-
-
-def _overlap_closed_form(mode: AcousticMode, shape, cell: CellGeometry) -> float:
     q, m, _ = mode.index
     if isinstance(shape, UniformCell):
         # orthogonality against the uniform mode
@@ -292,40 +259,6 @@ def _overlap_closed_form(mode: AcousticMode, shape, cell: CellGeometry) -> float
         boost = cell.radius**2 / rb**2
         return boost * mode.norm * cell.length * 2.0 * math.pi * radial
     raise TypeError(f"no closed-form overlap for {type(shape).__name__}")
-
-
-def _overlap_quadrature(mode: AcousticMode, shape, cell: CellGeometry) -> float:
-    if mode.bessel_order > 0:
-        return 0.0  # axisymmetric shapes cannot excite m > 0
-    from scipy import integrate, special
-
-    profile = _shape_profile(shape, cell)
-    a, l = cell.radius, cell.length
-    # scaled coordinates keep both integrals O(1) so error targets are
-    # meaningful for any cell size
-    kz = mode.axial_wavenumber * l
-    kr = mode.radial_wavenumber * a
-
-    za, za_err = integrate.quad(lambda t: math.cos(kz * t), 0.0, 1.0,
-                                epsabs=_QUAD_ABSOLUTE_FLOOR,
-                                epsrel=_QUAD_RELATIVE_TARGET, limit=200)
-    pieces = [0.0, 1.0]
-    if isinstance(shape, BeamCylinder):
-        pieces = [0.0, shape.radius / a, 1.0]
-    ra, ra_err = 0.0, 0.0
-    for lo, hi in zip(pieces[:-1], pieces[1:]):
-        part, err = integrate.quad(
-            lambda t: special.j0(kr * t) * profile(0.0, a * t) * t, lo, hi,
-            epsabs=_QUAD_ABSOLUTE_FLOOR,
-            epsrel=_QUAD_RELATIVE_TARGET, limit=200)
-        ra += part
-        ra_err += err
-    scaled = za * ra
-    scaled_err = abs(za) * ra_err + abs(ra) * za_err + za_err * ra_err
-    if scaled_err > max(1e-8 * abs(scaled), 1e-10):
-        raise QuadratureNotConverged(
-            f"overlap error estimate {scaled_err:.3e} for mode {mode.index}")
-    return mode.norm * 2.0 * math.pi * a**2 * l * scaled
 
 
 # ---------------------------------------------------------------------------

@@ -28,11 +28,11 @@ from pathlib import Path
 
 from . import __version__
 from .detection import BREAKDOWN_RISK, NEP_CONVENTION_NOTE, SPARSE_SUSPENSION, min_density
-from .noise import MODULATION_NOT_SMALL
+from .noise import MODULATION_NOT_SMALL, thermal_variance
 from .presets import PRESETS, build_preset, preset_names
 from .quantities import Scenario, ScenarioValidationError, sound_speed, validate_scenario
 from .raman import LINEWIDTH_CONVENTIONS
-from .scenario_io import ParseError, SchemaError, load_scenario, scenario_hash
+from .scenario_io import SECTION_NAMES, ParseError, SchemaError, load_scenario, scenario_hash
 from .thermal import TIMESCALES_NOT_SEPARATED
 
 __all__ = ["main", "WARNING_BITS", "warning_bits"]
@@ -156,9 +156,6 @@ def _cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 # sweep
 
-_SECTIONS = ("gas", "cell", "laser", "particle", "detector")
-
-
 def _parse_sweep(spec: str):
     """Parse "path[,path...]=lin|log:lo:hi:n" into (paths, values)."""
     import numpy as np
@@ -193,10 +190,10 @@ def _with_value(scenario: Scenario, path: str, value) -> Scenario:
     if path == "spore_density":
         return dataclasses.replace(scenario, spore_density=value)
     section, sep, attr = path.partition(".")
-    if not sep or section not in _SECTIONS:
+    if not sep or section not in SECTION_NAMES:
         raise ValueError(
             f"unknown sweep path {path!r}; use section.attribute with "
-            f"section one of {', '.join(_SECTIONS)}, or spore_density")
+            f"section one of {', '.join(SECTION_NAMES)}, or spore_density")
     component = getattr(scenario, section)
     if attr not in {f.name for f in dataclasses.fields(component)}:
         raise ValueError(f"{section} has no attribute {attr!r}")
@@ -255,14 +252,11 @@ def _cmd_modes(args) -> int:
     from .acoustics import cylinder_modes
 
     scenario, origin = _load(args)
-    max_axial, max_azimuthal, max_radial = (args.max_axial, args.max_azimuthal,
-                                            args.max_radial)
-    if args.max_modes is not None:
-        parts = args.max_modes.split(",")
-        if len(parts) != 3:
-            raise ValueError("--max-modes needs three comma-separated "
-                             "integers: axial,azimuthal,radial")
-        max_axial, max_azimuthal, max_radial = (int(p) for p in parts)
+    parts = args.max_modes.split(",")
+    if len(parts) != 3:
+        raise ValueError("--max-modes needs three comma-separated "
+                         "integers: axial,azimuthal,radial")
+    max_axial, max_azimuthal, max_radial = (int(p) for p in parts)
     modes = cylinder_modes(scenario.cell, scenario.gas,
                            max_axial=max_axial,
                            max_radial=max_radial,
@@ -294,8 +288,6 @@ def _cmd_validate_noise(args) -> int:
                          f"got {args.duration_dampings!r}")
     scenario, origin = _load(args)
     det = scenario.detector
-    gas = scenario.gas
-    k = scenario.constants
     fastest = max(det.noise_damping, det.noise_mode_omega)
     dt = 0.05 / fastest
     duration = args.duration_dampings / det.noise_damping
@@ -336,9 +328,7 @@ def _cmd_validate_noise(args) -> int:
                  f"(z = {z:.2f}, limit {args.sigmas:.1f}) "
                  f"{'PASS' if passed else 'FAIL'}")
 
-    c = sound_speed(gas)
-    analytic_var = (gas.density * c**2 * k.k_boltzmann * gas.temperature
-                    / scenario.cell.volume)
+    analytic_var = thermal_variance(scenario)
     welch_var = series_variance(stats.psd)
     rel = abs(welch_var - analytic_var) / analytic_var
     passed = rel <= args.psd_tolerance
@@ -398,12 +388,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     mo = sub.add_parser("modes", help="acoustic mode table of the cell")
     _add_scenario_args(mo)
-    mo.add_argument("--max-axial", type=int, default=4)
-    mo.add_argument("--max-radial", type=int, default=2)
-    mo.add_argument("--max-azimuthal", type=int, default=0)
-    mo.add_argument("--max-modes", default=None, metavar="q,m,n",
-                    help="caps for all three indices at once "
-                         "(axial,azimuthal,radial); overrides the flags above")
+    mo.add_argument("--max-modes", default="4,0,2", metavar="q,m,n",
+                    help="caps on the axial, azimuthal and radial indices "
+                         "(default 4,0,2)")
     mo.add_argument("--out", default=None, metavar="FILE")
     mo.set_defaults(func=_cmd_modes)
 
@@ -444,7 +431,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         message = exc.args[0] if exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return 2

@@ -82,12 +82,11 @@ class DetectionReport:
 
     warning_flags maps each warning code, in report order, to where it
     holds: a bool, or a bool array for a scenario holding sweep arrays.
+    h_r (W/m^3 inside the particle), eta and h_nep (W m^-3 s^(1/2)) read
+    the nested results.
     """
 
     rho_min: float               # 1/m^3
-    h_r: float                   # W/m^3 heating density inside the particle
-    eta: float                   # heat-transfer efficiency
-    h_nep: float                 # W m^-3 s^(1/2)
     bandwidth_root: float        # sqrt(Gamma_s), s^(-1/2)
     intensity_product: float     # I_p I_s, W^2/m^4
     h_available: float | None    # W/m^3 at the scenario's own density, if given
@@ -97,6 +96,18 @@ class DetectionReport:
     deposition: raman.HeatDeposition
     thermal: thermal.ThermalReport
     nep: noise.NepResult
+
+    @property
+    def h_r(self) -> float:
+        return self.deposition.h_r
+
+    @property
+    def eta(self) -> float:
+        return self.thermal.eta
+
+    @property
+    def h_nep(self) -> float:
+        return self.nep.h_nep
 
     @property
     def warnings(self) -> tuple[str, ...]:
@@ -201,9 +212,6 @@ def _min_density(scenario: Scenario, snr: float,
                                           scenario.particle.volume)
     return DetectionReport(
         rho_min=rho_min,
-        h_r=deposition.h_r,
-        eta=therm.eta,
-        h_nep=floor.h_nep,
         bandwidth_root=root_bw,
         intensity_product=laser.pump_intensity * laser.stokes_intensity,
         h_available=h_avail,

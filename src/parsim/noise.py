@@ -62,6 +62,7 @@ __all__ = [
     "NepResult",
     "MODULATION_NOT_SMALL",
     "diffusion_coefficient",
+    "thermal_variance",
     "velocity_correlation",
     "noise_spectrum",
     "nep",
@@ -93,17 +94,20 @@ def velocity_correlation(scenario: Scenario, lag: float) -> float:
     return d / (rho_v**2 * gamma_n) * math.exp(-gamma_n * abs(lag))
 
 
+def thermal_variance(scenario: Scenario) -> float:
+    """Equipartition pressure variance of a detector mode, rho0 c^2 k T / V, Pa^2."""
+    gas = scenario.gas
+    return (gas.density * sound_speed(gas)**2 * scenario.constants.k_boltzmann
+            * gas.temperature / scenario.cell.volume)
+
+
 def _thermal_psd(omega, mode_omega: float, scenario: Scenario):
     import numpy as np
 
-    gas = scenario.gas
-    c2 = gas.gamma * gas.pressure / gas.density
-    num = (gas.density * c2 * mode_omega**2 * scenario.detector.noise_damping
-           * scenario.constants.k_boltzmann * gas.temperature)
+    damping = scenario.detector.noise_damping
     w = np.asarray(omega, dtype=float)
-    den = scenario.cell.volume * ((mode_omega**2 - w**2) ** 2
-                                  + (w * scenario.detector.noise_damping) ** 2)
-    return num / den
+    return (thermal_variance(scenario) * mode_omega**2 * damping
+            / ((mode_omega**2 - w**2) ** 2 + (w * damping) ** 2))
 
 
 @dataclass(frozen=True)
@@ -112,7 +116,7 @@ class NoiseSpectrumResult:
 
     variance_on_grid integrates the PSD over the grid with the package's
     dw / pi two-sided measure (even extension); it approaches the full
-    variance rho0 c^2 k T / V as the grid covers the spectral support.
+    variance ``thermal_variance`` as the grid covers the spectral support.
     """
 
     diffusion: float
@@ -185,6 +189,7 @@ def nep(scenario: Scenario, modulation_omega: float | None = None) -> NepResult:
     det = scenario.detector
     c = sound_speed(gas)
     v = scenario.cell.volume
+    # not thermal_variance(scenario) * ...: that order moves h_nep by an ulp
     vh2 = (v * det.noise_damping * gas.density * c**2
            * scenario.constants.k_boltzmann * gas.temperature
            * (modulation_omega**2 + det.signal_damping**2))

@@ -166,6 +166,9 @@ class SdeRunConfig:
             raise ValueError("timestep and duration must be positive and finite")
         if not (self.damping > 0.0) or self.mode_omega < 0.0:
             raise ValueError("damping must be positive, mode_omega non-negative")
+        if self.burn_in is not None and not (0.0 <= self.burn_in < math.inf):
+            raise ValueError(f"burn_in must be finite and non-negative, "
+                             f"got {self.burn_in!r}")
         rate = max(self.damping, self.mode_omega)
         if self.timestep * rate > STABILITY_LIMIT * (1.0 + 1e-12):
             raise StabilityGuardViolated(

@@ -130,5 +130,5 @@ def build_preset(name: str) -> Scenario:
         factory, _ = PRESETS[name]
     except KeyError:
         known = ", ".join(preset_names())
-        raise KeyError(f"unknown preset {name!r}; available: {known}") from None
+        raise ValueError(f"unknown preset {name!r}; available: {known}") from None
     return factory()

@@ -53,6 +53,7 @@ __all__ = [
     "dumps_scenario",
     "scenario_hash",
     "FORMAT_VERSION",
+    "SECTION_NAMES",
 ]
 
 FORMAT_VERSION = 1
@@ -135,6 +136,8 @@ _SECTIONS = (
     ("detector", DetectorNoiseSpec, _DETECTOR_FIELDS),
 )
 
+SECTION_NAMES = tuple(name for name, _, _ in _SECTIONS)
+
 
 @dataclass(frozen=True)
 class LoadResult:
@@ -189,8 +192,7 @@ def loads_scenario(text: str, lenient: bool = False,
             f"format_version {version!r} not supported "
             f"(this reader handles {FORMAT_VERSION})")
 
-    known_top = {"format_version", "spore_density_m3"} | {
-        name for name, _, _ in _SECTIONS}
+    known_top = {"format_version", "spore_density_m3", *SECTION_NAMES}
     for key in doc:
         if key not in known_top:
             unknown.append(str(key))

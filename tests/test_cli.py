@@ -87,6 +87,17 @@ def test_unknown_preset_exits_2(capsys):
     assert code == 2
     assert "error:" in err
     assert "anthrax_stp" in err  # lists what is available
+    assert err == "error: unknown preset 'nope'; available: anthrax_stp\n"
+
+
+def test_internal_key_error_is_not_a_usage_error(capsys, monkeypatch):
+    # a KeyError inside parsim is a bug: it must surface, not exit 2
+    def broken(args):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli, "_cmd_report", broken)
+    with pytest.raises(KeyError, match="internal"):
+        main(["report"])
 
 
 def test_missing_file_exits_2(capsys, tmp_path):
@@ -292,7 +303,7 @@ def test_report_refuses_arithmetic_out_of_range(capsys, tmp_path, anthrax, case)
 
 
 def test_modes_table(capsys):
-    code, out, _ = run(capsys, "modes", "--max-axial", "2", "--max-radial", "1")
+    code, out, _ = run(capsys, "modes", "--max-modes", "2,0,1")
     assert code == 0
     lines = out.splitlines()
     header, rows = csv_rows(out)
@@ -437,11 +448,10 @@ def test_version_flag(capsys):
 
 
 def test_modes_combined_cap_flag(capsys):
-    _, separate, _ = run(capsys, "modes", "--max-axial", "2",
-                         "--max-azimuthal", "0", "--max-radial", "1")
-    code, combined, _ = run(capsys, "modes", "--max-modes", "2,0,1")
+    _, default, _ = run(capsys, "modes")
+    code, explicit, _ = run(capsys, "modes", "--max-modes", "4,0,2")
     assert code == 0
-    assert combined == separate
+    assert explicit == default
     code, _, err = run(capsys, "modes", "--max-modes", "2,0")
     assert code == 2 and "max-modes" in err
     code, _, err = run(capsys, "modes", "--max-modes", "a,b,c")

@@ -13,6 +13,7 @@ from parsim.noise import (
     mode_noise_budget,
     nep,
     noise_spectrum,
+    thermal_variance,
     velocity_correlation,
 )
 
@@ -24,6 +25,14 @@ def test_diffusion_reference(anthrax):
               * anthrax.detector.noise_damping
               * quantities.K_BOLTZMANN * anthrax.gas.temperature)
     assert math.isclose(d, manual, rel_tol=1e-15)
+
+
+def test_thermal_variance_reference(anthrax):
+    gas = anthrax.gas
+    c2 = gas.gamma * gas.pressure / gas.density
+    manual = (gas.density * c2 * quantities.K_BOLTZMANN * gas.temperature
+              / anthrax.cell.volume)
+    assert math.isclose(thermal_variance(anthrax), manual, rel_tol=1e-15)
 
 
 def test_velocity_correlation_equipartition(anthrax):

@@ -231,6 +231,20 @@ def test_basic_config_guards():
                      damping=0.0).validate()
 
 
+def test_burn_in_guard(anthrax):
+    config = SdeRunConfig(timestep=1.0e-6, duration=2.0e-3, seed=1,
+                          ensemble_size=4, mode_omega=MODE_OMEGA,
+                          damping=DAMPING, burn_in=-1.0e-3)
+    # a negative burn-in would step fewer steps than it keeps, leaving the
+    # first kept samples uninitialised
+    with pytest.raises(ValueError, match="burn_in must be finite and non-negative"):
+        integrate_langevin(config, anthrax)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="burn_in"):
+            dataclasses.replace(config, burn_in=bad).validate()
+    dataclasses.replace(config, burn_in=-0.0).validate()
+
+
 # ---------------------------------------------------------------------------
 # free decay against the closed-form damped oscillator
 

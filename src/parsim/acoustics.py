@@ -36,11 +36,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .quantities import CellGeometry, GasProperties, Scenario, sound_speed
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "AcousticMode",
@@ -65,6 +66,33 @@ CONVENTION_ONE_SIDED = "one-sided-angular"
 
 # jnp_zeros residual above this means the root table cannot be trusted
 _ROOT_RESIDUAL_LIMIT = 1e-10
+
+# (alpha_mn, J_m(alpha_mn)) for m = 0..4, n = 1..4: repr of
+# scipy.special.jnp_zeros(m, 4) and of j0 (m = 0) or jv(m, .) at each root,
+# the values the scipy path below computes, so the caps in use need no
+# scipy or numpy; tests/test_acoustics.py checks them against scipy
+_RADIAL_TABLE = (
+    ((3.8317059702075125, -0.402759395702553),
+     (7.015586669815619, 0.3001157525261326),
+     (10.173468135062722, -0.24970487705784322),
+     (13.323691936314223, 0.21835940724787298)),
+    ((1.8411837813406595, 0.5818652242815964),
+     (5.3314427735250325, -0.34612620185379156),
+     (8.536316366346286, 0.2732999416331998),
+     (11.706004902592063, -0.23330441717143413)),
+    ((3.0542369282271404, 0.4864986822690033),
+     (6.706133194158459, -0.31353044515754414),
+     (9.969467823087596, 0.25474415821151003),
+     (13.170370856016124, -0.22088158215139078)),
+    ((4.201188941210528, 0.43439442684052476),
+     (8.015236598375953, -0.2911612814628363),
+     (11.345924310743007, 0.24073817486246535),
+     (14.585848286167028, -0.21096520338792302)),
+    ((5.317553126083994, 0.3996519741229633),
+     (9.282396285241614, -0.2743816364279931),
+     (12.68190844263889, 0.22959047245185207),
+     (15.96410703773155, -0.20276385098512095)),
+)
 
 
 class RootFindingFailure(RuntimeError):
@@ -98,6 +126,7 @@ class AcousticMode:
 
     def pressure(self, z, r, phi=0.0):
         """Evaluate the mode profile; accepts scalars or arrays."""
+        import numpy as np
         from scipy import special
 
         axial = np.cos(self.axial_wavenumber * np.asarray(z, dtype=float))
@@ -108,10 +137,15 @@ class AcousticMode:
         return float(out) if np.ndim(out) == 0 else out
 
 
-def _radial_roots(m: int, count: int) -> np.ndarray:
-    """First ``count`` positive roots of J_m', verified against J_m'."""
-    if count == 0:
-        return np.empty(0)
+def _radial_roots(m: int, count: int) -> list[tuple[float, float]]:
+    """First ``count`` (alpha_mn, J_m(alpha_mn)) pairs, alpha_mn > 0 a root of J_m'.
+
+    Caps inside ``_RADIAL_TABLE`` read it; beyond it scipy computes the
+    roots and verifies them against J_m'.
+    """
+    if m < len(_RADIAL_TABLE) and count <= len(_RADIAL_TABLE[m]):
+        return list(_RADIAL_TABLE[m][:count])
+    import numpy as np
     from scipy import special
 
     roots = special.jnp_zeros(m, count)
@@ -120,20 +154,22 @@ def _radial_roots(m: int, count: int) -> np.ndarray:
         worst = float(residual.max())
         raise RootFindingFailure(
             f"J_{m}' root residual {worst:.3e} exceeds {_ROOT_RESIDUAL_LIMIT:.0e}")
-    return roots
+    values = special.j0(roots) if m == 0 else special.jv(m, roots)
+    return list(zip(roots.tolist(), values.tolist()))
 
 
-def _norm_constant(q: int, m: int, alpha: float) -> float:
-    """N_qmn such that the cell-mean square of the mode profile is 1."""
+def _norm_constant(q: int, m: int, alpha: float, j_m: float) -> float:
+    """N_qmn such that the cell-mean square of the mode profile is 1.
+
+    ``j_m`` is J_m(alpha); the uniform mode (alpha = 0) ignores it.
+    """
     eps_q = 1.0 if q == 0 else 2.0
     if alpha == 0.0:
         return math.sqrt(eps_q)
-    from scipy import special
-
     if m == 0:
-        radial_mean = special.j0(alpha) ** 2
+        radial_mean = j_m ** 2
     else:
-        radial_mean = 0.5 * (1.0 - m**2 / alpha**2) * special.jv(m, alpha) ** 2
+        radial_mean = 0.5 * (1.0 - m**2 / alpha**2) * j_m ** 2
     return math.sqrt(eps_q / radial_mean)
 
 
@@ -154,11 +190,11 @@ def cylinder_modes(cell: CellGeometry, gas: GasProperties,
 
     modes: list[AcousticMode] = []
     for m in range(max_azimuthal + 1):
-        roots = [0.0] if m == 0 else []
+        roots = [(0.0, 1.0)] if m == 0 else []   # the uniform profile, J_0(0) = 1
         if max_radial > 0:
-            roots = roots + list(_radial_roots(m, max_radial))
+            roots += _radial_roots(m, max_radial)
         n_start = 0 if m == 0 else 1
-        for n_offset, alpha in enumerate(roots):
+        for n_offset, (alpha, j_m) in enumerate(roots):
             n = n_start + n_offset
             kr = alpha / a
             for q in range(max_axial + 1):
@@ -171,7 +207,7 @@ def cylinder_modes(cell: CellGeometry, gas: GasProperties,
                     bessel_order=m,
                     radial_wavenumber=kr,
                     bessel_root=alpha,
-                    norm=_norm_constant(q, m, alpha),
+                    norm=_norm_constant(q, m, alpha, j_m),
                 ))
     modes.sort(key=lambda mode: (mode.omega, mode.index))
     return modes
@@ -281,6 +317,8 @@ class SpectrumSeries:
     mode_index: tuple[int, int, int] | None = None
 
     def __post_init__(self):
+        import numpy as np
+
         omega = np.asarray(self.omega, dtype=float)
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "values", np.asarray(self.values))
@@ -305,6 +343,8 @@ class SignalSpectrumResult:
 
 def _transfer(omega, mode_omega: float, gamma: float, overlap: float,
               volume: float, damping: float):
+    import numpy as np
+
     w = np.asarray(omega, dtype=float)
     return (1j * w * (gamma - 1.0) * overlap
             / (volume * (mode_omega**2 - w**2 + 1j * w * damping)))
@@ -319,6 +359,8 @@ def signal_spectrum(mode: AcousticMode, source: HeatSourceField,
     envelope's own frequency.  For a pulse train the series holds the
     response at each harmonic line up to max(omega_grid).
     """
+    import numpy as np
+
     gamma = scenario.gas.gamma
     damping = scenario.detector.signal_damping
     volume = scenario.cell.volume
@@ -370,6 +412,8 @@ def spectrum_csv(series: SpectrumSeries) -> str:
 
 def pressure_field(modes: Sequence[AcousticMode], amplitudes, z, r, phi=0.0):
     """Synthesize sum_j A_j p_j(z, r, phi); amplitudes in Pa."""
+    import numpy as np
+
     amplitudes = np.asarray(amplitudes)
     if len(modes) != len(amplitudes):
         raise ValueError("need exactly one amplitude per mode")

@@ -14,7 +14,7 @@ archived.  Numbers are printed with repr precision, which round-trips
 doubles exactly.
 
 Exit codes: 0 success, 1 a validation subcommand found a mismatch,
-2 bad usage or an invalid scenario.
+2 bad usage, an invalid scenario or a file that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -286,6 +286,14 @@ def _cmd_validate_noise(args) -> int:
     if not (0.0 < args.duration_dampings < math.inf):
         raise ValueError("--duration-dampings must be positive and finite, "
                          f"got {args.duration_dampings!r}")
+    # a zero limit is strict but meaningful: only an exact match passes
+    for flag, limit in (("--sigmas", args.sigmas),
+                        ("--psd-tolerance", args.psd_tolerance)):
+        if not (0.0 <= limit < math.inf):
+            raise ValueError(f"{flag} must be non-negative and finite, "
+                             f"got {limit!r}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     scenario, origin = _load(args)
     det = scenario.detector
     fastest = max(det.noise_damping, det.noise_mode_omega)
@@ -425,10 +433,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, SchemaError, ScenarioValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    # OSError: a file that is missing, a directory or not permitted
+    except (ParseError, SchemaError, ScenarioValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -1,11 +1,14 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 from scipy.linalg import eigh_tridiagonal
-from scipy.special import j0, jv
+from scipy.special import j0, jnp_zeros, jv, jvp
 
 from parsim import acoustics, quantities
 from parsim.acoustics import (
@@ -162,10 +165,53 @@ def test_mode_orthonormality_by_quadrature(fat_cell, anthrax):
 
 
 def test_root_residuals_verified(anthrax):
-    # every tabulated Bessel root is checked against J_m' on construction
+    # caps beyond the table take scipy's roots, checked against J_m' on
+    # construction
     modes = cylinder_modes(anthrax.cell, anthrax.gas, max_axial=0,
-                           max_radial=4, max_azimuthal=2)
-    assert len(modes) > 10
+                           max_radial=6, max_azimuthal=5)
+    assert len(modes) == 1 + 6 * 6
+
+
+def test_root_residual_above_the_limit_raises(anthrax, monkeypatch):
+    monkeypatch.setattr(acoustics, "_ROOT_RESIDUAL_LIMIT", 0.0)
+    # inside the table nothing is computed, so nothing can fail
+    cylinder_modes(anthrax.cell, anthrax.gas, max_axial=0, max_radial=4,
+                   max_azimuthal=4)
+    with pytest.raises(acoustics.RootFindingFailure, match="J_0' root residual"):
+        cylinder_modes(anthrax.cell, anthrax.gas, max_axial=0, max_radial=5)
+
+
+def _within_ulps(a, b, ulps=2):
+    return abs(a - b) <= ulps * math.ulp(max(abs(a), abs(b)))
+
+
+def test_radial_table_roots_meet_the_residual_limit():
+    for m, row in enumerate(acoustics._RADIAL_TABLE):
+        for alpha, _ in row:
+            assert abs(jvp(m, alpha)) <= acoustics._ROOT_RESIDUAL_LIMIT, (m, alpha)
+
+
+def test_radial_table_matches_scipy():
+    # bit-equal with the scipy that wrote it; 2 ulp leaves room for a later one
+    assert [len(row) for row in acoustics._RADIAL_TABLE] == [4] * 5
+    for m, row in enumerate(acoustics._RADIAL_TABLE):
+        roots = jnp_zeros(m, len(row))
+        for (alpha, j_m), root in zip(row, roots):
+            value = j0(root) if m == 0 else jv(m, root)
+            assert _within_ulps(alpha, float(root)), (m, alpha, root)
+            assert _within_ulps(j_m, float(value)), (m, j_m, value)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(q=st.integers(0, 6), m=st.integers(0, 7), n=st.integers(0, 7))
+def test_table_and_scipy_paths_agree(anthrax, q, m, n):
+    tabled = cylinder_modes(anthrax.cell, anthrax.gas, q, n, m)
+    with mock.patch.object(acoustics, "_RADIAL_TABLE", ()):
+        computed = cylinder_modes(anthrax.cell, anthrax.gas, q, n, m)
+    assert [mode.index for mode in tabled] == [mode.index for mode in computed]
+    for a, b in zip(tabled, computed):
+        for name in ("omega", "bessel_root", "norm"):
+            assert _within_ulps(getattr(a, name), getattr(b, name)), (a.index, name)
 
 
 def test_overlap_uniform_source(anthrax):

@@ -106,6 +106,14 @@ def test_missing_file_exits_2(capsys, tmp_path):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("flag", ["--scenario", "--out"])
+def test_directory_for_a_file_exits_2_without_traceback(tmp_path, flag):
+    # both used to end in an IsADirectoryError traceback with exit 1
+    result = _cli("report", flag, str(tmp_path))
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
+
+
 def test_invalid_scenario_file_exits_2(capsys, tmp_path, anthrax):
     text = dumps_scenario(anthrax).replace("adiabatic_index: 1.4",
                                            "adiabatic_index: 0.9")
@@ -372,6 +380,34 @@ def test_validate_noise_bad_duration_exits_2_without_traceback(value):
     assert (result.returncode, result.stdout) == (2, "")
     assert result.stderr == ("error: --duration-dampings must be positive and "
                              f"finite, got {value}\n")
+
+
+@pytest.mark.parametrize("flag", ["--sigmas", "--psd-tolerance"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "-1e-300"])
+def test_validate_noise_refuses_bad_limits(capsys, monkeypatch, flag, value):
+    # these used to run the whole ensemble, then print FAIL with exit 1
+    from parsim import oracle
+
+    def must_not_run(config, scenario):
+        raise AssertionError("integrated before checking the limits")
+
+    monkeypatch.setattr(oracle, "integrate_langevin", must_not_run)
+    code, out, err = run(capsys, "validate-noise", f"{flag}={value}")
+    assert (code, out) == (2, "")
+    assert err == (f"error: {flag} must be non-negative and finite, "
+                   f"got {float(value)!r}\n")
+
+
+def test_validate_noise_refuses_a_negative_seed(capsys):
+    code, out, err = run(capsys, "validate-noise", "--seed", "-5")
+    assert (code, out) == (2, "")
+    assert err == "error: --seed must be a non-negative integer, got -5\n"
+
+
+def test_validate_noise_bad_limit_exits_2_without_traceback():
+    result = _cli("validate-noise", "--sigmas", "nan")
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == "error: --sigmas must be non-negative and finite, got nan\n"
 
 
 @pytest.mark.parametrize("argv", [("--duration-dampings", "1e12"),

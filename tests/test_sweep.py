@@ -159,6 +159,26 @@ def test_scalar_commands_import_no_numpy(tmp_path, anthrax, case):
     ) == "[]"
 
 
+@pytest.mark.parametrize("prefix", ["numpy", "scipy"])
+def test_modes_within_the_root_table_import_no_numpy_or_scipy(prefix):
+    assert _modules_after(
+        prefix,
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    assert main(['modes']) == 0",
+        "    assert main(['modes', '--max-modes', '4,1,2']) == 0",
+        f"    assert main(['modes', '--scenario', {str(GOLDEN_SPORE)!r}]) == 0",
+    ) == "[]"
+
+
+def test_modes_beyond_the_root_table_import_scipy_special():
+    loaded = _modules_after(
+        "scipy",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    assert main(['modes', '--max-modes', '2,6,6']) == 0",
+    )
+    assert "'scipy.special'" in loaded
+
+
 @pytest.mark.parametrize("module", ["parsim.oracle", "parsim.acoustics"])
 def test_cli_import_loads_no_oracle_or_acoustics(module):
     assert _modules_after(module) == "[]"

@@ -43,7 +43,6 @@ from .raman import (
     gain_coefficient,
     heat_source_density,
     population_factor,
-    stokes_amplification,
 )
 from .thermal import (
     collision_rate,
@@ -53,21 +52,10 @@ from .thermal import (
     thermal_report,
     transfer_efficiency,
 )
-from .noise import (
-    diffusion_coefficient,
-    mode_noise_budget,
-    nep,
-    noise_spectrum,
-    velocity_correlation,
-)
+from .noise import nep, noise_spectrum
 from .detection import DetectionReport, min_density
 from .presets import anthrax_stp, build_preset, preset_names
-from .scenario_io import (
-    load_scenario,
-    loads_scenario,
-    scenario_hash,
-    write_scenario,
-)
+from .scenario_io import load_scenario, loads_scenario, scenario_hash
 
 __version__ = "0.1.0"
 
@@ -83,36 +71,28 @@ __all__ = [
     "optimal_cell_radius", "sound_speed", "validate_scenario",
     # physics
     "gain_coefficient", "heat_source_density", "population_factor",
-    "stokes_amplification",
     "collision_rate", "collisional_timescale", "radiative_power",
     "temperature_rise", "thermal_report", "transfer_efficiency",
-    "AcousticMode", "BeamCylinder", "HeatSourceField", "PointSources",
-    "PulseTrainEnvelope", "SinusoidalEnvelope", "SpectrumSeries",
-    "UniformCell", "cylinder_modes", "mode_overlap", "pressure_field",
-    "signal_spectrum", "spectrum_csv",
-    "diffusion_coefficient", "mode_noise_budget", "nep", "noise_spectrum",
-    "velocity_correlation",
+    "AcousticMode", "SpectrumSeries", "cylinder_modes",
+    "nep", "noise_spectrum",
     "DetectionReport", "min_density",
     # oracle
     "FreeDecay", "SdeRunConfig", "ThermalForcing", "estimate_psd",
     "integrate_driven", "integrate_langevin", "series_variance",
-    "trajectory_csv", "transition",
+    "transition",
     # scenarios
     "anthrax_stp", "build_preset", "preset_names",
-    "load_scenario", "loads_scenario", "scenario_hash", "write_scenario",
+    "load_scenario", "loads_scenario", "scenario_hash",
 ]
 
 # public names resolved on first access (PEP 562), by defining module
 _LAZY = {
-    **dict.fromkeys((
-        "AcousticMode", "BeamCylinder", "HeatSourceField", "PointSources",
-        "PulseTrainEnvelope", "SinusoidalEnvelope", "SpectrumSeries",
-        "UniformCell", "cylinder_modes", "mode_overlap", "pressure_field",
-        "signal_spectrum", "spectrum_csv"), "acoustics"),
+    **dict.fromkeys(("AcousticMode", "SpectrumSeries", "cylinder_modes"),
+                    "acoustics"),
     **dict.fromkeys((
         "FreeDecay", "SdeRunConfig", "ThermalForcing", "estimate_psd",
         "integrate_driven", "integrate_langevin", "series_variance",
-        "trajectory_csv", "transition"), "oracle"),
+        "transition"), "oracle"),
 }
 
 

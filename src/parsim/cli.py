@@ -172,7 +172,12 @@ def _parse_sweep(spec: str):
     kind, lo_s, hi_s, n_s = parts
     if kind not in ("lin", "log"):
         raise ValueError(f"unknown sweep spacing {kind!r} (use lin or log)")
-    lo, hi, n = float(lo_s), float(hi_s), int(n_s)
+    lo, hi = float(lo_s), float(hi_s)
+    try:
+        n = int(n_s)
+    except ValueError:
+        raise ValueError(f"sweep point count must be an integer, "
+                         f"got {n_s!r}") from None
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"sweep endpoints must be finite, got {lo!r} and {hi!r}")
     if n < 2:
@@ -252,11 +257,11 @@ def _cmd_modes(args) -> int:
     from .acoustics import cylinder_modes
 
     scenario, origin = _load(args)
-    parts = args.max_modes.split(",")
-    if len(parts) != 3:
-        raise ValueError("--max-modes needs three comma-separated "
-                         "integers: axial,azimuthal,radial")
-    max_axial, max_azimuthal, max_radial = (int(p) for p in parts)
+    try:
+        max_axial, max_azimuthal, max_radial = map(int, args.max_modes.split(","))
+    except ValueError:
+        raise ValueError(f"--max-modes needs three comma-separated integers "
+                         f"axial,azimuthal,radial, got {args.max_modes!r}") from None
     modes = cylinder_modes(scenario.cell, scenario.gas,
                            max_axial=max_axial,
                            max_radial=max_radial,

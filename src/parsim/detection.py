@@ -17,7 +17,8 @@ particles would occupy the cell (the continuum-suspension picture breaks
 down there).  A scenario without Raman heating (no active molecules, no
 cross section or no collisional decay) is refused: nothing is detectable.
 So is one whose arithmetic leaves the range of a double (say, a product of
-intensities above 1.8e308 W^2/m^4): its numbers would be inf, nan or 0.
+intensities above 1.8e308 W^2/m^4, or a gas pressure of 1e-300 Pa that
+takes rho_min to 0): its numbers would be inf, nan or 0.
 """
 
 from __future__ import annotations
@@ -64,16 +65,15 @@ def available_power_density(spore_density: float, eta: float, h_r: float,
     return spore_density * eta * h_r * particle_volume
 
 
-def breakdown_guard(pump_intensity: float, stokes_intensity: float,
-                    threshold: float = BREAKDOWN_INTENSITY) -> bool:
+def breakdown_guard(pump_intensity: float, stokes_intensity: float) -> bool:
     """True when either beam risks cascade breakdown of the buffer gas."""
-    return (pump_intensity >= threshold) | (stokes_intensity >= threshold)
+    return ((pump_intensity >= BREAKDOWN_INTENSITY)
+            | (stokes_intensity >= BREAKDOWN_INTENSITY))
 
 
-def sparse_regime_flag(density: float, cell_volume: float,
-                       minimum_count: float = SPARSE_COUNT_LIMIT) -> bool:
+def sparse_regime_flag(density: float, cell_volume: float) -> bool:
     """True when the cell would hold too few particles for a continuum model."""
-    return density * cell_volume < minimum_count
+    return density * cell_volume < SPARSE_COUNT_LIMIT
 
 
 @dataclass(frozen=True)
@@ -152,7 +152,8 @@ def min_density(scenario: Scenario, snr: float = 1.0,
     the integrated noise floor).  Swept fields give a report of arrays, one
     entry per point; a refusal names the first point refused.  Arithmetic
     that overflows, divides by zero or turns invalid is refused with a
-    ValueError saying "arithmetic out of range".
+    ValueError saying "arithmetic out of range", and so is a rho_min that
+    underflows to 0.
     """
     # numpy warns and goes on where math raises; without numpy loaded no
     # value is an array and math raises by itself
@@ -171,6 +172,12 @@ def min_density(scenario: Scenario, snr: float = 1.0,
     found = _first_non_finite(report)
     if found is not None:
         raise ValueError(f"arithmetic out of range: {found[0]} is {found[1]!r}")
+    # nor does one that underflows to 0
+    point = first_failure(report.rho_min > 0.0)
+    if point is not None:
+        where = f" at sweep point {point}" if is_array(report.rho_min) else ""
+        raise ValueError(f"arithmetic out of range: rho_min underflows to "
+                         f"{value_at(report.rho_min, point)!r}{where}")
     return report
 
 

@@ -53,45 +53,21 @@ from typing import TYPE_CHECKING
 from .quantities import Scenario, everywhere, first_failure, sound_speed, xp
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .acoustics import SpectrumSeries
 
 __all__ = [
     "NoiseSpectrumResult",
     "NepResult",
     "MODULATION_NOT_SMALL",
-    "diffusion_coefficient",
     "thermal_variance",
-    "velocity_correlation",
     "noise_spectrum",
     "nep",
-    "mode_noise_budget",
 ]
 
 MODULATION_NOT_SMALL = "modulation_not_small"
 
 # w above this fraction of the detector mode frequency gets flagged
 _SMALL_MODULATION_FRACTION = 0.1
-
-
-def diffusion_coefficient(scenario: Scenario) -> float:
-    """Langevin force strength D = rho0 V Gamma_n k T, N^2 s."""
-    return (scenario.gas.density * scenario.cell.volume
-            * scenario.detector.noise_damping
-            * scenario.constants.k_boltzmann * scenario.gas.temperature)
-
-
-def velocity_correlation(scenario: Scenario, lag: float) -> float:
-    """Stationary <u(t) u(t + lag)> of the mode velocity, m^2/s^2.
-
-    Equals [D / ((rho0 V)^2 Gamma_n)] exp(-Gamma_n |lag|); at zero lag this
-    is k T / (rho0 V), the equipartition value.
-    """
-    rho_v = scenario.gas.density * scenario.cell.volume
-    d = diffusion_coefficient(scenario)
-    gamma_n = scenario.detector.noise_damping
-    return d / (rho_v**2 * gamma_n) * math.exp(-gamma_n * abs(lag))
 
 
 def thermal_variance(scenario: Scenario) -> float:
@@ -119,8 +95,6 @@ class NoiseSpectrumResult:
     variance ``thermal_variance`` as the grid covers the spectral support.
     """
 
-    diffusion: float
-    mode_omega: float
     spectrum: SpectrumSeries
     variance_on_grid: float
 
@@ -130,35 +104,15 @@ def noise_spectrum(mode_omega: float, scenario: Scenario,
     """Thermal pressure-amplitude PSD of a detector mode at mode_omega."""
     import numpy as np
 
-    from .acoustics import CONVENTION_TWO_SIDED, SpectrumSeries
+    from .acoustics import SpectrumSeries
 
     if mode_omega < 0.0:
         raise ValueError("mode frequency cannot be negative")
     grid = np.asarray(omega_grid, dtype=float)
     values = _thermal_psd(grid, mode_omega, scenario)
-    series = SpectrumSeries(grid, values, "power-density",
-                            convention=CONVENTION_TWO_SIDED)
     variance = 2.0 / math.pi * float(np.trapezoid(values, grid))
-    return NoiseSpectrumResult(
-        diffusion=diffusion_coefficient(scenario),
-        mode_omega=mode_omega,
-        spectrum=series,
-        variance_on_grid=variance,
-    )
-
-
-def mode_noise_budget(mode_omegas, scenario: Scenario,
-                      analysis_omega: float) -> np.ndarray:
-    """PSD contribution of each given mode at the analysis frequency.
-
-    Diagnostic for the single-mode approximation: the first detector mode
-    should dominate the sum at signal frequencies.
-    """
-    import numpy as np
-
-    omegas = np.asarray(mode_omegas, dtype=float)
-    return np.array([
-        float(_thermal_psd(analysis_omega, wj, scenario)) for wj in omegas])
+    return NoiseSpectrumResult(spectrum=SpectrumSeries(grid, values),
+                               variance_on_grid=variance)
 
 
 @dataclass(frozen=True)

@@ -65,7 +65,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .acoustics import CONVENTION_TWO_SIDED, SpectrumSeries
+from .acoustics import SpectrumSeries
 from .quantities import Scenario, sound_speed
 
 __all__ = [
@@ -83,7 +83,6 @@ __all__ = [
     "integrate_langevin",
     "estimate_psd",
     "series_variance",
-    "trajectory_csv",
     "integrate_driven",
 ]
 
@@ -125,9 +124,7 @@ class NotConverged(RuntimeError):
 
 @dataclass(frozen=True)
 class ThermalForcing:
-    """Stochastic forcing, diffusion D = rho0 V Gamma k T unless overridden."""
-
-    diffusion: float | None = None
+    """Stochastic forcing of diffusion D = rho0 V Gamma k T."""
 
 
 @dataclass(frozen=True)
@@ -342,10 +339,8 @@ def integrate_langevin(config: SdeRunConfig, scenario: Scenario) -> TrajectorySt
         raise ValueError("duration must cover at least two timesteps")
 
     if thermal:
-        diffusion = config.forcing.diffusion
-        if diffusion is None:
-            diffusion = rho_v * config.damping * kt
-        sigma2 = 2.0 * diffusion / rho_v**2
+        # 2 D / (rho0 V)^2 with D = rho0 V Gamma k T
+        sigma2 = 2.0 * (rho_v * config.damping * kt) / rho_v**2
         x = np.zeros((m, 2))
     else:
         sigma2 = 0.0
@@ -608,8 +603,7 @@ def _welch(x: np.ndarray, fs: float, nperseg: int) -> tuple[np.ndarray, np.ndarr
 
 def _two_sided_angular(freqs: np.ndarray, pxx: np.ndarray) -> SpectrumSeries:
     # one-sided per ordinary Hz to the package's two-sided dw/pi measure
-    return SpectrumSeries(2.0 * math.pi * freqs, pxx / 4.0,
-                          "power-density", convention=CONVENTION_TWO_SIDED)
+    return SpectrumSeries(2.0 * math.pi * freqs, pxx / 4.0)
 
 
 def estimate_psd(samples, sample_rate: float,
@@ -633,8 +627,6 @@ def estimate_psd(samples, sample_rate: float,
 
 def series_variance(series: SpectrumSeries) -> float:
     """Variance implied by a power density on a non-negative frequency grid."""
-    if series.kind != "power-density":
-        raise ValueError("variance is defined for power densities")
     omega = series.omega
     values = np.asarray(series.values, dtype=float)
     if len(omega) > 1:
@@ -642,24 +634,6 @@ def series_variance(series: SpectrumSeries) -> float:
         if np.allclose(step, step[0], rtol=1e-9):
             return 2.0 / math.pi * float(np.sum(values) * step[0])
     return 2.0 / math.pi * float(np.trapezoid(values, omega))
-
-
-def trajectory_csv(stats: TrajectoryStats, member: int = 0) -> str:
-    """CSV dump of one retained member trajectory, for diagnostics.
-
-    Times are measured from the end of burn-in.  Requires a run made with
-    ``keep_samples=True``.
-    """
-    if stats.velocity is None or stats.position is None:
-        raise ValueError(
-            "trajectories were not retained; rerun with keep_samples=True")
-    u = stats.velocity[member]
-    q = stats.position[member]
-    lines = ["t_s,u_m_per_s,q_m"]
-    for i in range(stats.n_samples):
-        lines.append(f"{(i + 1) * stats.timestep!r},"
-                     f"{float(u[i])!r},{float(q[i])!r}")
-    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)

@@ -34,18 +34,13 @@ from .quantities import SPEED_OF_LIGHT, Scenario, first_failure, xp
 
 __all__ = [
     "RamanGainResult",
-    "StokesAmplification",
     "HeatDeposition",
     "LINEWIDTH_CONVENTIONS",
     "gain_coefficient",
-    "stokes_amplification",
     "heat_source_density",
 ]
 
 LINEWIDTH_CONVENTIONS = ("ordinary", "angular")
-
-# |g z| above which the linearized exp(gz) ~ 1 + gz is no longer trusted
-SMALL_GAIN_LIMIT = 0.01
 
 
 @dataclass(frozen=True)
@@ -64,15 +59,6 @@ class RamanGainResult:
     population_factor: float
     stokes_velocity: float
     linewidth_convention: str
-
-
-@dataclass(frozen=True)
-class StokesAmplification:
-    """Photon number after traversing a path through the gain medium."""
-
-    exact: float          # n_s0 * exp(g z)
-    linearized: float     # n_s0 * (1 + g z)
-    small_gain: bool      # True when |g z| is small enough to linearize
 
 
 @dataclass(frozen=True)
@@ -123,17 +109,6 @@ def gain_coefficient(scenario: Scenario,
         population_factor=f_pop,
         stokes_velocity=v_s,
         linewidth_convention=linewidth_convention,
-    )
-
-
-def stokes_amplification(gain: float, path_length: float,
-                         initial_photons: float = 1.0) -> StokesAmplification:
-    """Stokes photon number growth over a straight path of given length."""
-    gz = gain * path_length
-    return StokesAmplification(
-        exact=initial_photons * math.exp(gz),
-        linearized=initial_photons * (1.0 + gz),
-        small_gain=abs(gz) <= SMALL_GAIN_LIMIT,
     )
 
 

@@ -49,7 +49,6 @@ __all__ = [
     "LoadResult",
     "load_scenario",
     "loads_scenario",
-    "write_scenario",
     "dumps_scenario",
     "scenario_hash",
     "FORMAT_VERSION",
@@ -293,10 +292,6 @@ def dumps_scenario(scenario: Scenario) -> str:
     buf = io.StringIO()
     yaml.safe_dump(doc, buf, sort_keys=False, default_flow_style=False)
     return buf.getvalue()
-
-
-def write_scenario(scenario: Scenario, path) -> None:
-    Path(path).write_text(dumps_scenario(scenario), encoding="utf-8")
 
 
 def scenario_hash(scenario: Scenario) -> str:

@@ -172,6 +172,13 @@ def test_sweep_bad_specs_exit_2(capsys):
         assert "error:" in err
 
 
+def test_sweep_names_a_point_count_that_is_not_an_integer(capsys):
+    code, out, err = run(capsys, "sweep", "--vary",
+                         "laser.pump_intensity=lin:1e10:1e12:2.5")
+    assert (code, out) == (2, "")
+    assert err == "error: sweep point count must be an integer, got '2.5'\n"
+
+
 def test_sweep_invalid_point_exits_2(capsys):
     code, _, err = run(capsys, "sweep",
                        "--vary", "gas.temperature=lin:-100:300:3")
@@ -273,6 +280,15 @@ OUT_OF_RANGE = {
                     "laser.pump_intensity,laser.stokes_intensity=log:1e200:1e201:2"),
     "temperature": ({"gas": {"temperature": 1.0e300}},
                     "gas.temperature=lin:1e300:1e301:2"),
+    # each of these took rho_min to 0.0
+    "pressure": ({"gas": {"pressure": 1.0e-300}},
+                 "gas.pressure=log:1e-300:1e-299:2"),
+    "particle_volume": ({"particle": {"volume": 1.0e300}},
+                        "particle.volume=log:1e300:1e301:2"),
+    "noise_damping": ({"detector": {"noise_damping": 1.0e-300}},
+                      "detector.noise_damping=log:1e-300:1e-299:2"),
+    "cell_radius": ({"cell": {"radius": 1.0e-160}},
+                    "cell.radius=log:1e-160:1e-159:2"),
 }
 
 
@@ -286,7 +302,7 @@ def _with_fields(scenario, fields):
 @pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
 def test_min_density_refuses_arithmetic_out_of_range(anthrax, case):
     # the intensities used to give h_r = inf and rho_min = 0.0, the
-    # temperature an OverflowError from T^4
+    # temperature an OverflowError from T^4, the underflows rho_min = 0.0
     scenario = validate_scenario(_with_fields(anthrax, OUT_OF_RANGE[case][0]))
     with pytest.raises(ValueError, match="^arithmetic out of range: "):
         min_density(scenario)
@@ -492,3 +508,5 @@ def test_modes_combined_cap_flag(capsys):
     assert code == 2 and "max-modes" in err
     code, _, err = run(capsys, "modes", "--max-modes", "a,b,c")
     assert code == 2
+    assert err == ("error: --max-modes needs three comma-separated integers "
+                   "axial,azimuthal,radial, got 'a,b,c'\n")

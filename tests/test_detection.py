@@ -4,8 +4,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parsim import detection, noise, thermal
+from parsim.presets import anthrax_stp
+from parsim.quantities import ScenarioValidationError, validate_scenario
 from parsim.detection import (
     BREAKDOWN_RISK,
     NEP_CONVENTION_NOTE,
@@ -202,3 +206,50 @@ def test_detectability_crossover(anthrax):
                                        report.h_r, anthrax.particle.volume)
     floor = report.h_nep * report.bandwidth_root
     assert math.isclose(at_limit, floor, rel_tol=1e-12)
+
+
+_PRESET = anthrax_stp()
+
+
+def _preset_value(section, name):
+    value = getattr(getattr(_PRESET, section), name)
+    # the volume-equivalent radius stands in for the unset radius override
+    return _PRESET.particle.equivalent_radius if value is None else value
+
+
+# every float a scenario file can set, with the preset's value
+_FIELDS = tuple(
+    (section, f.name, _preset_value(section, f.name))
+    for section in ("gas", "cell", "laser", "particle", "detector")
+    for f in dataclasses.fields(getattr(_PRESET, section)))
+_EXTREMES = (0.0, -0.0, 5e-324, 2.2e-308, 1e-300, 1e-150, 1e150, 1e300,
+             1.7e308, math.inf, math.nan)
+_DECADES = (-200, -100, 100, 200)
+
+
+@st.composite
+def _extreme_fields(draw):
+    fields = draw(st.lists(st.sampled_from(_FIELDS), min_size=1, max_size=3,
+                           unique=True))
+    return [(section, name, draw(st.one_of(
+        st.sampled_from(_EXTREMES),
+        st.sampled_from(_DECADES).map(lambda k: preset * 10.0**k))))
+        for section, name, preset in fields]
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(changes=_extreme_fields())
+def test_accepted_scenarios_give_a_positive_finite_rho_min_or_a_refusal(changes):
+    scenario = _PRESET
+    for section, name, value in changes:
+        part = dataclasses.replace(getattr(scenario, section), **{name: value})
+        scenario = dataclasses.replace(scenario, **{section: part})
+    try:
+        validate_scenario(scenario)
+    except ScenarioValidationError:
+        return
+    try:
+        rho_min = min_density(scenario).rho_min
+    except ValueError:
+        return
+    assert math.isfinite(rho_min) and rho_min > 0.0, changes

@@ -9,22 +9,10 @@ from scipy import integrate
 from parsim import noise, quantities
 from parsim.noise import (
     MODULATION_NOT_SMALL,
-    diffusion_coefficient,
-    mode_noise_budget,
     nep,
     noise_spectrum,
     thermal_variance,
-    velocity_correlation,
 )
-
-
-def test_diffusion_reference(anthrax):
-    d = diffusion_coefficient(anthrax)
-    assert math.isclose(d, 2.692265550000001e-24, rel_tol=1e-12)
-    manual = (anthrax.gas.density * anthrax.cell.volume
-              * anthrax.detector.noise_damping
-              * quantities.K_BOLTZMANN * anthrax.gas.temperature)
-    assert math.isclose(d, manual, rel_tol=1e-15)
 
 
 def test_thermal_variance_reference(anthrax):
@@ -33,25 +21,6 @@ def test_thermal_variance_reference(anthrax):
     manual = (gas.density * c2 * quantities.K_BOLTZMANN * gas.temperature
               / anthrax.cell.volume)
     assert math.isclose(thermal_variance(anthrax), manual, rel_tol=1e-15)
-
-
-def test_velocity_correlation_equipartition(anthrax):
-    at_zero = velocity_correlation(anthrax, 0.0)
-    assert math.isclose(at_zero, 3.186113076923077e-13, rel_tol=1e-12)
-    rho_v = anthrax.gas.density * anthrax.cell.volume
-    assert math.isclose(rho_v * at_zero,
-                        quantities.K_BOLTZMANN * anthrax.gas.temperature,
-                        rel_tol=1e-13)
-
-
-def test_velocity_correlation_decay(anthrax):
-    gamma = anthrax.detector.noise_damping
-    at_zero = velocity_correlation(anthrax, 0.0)
-    lag = 1.0 / gamma
-    assert math.isclose(velocity_correlation(anthrax, lag),
-                        at_zero * math.exp(-1.0), rel_tol=1e-13)
-    # time-reversal symmetry of a stationary process
-    assert velocity_correlation(anthrax, -lag) == velocity_correlation(anthrax, lag)
 
 
 def test_noise_spectrum_peak_location(anthrax):
@@ -108,16 +77,6 @@ def test_noise_variance_independent_of_mode_frequency(anthrax):
 def test_noise_spectrum_guards(anthrax):
     with pytest.raises(ValueError):
         noise_spectrum(-1.0, anthrax, np.array([1.0, 2.0]))
-
-
-def test_mode_noise_budget_first_mode_dominates(anthrax):
-    omegas = [4.0e4, 8.0e4, 1.2e5]
-    budget = mode_noise_budget(omegas, anthrax,
-                               anthrax.laser.modulation_omega)
-    assert budget[0] > budget[1] > budget[2]
-    assert budget[0] > 0.5 * float(np.sum(budget))
-    # far below every resonance the mode PSD falls off as 1/w_j^2
-    assert math.isclose(budget[0] / budget[1], 4.0, rel_tol=1e-2)
 
 
 def test_nep_reference(anthrax):

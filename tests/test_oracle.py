@@ -28,7 +28,6 @@ from parsim.oracle import (
     integrate_driven,
     integrate_langevin,
     series_variance,
-    trajectory_csv,
     transition,
 )
 
@@ -634,18 +633,13 @@ def test_estimate_psd_guards():
 
 
 def test_series_variance_uniform_and_nonuniform():
-    flat = SpectrumSeries(np.linspace(0.0, 100.0, 101), np.ones(101),
-                          "power-density")
+    flat = SpectrumSeries(np.linspace(0.0, 100.0, 101), np.ones(101))
     assert math.isclose(series_variance(flat), 2.0 / math.pi * 101.0 * 1.0,
                         rel_tol=1e-12)
     log_grid = np.geomspace(1.0, 100.0, 200)
-    series = SpectrumSeries(log_grid, 1.0 / log_grid**2, "power-density")
+    series = SpectrumSeries(log_grid, 1.0 / log_grid**2)
     expected = 2.0 / math.pi * (1.0 - 1.0e-2)
     assert math.isclose(series_variance(series), expected, rel_tol=1e-3)
-    amp = SpectrumSeries(np.array([1.0, 2.0]), np.array([1.0, 1.0]),
-                         "amplitude")
-    with pytest.raises(ValueError):
-        series_variance(amp)
 
 
 def test_psd_in_run_requires_enough_samples(anthrax):
@@ -760,24 +754,3 @@ def test_driven_argument_checks(kwargs, name):
     # a negative settle time would integrate backwards in time
     with pytest.raises(ValueError, match=name):
         integrate_driven(1.0e4, 100.0, 1.0, 1.0e4, **kwargs)
-
-
-def test_trajectory_csv(anthrax):
-    config = SdeRunConfig(timestep=1.0e-6, duration=2.0e-5, seed=3,
-                          ensemble_size=2, mode_omega=MODE_OMEGA,
-                          damping=DAMPING, forcing=FreeDecay(1.0e-9, 0.0),
-                          keep_samples=True)
-    stats = integrate_langevin(config, anthrax)
-    text = trajectory_csv(stats, member=1)
-    lines = text.splitlines()
-    assert lines[0] == "t_s,u_m_per_s,q_m"
-    assert len(lines) == stats.n_samples + 1
-    t, u, q = (float(c) for c in lines[3].split(","))
-    assert t == 3.0e-6
-    assert u == stats.velocity[1][2]
-    assert q == stats.position[1][2]
-
-    without = integrate_langevin(dataclasses.replace(config, keep_samples=False),
-                                 anthrax)
-    with pytest.raises(ValueError, match="keep_samples"):
-        trajectory_csv(without)

@@ -93,21 +93,6 @@ def test_gain_pump_only_enters_through_population(anthrax):
     assert math.isclose(shifted.gain_factor, expected, rel_tol=1e-13)
 
 
-def test_stokes_amplification_small_gain():
-    amp = raman.stokes_amplification(7.9e-11 * 1e9, 0.1, initial_photons=3.0)
-    gz = 7.9e-11 * 1e9 * 0.1
-    assert amp.small_gain
-    assert math.isclose(amp.exact, 3.0 * math.exp(gz), rel_tol=1e-15)
-    assert math.isclose(amp.linearized, 3.0 * (1.0 + gz), rel_tol=1e-15)
-    assert math.isclose(amp.exact, amp.linearized, rel_tol=gz * gz)
-
-
-def test_stokes_amplification_large_gain_flagged():
-    amp = raman.stokes_amplification(0.5, 1.0)
-    assert not amp.small_gain
-    assert math.isclose(amp.exact, math.exp(0.5), rel_tol=1e-15)
-
-
 def test_heat_reference(anthrax):
     gain = raman.gain_coefficient(anthrax)
     heat = raman.heat_source_density(anthrax, gain)

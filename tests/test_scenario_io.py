@@ -14,7 +14,6 @@ from parsim.scenario_io import (
     load_scenario,
     loads_scenario,
     scenario_hash,
-    write_scenario,
 )
 
 MINIMAL = textwrap.dedent("""\
@@ -83,7 +82,7 @@ def test_round_trip_with_optionals(anthrax):
 
 def test_file_round_trip(anthrax, tmp_path):
     path = tmp_path / "scenario.yaml"
-    write_scenario(anthrax, path)
+    path.write_text(dumps_scenario(anthrax), encoding="utf-8")
     result = load_scenario(path)
     assert result.scenario == anthrax
 

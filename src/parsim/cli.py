@@ -27,7 +27,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .detection import BREAKDOWN_RISK, NEP_CONVENTION_NOTE, SPARSE_SUSPENSION, min_density
+from .detection import BREAKDOWN_RISK, SPARSE_SUSPENSION, min_density
 from .noise import MODULATION_NOT_SMALL, thermal_variance
 from .presets import PRESETS, build_preset, preset_names
 from .quantities import Scenario, ScenarioValidationError, sound_speed, validate_scenario
@@ -46,11 +46,10 @@ WARNING_BITS = {
 }
 
 
-def warning_bits(codes) -> int:
-    bits = 0
-    for code in codes:
-        bits |= WARNING_BITS.get(code, 0)
-    return bits
+def warning_bits(flags):
+    """Bitmask of DetectionReport.warning_flags: an int, or an int array
+    for flags that hold sweep arrays.  Codes without a bit add nothing."""
+    return sum(bit * flags[code] for code, bit in WARNING_BITS.items())
 
 
 def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
@@ -139,7 +138,7 @@ def _report_text(scenario: Scenario, origin: str, snr: float,
         lines.append(f"spore_density_m3 = {scenario.spore_density!r}")
     flagged = [c for c in report.warnings if c in WARNING_BITS]
     notes = [c for c in report.warnings if c not in WARNING_BITS]
-    lines.append(f"warning_bits = {warning_bits(report.warnings)}")
+    lines.append(f"warning_bits = {warning_bits(report.warning_flags)}")
     lines.append("warnings = " + (",".join(flagged) if flagged else "(none)"))
     if notes:
         lines.append("notes = " + ",".join(notes))
@@ -172,7 +171,11 @@ def _parse_sweep(spec: str):
     kind, lo_s, hi_s, n_s = parts
     if kind not in ("lin", "log"):
         raise ValueError(f"unknown sweep spacing {kind!r} (use lin or log)")
-    lo, hi = float(lo_s), float(hi_s)
+    try:
+        lo, hi = float(lo_s), float(hi_s)
+    except ValueError:
+        raise ValueError(f"sweep endpoints must be numbers, "
+                         f"got {lo_s!r} and {hi_s!r}") from None
     try:
         n = int(n_s)
     except ValueError:
@@ -229,8 +232,7 @@ def _cmd_sweep(args) -> int:
             f"{float(values[exc.point])!r} invalid: {exc}") from exc
     report = min_density(points, snr=args.snr,
                          linewidth_convention=args.linewidth_convention)
-    bits = sum(bit * report.warning_flags[code]
-               for code, bit in WARNING_BITS.items())
+    bits = warning_bits(report.warning_flags)
     n = len(values)
     columns = [_cells(values, n)] * len(paths)
     columns += [_cells(c, n) for c in (report.rho_min, report.h_r, report.eta,
@@ -314,7 +316,6 @@ def _cmd_validate_noise(args) -> int:
         ensemble_size=args.members,
         mode_omega=det.noise_mode_omega,
         damping=det.noise_damping,
-        acf_max_lag=0.0,   # no ACF is printed
         psd_nperseg=nperseg,
     )
     try:

@@ -192,7 +192,7 @@ def _min_density(scenario: Scenario, snr: float,
     gain = raman.gain_coefficient(scenario, linewidth_convention)
     deposition = raman.heat_source_density(scenario, gain)
     therm = thermal.thermal_report(scenario)
-    floor = noise.nep(scenario, laser.modulation_omega)
+    floor = noise.nep(scenario)
 
     signal_damping = scenario.detector.signal_damping
     root_bw = xp(signal_damping).sqrt(signal_damping)

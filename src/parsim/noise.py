@@ -132,11 +132,11 @@ class NepResult:
     warnings: tuple[str, ...]
 
 
-def nep(scenario: Scenario, modulation_omega: float | None = None) -> NepResult:
-    """Noise-equivalent volumetric heating, evaluated against the lowest
-    detector mode's thermal noise floor."""
-    if modulation_omega is None:
-        modulation_omega = scenario.laser.modulation_omega
+def nep(scenario: Scenario) -> NepResult:
+    """Noise-equivalent volumetric heating at the scenario's modulation
+    frequency, evaluated against the lowest detector mode's thermal noise
+    floor."""
+    modulation_omega = scenario.laser.modulation_omega
     if first_failure(modulation_omega >= 0.0) is not None:
         raise ValueError("modulation frequency cannot be negative")
     gas = scenario.gas

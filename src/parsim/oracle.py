@@ -22,11 +22,10 @@ recursive doubling, and one product against the stacked powers of Phi
 lifts every start state to its block's states.
 
 The reductions are streamed.  Each chunk of states is reduced as soon as
-it is produced, into a per-member sum of u^2, per-member lag products for
-the autocovariance and Welch segment powers, and only short carries pass
-between chunks: the last n_lags velocities and the samples of the
-unfinished Welch segment.  Memory therefore grows with the ensemble, not
-with the run length; the trajectories are stored only on request.
+it is produced, into a per-member sum of u^2 and Welch segment powers, and
+only the samples of the unfinished Welch segment pass between chunks.
+Memory therefore grows with the ensemble, not with the run length; the
+trajectories are stored only on request.
 
 The driven oracle appends the drive oscillator (cos wt, sin wt) to the mode
 state, which makes the driven system linear with a constant generator, and
@@ -154,7 +153,6 @@ class SdeRunConfig:
     damping: float
     forcing: ThermalForcing | FreeDecay = field(default_factory=ThermalForcing)
     burn_in: float | None = None
-    acf_max_lag: float | None = None
     psd_nperseg: int | None = None
     keep_samples: bool = False
 
@@ -289,12 +287,9 @@ class TrajectoryStats:
     mean_u2_stderr: float
     equipartition_ratio: float     # rho0 V <u^2> / (k T)
     member_mean_u2: np.ndarray
-    acf_lags: np.ndarray
-    acf: np.ndarray
     psd: SpectrumSeries | None
     n_members: int
     n_samples: int
-    timestep: float
     metadata: dict
     velocity: np.ndarray | None = None   # (members, samples) if kept
     position: np.ndarray | None = None
@@ -310,10 +305,9 @@ def integrate_langevin(config: SdeRunConfig, scenario: Scenario) -> TrajectorySt
     """Integrate the mode SDE and reduce the ensemble to statistics.
 
     Every chunk of kept states is reduced as soon as it is produced; see the
-    module docstring.  An acf_max_lag of 0 skips the lag products: acf is
-    then [mean_u2].  A run of more than MAX_MEMBER_STEPS member-steps raises
-    RunTooLong before anything is allocated.  metadata["wall_s"] is the wall
-    time of the call.
+    module docstring.  A run of more than MAX_MEMBER_STEPS member-steps
+    raises RunTooLong before anything is allocated.  metadata["wall_s"] is
+    the wall time of the call.
     """
     started = time.perf_counter()
     config.validate()
@@ -347,10 +341,6 @@ def integrate_langevin(config: SdeRunConfig, scenario: Scenario) -> TrajectorySt
         x = np.tile([config.forcing.initial_position,
                      config.forcing.initial_velocity], (m, 1))
 
-    acf_span = (config.acf_max_lag if config.acf_max_lag is not None
-                else 5.0 / config.damping)
-    n_lags = min(n_keep - 1, int(round(acf_span / config.timestep)))
-    lag_products = _LagProducts(m, n_lags) if n_lags > 0 else None
     u2_sums = np.zeros(m)
     welch = None
     if config.psd_nperseg is not None:
@@ -387,8 +377,6 @@ def integrate_langevin(config: SdeRunConfig, scenario: Scenario) -> TrajectorySt
             # (members, samples) views of this chunk's kept positions, velocities
             q_c, u_c = states[:, keep:, 0], states[:, keep:, 1]
             u2_sums += np.sum(u_c * u_c, axis=1)
-            if lag_products is not None:
-                lag_products.feed(u_c)
             if welch is not None:
                 welch.feed(u_c if pressure_per_q is None else pressure_per_q * q_c)
             if config.keep_samples:
@@ -404,12 +392,6 @@ def integrate_langevin(config: SdeRunConfig, scenario: Scenario) -> TrajectorySt
     else:
         stderr = float("nan")
 
-    if lag_products is None:
-        acf = np.array([mean_u2])
-    else:
-        per_member = lag_products.sums / (n_keep - np.arange(n_lags + 1))
-        acf = np.array([math.fsum(per_member[:, lag].tolist()) / m
-                        for lag in range(n_lags + 1)])
     psd = None
     if welch is not None:
         psd = _two_sided_angular(*welch.density(1.0 / config.timestep))
@@ -419,12 +401,9 @@ def integrate_langevin(config: SdeRunConfig, scenario: Scenario) -> TrajectorySt
         mean_u2_stderr=stderr,
         equipartition_ratio=rho_v * mean_u2 / kt,
         member_mean_u2=member_mean_u2,
-        acf_lags=np.arange(n_lags + 1) * config.timestep,
-        acf=acf,
         psd=psd,
         n_members=m,
         n_samples=n_keep,
-        timestep=config.timestep,
         metadata={
             "rng": "numpy.random.Philox, per-member SeedSequence.spawn",
             "normal_transform": "Generator.standard_normal (ziggurat)",
@@ -502,49 +481,6 @@ def _sum_powers(w: np.ndarray, p: np.ndarray) -> None:
         w[:, shift:] += w[:, :-shift] @ p
         p = p @ p
         shift *= 2
-
-
-def _fast_len(n: int) -> int:
-    """Smallest 2^a 3^b 5^c >= n, a length numpy's FFT transforms quickly."""
-    best = 1 << max(n - 1, 0).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            # smallest p35 * 2^a >= n
-            best = min(best, p35 << max(-(-n // p35) - 1, 0).bit_length())
-            p35 *= 3
-        p5 *= 5
-    return best
-
-
-def _lag_sums(x: np.ndarray, n_lags: int) -> np.ndarray:
-    """(rows, n_lags + 1) sums over j of x[:, j] x[:, j + k], via FFT."""
-    # a transform of n + n_lags points keeps the circular wrap off lag n_lags
-    nfft = _fast_len(x.shape[1] + n_lags)
-    spec = np.fft.rfft(x, nfft, axis=1)
-    return np.fft.irfft(spec.real**2 + spec.imag**2, nfft, axis=1)[:, :n_lags + 1]
-
-
-class _LagProducts:
-    """Per-member sums of u[i] u[i + k], k <= n_lags, over a chunked stream.
-
-    A pair is counted with the chunk that holds its later sample.  Each chunk
-    is fed behind the last n_lags samples before it (zeros before the first
-    sample), and the lag sums of that prefix alone, counted with earlier
-    chunks, are taken off again.  The prefix may span several earlier
-    chunks, so n_lags is not bounded by the chunk length.
-    """
-
-    def __init__(self, members: int, n_lags: int):
-        self.n_lags = n_lags
-        self.tail = np.zeros((members, n_lags))
-        self.sums = np.zeros((members, n_lags + 1))
-
-    def feed(self, chunk: np.ndarray) -> None:
-        ext = np.concatenate((self.tail, chunk), axis=1)
-        self.sums += _lag_sums(ext, self.n_lags) - _lag_sums(self.tail, self.n_lags)
-        self.tail = ext[:, ext.shape[1] - self.n_lags:].copy()
 
 
 class _Welch:

@@ -6,17 +6,19 @@ cools by molecular collisions with the buffer gas.  Each collision carries
 away of order k T_s, so with N_c collisions per second the temperature
 relaxes exponentially with time constant
 
-    tau = (c_v / R) (N_S / N_c) / accommodation
+    tau = (c_v / R) (N_S / N_c)
 
-where N_S is the number of excited molecules per particle and the
-accommodation coefficient (default 1) absorbs the order-one efficiency of
-energy exchange per collision.
+where N_S is the number of excited molecules per particle.  The model
+assumes a unit accommodation coefficient: every collision leaves in thermal
+equilibrium with the particle's surface.  A smaller coefficient, the
+order-one efficiency of energy exchange per collision, would lengthen tau
+by its inverse.
 
 Heat reaches the gas, and therefore the acoustic signal, only through the
 collisional channel.  Radiation is the competing loss; its timescale is the
 deposited energy divided by the blackbody power at the particle's peak
 temperature.  When collisions beat both the modulation timescale 1/w and
-radiation by a comfortable margin (the dominance ratio, default 10), the
+radiation by a comfortable margin (DEFAULT_DOMINANCE_RATIO, 10), the
 transfer efficiency eta is 1; otherwise the collisional fraction
 (1/tau_coll) / (1/tau_coll + 1/tau_rad) applies and a warning is recorded.
 
@@ -44,7 +46,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "CollisionalCooling",
     "EfficiencyResult",
     "ThermalReport",
     "TIMESCALES_NOT_SEPARATED",
@@ -87,28 +88,14 @@ def temperature_rise(particle_molar_heat: float, raman_fraction: float,
             / particle_molar_heat)
 
 
-@dataclass(frozen=True)
-class CollisionalCooling:
-    """Exponential cooling by gas collisions, T(t) = T0 + dT exp(-t/tau)."""
-
-    tau: float  # s
-
-    def excess_temperature(self, initial_rise: float, t: float) -> float:
-        return initial_rise * math.exp(-t / self.tau)
-
-
 def collisional_timescale(molecule_count: float, collisions_per_second: float,
                           molar_heat: float,
-                          constants: PhysicalConstants | None = None,
-                          accommodation: float = 1.0) -> CollisionalCooling:
-    """Cooling time constant tau = (c_v/R)(N_S/N_c)/accommodation."""
+                          constants: PhysicalConstants | None = None) -> float:
+    """Cooling time constant tau = (c_v/R)(N_S/N_c), s."""
     if first_failure(collisions_per_second > 0.0) is not None:
         raise ValueError("collision rate must be positive")
-    if not (0.0 < accommodation <= 1.0):
-        raise ValueError("accommodation coefficient must lie in (0, 1]")
     k = constants or PhysicalConstants()
-    tau = (molar_heat / k.gas_constant) * (molecule_count / collisions_per_second)
-    return CollisionalCooling(tau=tau / accommodation)
+    return (molar_heat / k.gas_constant) * (molecule_count / collisions_per_second)
 
 
 def radiative_power(temperature: float, radius: float,
@@ -141,14 +128,12 @@ class EfficiencyResult:
 
 
 def transfer_efficiency(tau_collisional: float, tau_radiative: float,
-                        modulation_omega: float,
-                        dominance_ratio: float = DEFAULT_DOMINANCE_RATIO
-                        ) -> EfficiencyResult:
+                        modulation_omega: float) -> EfficiencyResult:
     """Fraction of deposited heat that reaches the gas within a cycle.
 
     eta = 1 when collisions dominate: tau_coll shorter than the modulation
     timescale AND shorter than the radiative timescale, both by at least
-    the dominance ratio.  Otherwise the collisional branching fraction is
+    DEFAULT_DOMINANCE_RATIO.  Otherwise the collisional branching fraction is
     returned and a warning is recorded.
     """
     if first_failure((tau_collisional > 0.0) & (tau_radiative > 0.0)) is not None:
@@ -159,7 +144,8 @@ def transfer_efficiency(tau_collisional: float, tau_radiative: float,
     drive_sep = t_mod / tau_collisional
     rad_sep = tau_radiative / tau_collisional
     chain_sep = tau_radiative / t_mod
-    separated = (drive_sep >= dominance_ratio) & (rad_sep >= dominance_ratio)
+    separated = ((drive_sep >= DEFAULT_DOMINANCE_RATIO)
+                 & (rad_sep >= DEFAULT_DOMINANCE_RATIO))
     collisional_fraction = tau_radiative / (tau_radiative + tau_collisional)
     if is_array(separated):
         eta = xp(separated).where(separated, 1.0, collisional_fraction)
@@ -192,9 +178,7 @@ class ThermalReport:
         return self.efficiency.warnings
 
 
-def thermal_report(scenario: Scenario,
-                   dominance_ratio: float = DEFAULT_DOMINANCE_RATIO,
-                   accommodation: float = 1.0) -> ThermalReport:
+def thermal_report(scenario: Scenario) -> ThermalReport:
     """Evaluate the whole heating/cooling chain for a scenario."""
     particle = scenario.particle
     gas = scenario.gas
@@ -203,19 +187,18 @@ def thermal_report(scenario: Scenario,
     n_c = collision_rate(gas, particle.equivalent_radius, k)
     d_t = temperature_rise(particle.molar_heat, particle.raman_fraction,
                            scenario.laser.raman_shift, k)
-    cooling = collisional_timescale(particle.molecule_count, n_c,
-                                    particle.molar_heat, k, accommodation)
+    tau_c = collisional_timescale(particle.molecule_count, n_c,
+                                  particle.molar_heat, k)
     peak_t = gas.temperature + d_t
     p_rad = radiative_power(peak_t, particle.equivalent_radius, k)
     e_dep = particle.molecule_count * k.hbar * scenario.laser.raman_shift
     tau_rad = e_dep / p_rad
-    eff = transfer_efficiency(cooling.tau, tau_rad,
-                              scenario.laser.modulation_omega, dominance_ratio)
+    eff = transfer_efficiency(tau_c, tau_rad, scenario.laser.modulation_omega)
     return ThermalReport(
         collision_rate=n_c,
         temperature_rise=d_t,
         peak_temperature=peak_t,
-        collisional_timescale=cooling.tau,
+        collisional_timescale=tau_c,
         deposited_energy=e_dep,
         radiative_power=p_rad,
         radiative_timescale=tau_rad,

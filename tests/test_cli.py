@@ -11,7 +11,12 @@ import pytest
 import parsim
 from parsim import cli
 from parsim.cli import WARNING_BITS, main, warning_bits
-from parsim.detection import BREAKDOWN_RISK, NEP_CONVENTION_NOTE, min_density
+from parsim.detection import (
+    BREAKDOWN_RISK,
+    NEP_CONVENTION_NOTE,
+    SPARSE_SUSPENSION,
+    min_density,
+)
 from parsim.quantities import validate_scenario
 from parsim.scenario_io import dumps_scenario
 
@@ -30,11 +35,17 @@ def csv_rows(text):
 
 
 def test_warning_bits_mapping():
-    assert warning_bits([]) == 0
-    assert warning_bits([BREAKDOWN_RISK]) == 1
-    assert warning_bits(list(WARNING_BITS)) == sum(WARNING_BITS.values())
+    import numpy as np
+
     # commentary codes carry no bit
-    assert warning_bits([NEP_CONVENTION_NOTE]) == 0
+    quiet = dict.fromkeys(WARNING_BITS, False) | {NEP_CONVENTION_NOTE: True}
+    assert warning_bits(quiet) == 0
+    assert warning_bits(quiet | {BREAKDOWN_RISK: True}) == 1
+    assert warning_bits(dict.fromkeys(WARNING_BITS, True)) == sum(WARNING_BITS.values())
+    # a sweep's array flags give one mask per point
+    swept = quiet | {BREAKDOWN_RISK: np.array([False, True, True]),
+                     SPARSE_SUSPENSION: np.array([True, False, True])}
+    assert warning_bits(swept).tolist() == [4, 1, 5]
 
 
 def test_report_deterministic(capsys):
@@ -226,6 +237,21 @@ def test_sweep_refuses_non_finite_endpoints(spec):
     assert result.stderr.startswith("error: sweep endpoints must be finite")
     assert result.stderr.count("\n") == 1
     assert "RuntimeWarning" not in result.stderr
+
+
+def test_parse_sweep_names_an_endpoint_that_is_not_a_number():
+    with pytest.raises(ValueError, match=r"^sweep endpoints must be numbers, "
+                                         r"got 'a' and '2'$"):
+        cli._parse_sweep("gas.pressure=lin:a:2:3")
+    with pytest.raises(ValueError, match=r"got '1e3' and '1e6x'$"):
+        cli._parse_sweep("gas.pressure=log:1e3:1e6x:3")
+
+
+def test_sweep_refuses_an_endpoint_that_is_not_a_number():
+    result = _cli("sweep", "--vary", "gas.pressure=lin:a:2:3")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == "error: sweep endpoints must be numbers, got 'a' and '2'\n"
 
 
 def test_sweep_refuses_a_grid_that_does_not_fit_in_memory():

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parsim import detection, noise, thermal
+from parsim import cli, noise, thermal
 from parsim.presets import anthrax_stp
 from parsim.quantities import ScenarioValidationError, validate_scenario
 from parsim.detection import (
+    BREAKDOWN_INTENSITY,
     BREAKDOWN_RISK,
     NEP_CONVENTION_NOTE,
+    SPARSE_COUNT_LIMIT,
     SPARSE_SUSPENSION,
     available_power_density,
     breakdown_guard,
@@ -249,7 +251,26 @@ def test_accepted_scenarios_give_a_positive_finite_rho_min_or_a_refusal(changes)
     except ScenarioValidationError:
         return
     try:
-        rho_min = min_density(scenario).rho_min
+        report = min_density(scenario)
     except ValueError:
         return
+    rho_min = report.rho_min
     assert math.isfinite(rho_min) and rho_min > 0.0, changes
+
+    flags = report.warning_flags
+    assert report.warnings == tuple(code for code, flag in flags.items() if flag)
+    # each flag is its defining inequality, recomputed from the report
+    laser, eff = scenario.laser, report.thermal.efficiency
+    ratio = thermal.DEFAULT_DOMINANCE_RATIO
+    assert flags == {
+        BREAKDOWN_RISK: max(laser.pump_intensity,
+                            laser.stokes_intensity) >= BREAKDOWN_INTENSITY,
+        thermal.TIMESCALES_NOT_SEPARATED: (eff.drive_separation < ratio
+                                           or eff.radiative_separation < ratio),
+        noise.MODULATION_NOT_SMALL: (report.nep.modulation_omega
+                                     > 0.1 * scenario.detector.noise_mode_omega),
+        SPARSE_SUSPENSION: rho_min * scenario.cell.volume < SPARSE_COUNT_LIMIT,
+        NEP_CONVENTION_NOTE: True,
+    }, changes
+    assert cli.warning_bits(flags) == sum(
+        cli.WARNING_BITS.get(code, 0) for code in report.warnings)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from parsim import noise, quantities
+from parsim import quantities
 from parsim.noise import (
     MODULATION_NOT_SMALL,
     nep,
@@ -117,24 +117,28 @@ def test_nep_scalings(anthrax):
         assert math.isclose(got, base / s, rel_tol=1e-12)
 
 
+def _nep_at(scenario, modulation_omega):
+    laser = dataclasses.replace(scenario.laser, modulation_omega=modulation_omega)
+    return nep(dataclasses.replace(scenario, laser=laser))
+
+
 def test_nep_modulation_dependence(anthrax):
     # flat for w << Gamma_s, linear for w >> Gamma_s
     gs = anthrax.detector.signal_damping
-    low = nep(anthrax, modulation_omega=0.0).vh_nep
-    assert math.isclose(low, nep(anthrax, modulation_omega=gs).vh_nep / math.sqrt(2.0),
+    low = _nep_at(anthrax, 0.0).vh_nep
+    assert math.isclose(low, _nep_at(anthrax, gs).vh_nep / math.sqrt(2.0),
                         rel_tol=1e-12)
     w1, w2 = 200.0 * gs, 400.0 * gs
-    ratio = nep(anthrax, modulation_omega=w2).vh_nep \
-        / nep(anthrax, modulation_omega=w1).vh_nep
+    ratio = _nep_at(anthrax, w2).vh_nep / _nep_at(anthrax, w1).vh_nep
     assert math.isclose(ratio, 2.0, rel_tol=1e-4)
 
 
 def test_nep_flags_fast_modulation(anthrax):
     wj = anthrax.detector.noise_mode_omega
-    ok = nep(anthrax, modulation_omega=0.1 * wj)
+    ok = _nep_at(anthrax, 0.1 * wj)
     assert ok.small_modulation
-    flagged = nep(anthrax, modulation_omega=0.2 * wj)
+    flagged = _nep_at(anthrax, 0.2 * wj)
     assert not flagged.small_modulation
     assert flagged.warnings == (MODULATION_NOT_SMALL,)
     with pytest.raises(ValueError):
-        nep(anthrax, modulation_omega=-1.0)
+        _nep_at(anthrax, -1.0)

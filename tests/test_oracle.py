@@ -374,23 +374,6 @@ def test_equipartition(thermal_run):
                         rel_tol=4.0 * sigma)
 
 
-def test_velocity_acf_damped_oscillator(thermal_run):
-    scenario, config, stats = thermal_run
-    half = DAMPING / 2.0
-    wd = math.sqrt(MODE_OMEGA**2 - half**2)
-    lags = stats.acf_lags
-    theory = stats.acf[0] * np.exp(-half * lags) * (
-        np.cos(wd * lags) - half / wd * np.sin(wd * lags))
-    keep = lags <= 3.0 / DAMPING
-    err = np.max(np.abs(stats.acf[keep] - theory[keep])) / stats.acf[0]
-    assert err < 0.05
-
-
-def test_acf_zero_lag_is_mean_square(thermal_run):
-    _, _, stats = thermal_run
-    assert math.isclose(stats.acf[0], stats.mean_u2, rel_tol=1e-9)
-
-
 def test_psd_matches_analytic_pointwise(thermal_run):
     scenario, config, stats = thermal_run
     psd = stats.psd
@@ -412,18 +395,30 @@ def test_psd_variance_parseval(thermal_run):
     assert math.isclose(series_variance(stats.psd), analytic, rel_tol=0.10)
 
 
-def test_ou_velocity_acf_and_decay_rate(anthrax):
-    # zero mode frequency: the velocity is an Ornstein-Uhlenbeck process
-    # with a pure exponential autocorrelation
+def test_ou_velocity_psd_width_and_equipartition(anthrax):
+    # zero mode frequency: the velocity is an Ornstein-Uhlenbeck process,
+    # whose PSD is the Lorentzian (k T / rho0 V) Gamma / (Gamma^2 + w^2)
     config = SdeRunConfig(timestep=1.0e-6, duration=8.0e-3, seed=77,
-                          ensemble_size=64, mode_omega=0.0, damping=DAMPING)
+                          ensemble_size=64, mode_omega=0.0, damping=DAMPING,
+                          psd_nperseg=1024)
     stats = integrate_langevin(config, anthrax)
-    lags = stats.acf_lags
-    keep = (lags > 0.0) & (lags <= 2.0 / DAMPING) & (stats.acf > 0.0)
-    slope = np.polyfit(lags[keep], np.log(stats.acf[keep]), 1)[0]
-    # 5% comfortably separates decay at damping from the oscillator
-    # envelope rate damping/2 while leaving room for tail noise
-    assert math.isclose(-slope, DAMPING, rel_tol=0.05)
+    omega, values = stats.psd.omega, stats.psd.values
+    # 1/PSD is linear in w^2: intercept Gamma/u2, slope 1/(Gamma u2).  Each
+    # bin has about the same relative error, so the residuals are weighted
+    # to relative ones
+    fit = (omega > 0.0) & (omega <= 4.0 * DAMPING)
+    slope, intercept = np.polyfit(omega[fit]**2, 1.0 / values[fit], 1,
+                                  w=values[fit])
+    # 5% comfortably separates a width at damping from one at damping/2
+    # while leaving room for the estimate's noise
+    assert math.isclose(math.sqrt(intercept / slope), DAMPING, rel_tol=0.05)
+    gas = anthrax.gas
+    u2 = (quantities.K_BOLTZMANN * gas.temperature
+          / (gas.density * anthrax.cell.volume))
+    band = (omega >= DAMPING / 4.0) & (omega <= 4.0 * DAMPING)
+    ratio = values[band] / (u2 * DAMPING / (DAMPING**2 + omega[band]**2))
+    assert np.max(np.abs(ratio - 1.0)) < 0.12
+    assert abs(np.median(ratio) - 1.0) < 0.04
     sigma = stats.mean_u2_stderr / stats.mean_u2
     assert abs(stats.equipartition_ratio - 1.0) < 3.0 * sigma
 
@@ -431,13 +426,14 @@ def test_ou_velocity_acf_and_decay_rate(anthrax):
 def test_determinism_and_seed_sensitivity(anthrax):
     config = SdeRunConfig(timestep=1.0e-6, duration=1.5e-3, seed=42,
                           ensemble_size=8, mode_omega=MODE_OMEGA,
-                          damping=DAMPING)
+                          damping=DAMPING, psd_nperseg=256)
     first = integrate_langevin(config, anthrax)
     again = integrate_langevin(config, anthrax)
     assert first.mean_u2 == again.mean_u2
-    assert np.array_equal(first.acf, again.acf)
+    assert np.array_equal(first.psd.values, again.psd.values)
     other = integrate_langevin(dataclasses.replace(config, seed=43), anthrax)
     assert other.mean_u2 != first.mean_u2
+    assert not np.array_equal(other.psd.values, first.psd.values)
     assert first.metadata["rng"].startswith("numpy.random.Philox")
 
 
@@ -456,36 +452,21 @@ def test_member_reduction_uses_all_members(anthrax):
 # ---------------------------------------------------------------------------
 # streamed reductions against the whole-array ones
 
-def _ensemble_acf(u, n_lags):
-    """Unbiased autocovariance averaged over members, from whole rows."""
-    m, n = u.shape
-    # exact for the kept lags: no circular wrap reaches lag n_lags
-    nfft = 1 << int(math.ceil(math.log2(n + n_lags + 1)))
-    counts = n - np.arange(n_lags + 1)
-    per_member = np.empty((m, n_lags + 1))
-    for member, row in enumerate(u):
-        spec = np.fft.rfft(row, nfft)
-        corr = np.fft.irfft(spec * np.conj(spec), nfft)[:n_lags + 1]
-        per_member[member] = corr / counts
-    return np.array([math.fsum(per_member[:, k].tolist()) / m
-                     for k in range(n_lags + 1)])
-
-
 STREAM_CASES = {
     # burn-in of 203 steps, not a multiple of the block
     "underdamped": dict(ensemble_size=3, mode_omega=MODE_OMEGA, burn_in=2.03e-4,
                         duration=4.0e-2, psd_nperseg=1024),
-    "lags_beyond_chunk": dict(ensemble_size=2, mode_omega=MODE_OMEGA,
-                              duration=5.0e-2, acf_max_lag=2.0e-2,
-                              psd_nperseg=1000),
+    # segments start every 500 samples, so chunks end inside a segment at
+    # a different offset each time
+    "unaligned_segments": dict(ensemble_size=2, mode_omega=MODE_OMEGA,
+                               duration=5.0e-2, psd_nperseg=1000),
     "segment_beyond_chunk": dict(ensemble_size=2, mode_omega=MODE_OMEGA,
                                  burn_in=1.1e-5, duration=8.0e-2,
                                  psd_nperseg=32768),
     "zero_frequency_velocity": dict(ensemble_size=3, mode_omega=0.0,
                                     duration=4.0e-2, psd_nperseg=2048),
     "free_decay": dict(ensemble_size=1, mode_omega=MODE_OMEGA, duration=3.5e-2,
-                       forcing=FreeDecay(1.0e-9, 2.0e-5), acf_max_lag=2.0e-2,
-                       psd_nperseg=4096),
+                       forcing=FreeDecay(1.0e-9, 2.0e-5), psd_nperseg=4096),
 }
 
 
@@ -502,8 +483,6 @@ def test_streamed_reductions_match_whole_arrays(kept_run):
     scenario, config, stats = kept_run
     u, q = stats.velocity, stats.position
     assert stats.metadata["n_steps"] > 2 * _CHUNK_STEPS
-    n_lags = len(stats.acf) - 1
-    assert _rel(stats.acf, _ensemble_acf(u, n_lags)) <= 1e-13
     want = np.mean(u**2, axis=1)
     assert np.all(np.abs(stats.member_mean_u2 - want) <= 1e-13 * want)
     if config.mode_omega > 0.0:
@@ -516,30 +495,24 @@ def test_streamed_reductions_match_whole_arrays(kept_run):
     assert np.all(np.abs(stats.psd.values - pxx / 4.0) <= 1e-13 * pxx / 4.0)
 
 
-def test_streamed_lags_and_segments_cover_the_cases():
-    # the cases above reach lags and segments longer than one chunk
-    assert round(STREAM_CASES["lags_beyond_chunk"]["acf_max_lag"] / 1.0e-6) > _CHUNK_STEPS
+def test_streamed_segments_cover_the_cases():
+    # the cases above reach a segment longer than one chunk, and segment
+    # starts that chunk boundaries do not line up with
     assert STREAM_CASES["segment_beyond_chunk"]["psd_nperseg"] > _CHUNK_STEPS
+    assert _CHUNK_STEPS % (STREAM_CASES["unaligned_segments"]["psd_nperseg"] // 2)
     assert round(STREAM_CASES["underdamped"]["burn_in"] / 1.0e-6) % _BLOCK_STEPS
 
 
 def test_kept_samples_do_not_change_statistics(kept_run):
-    # nor does skipping the autocovariance, which validate-noise never prints
     scenario, config, kept = kept_run
     bare = integrate_langevin(dataclasses.replace(config, keep_samples=False),
                               scenario)
-    acf_free = integrate_langevin(dataclasses.replace(config, acf_max_lag=0.0),
-                                  scenario)
     assert bare.velocity is None and bare.position is None
-    for run in (bare, acf_free):
-        assert run.mean_u2 == kept.mean_u2
-        assert np.array_equal(run.mean_u2_stderr, kept.mean_u2_stderr, equal_nan=True)
-        assert np.array_equal(run.member_mean_u2, kept.member_mean_u2)
-        assert np.array_equal(run.psd.values, kept.psd.values)
-    for name in ("acf", "acf_lags"):
-        assert np.array_equal(getattr(bare, name), getattr(kept, name))
-    assert acf_free.acf.tolist() == [kept.mean_u2]
-    assert acf_free.acf_lags.tolist() == [0.0]
+    assert bare.mean_u2 == kept.mean_u2
+    assert np.array_equal(bare.mean_u2_stderr, kept.mean_u2_stderr, equal_nan=True)
+    assert np.array_equal(bare.member_mean_u2, kept.member_mean_u2)
+    assert np.array_equal(bare.psd.omega, kept.psd.omega)
+    assert np.array_equal(bare.psd.values, kept.psd.values)
 
 
 def _traced_peak(config, scenario):

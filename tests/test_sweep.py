@@ -11,7 +11,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import parsim
@@ -47,8 +46,10 @@ def _scalar_rows(spec):
             part = dataclasses.replace(getattr(point, section), **{attr: value})
             point = dataclasses.replace(point, **{section: part})
         report = min_density(validate_scenario(point))
+        bits = sum(bit for code, bit in cli.WARNING_BITS.items()
+                   if code in report.warnings)
         rows.append((value, report.rho_min, report.h_r, report.eta,
-                     report.h_nep, cli.warning_bits(report.warnings)))
+                     report.h_nep, bits))
     return rows
 
 

@@ -56,27 +56,11 @@ def test_temperature_rise_linear_in_fraction(anthrax):
 def test_collisional_timescale_reference(anthrax):
     n_c = thermal.collision_rate(anthrax.gas,
                                  anthrax.particle.equivalent_radius)
-    cooling = thermal.collisional_timescale(anthrax.particle.molecule_count,
-                                            n_c, anthrax.particle.molar_heat)
-    assert math.isclose(cooling.tau, 3.121937186441486e-05, rel_tol=1e-12)
-
-
-def test_collisional_timescale_accommodation(anthrax):
-    n_c = thermal.collision_rate(anthrax.gas, 1.0e-6)
-    full = thermal.collisional_timescale(1.0e12, n_c, 4.2)
-    half = thermal.collisional_timescale(1.0e12, n_c, 4.2, accommodation=0.5)
-    assert math.isclose(half.tau, 2.0 * full.tau, rel_tol=1e-14)
-    with pytest.raises(ValueError):
-        thermal.collisional_timescale(1.0e12, n_c, 4.2, accommodation=0.0)
+    tau = thermal.collisional_timescale(anthrax.particle.molecule_count,
+                                        n_c, anthrax.particle.molar_heat)
+    assert math.isclose(tau, 3.121937186441486e-05, rel_tol=1e-12)
     with pytest.raises(ValueError):
         thermal.collisional_timescale(1.0e12, 0.0, 4.2)
-
-
-def test_cooling_curve_is_exponential():
-    cooling = thermal.CollisionalCooling(tau=2.0e-5)
-    assert cooling.excess_temperature(100.0, 0.0) == 100.0
-    assert math.isclose(cooling.excess_temperature(100.0, 2.0e-5),
-                        100.0 * math.exp(-1.0), rel_tol=1e-14)
 
 
 def test_radiative_power_reference():

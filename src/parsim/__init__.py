@@ -12,92 +12,59 @@ as a command line tool.
 Unit discipline: SI throughout; every frequency is angular (rad/s)
 unless a name says otherwise (``linewidth_hz``).
 
-The names from ``acoustics`` and ``oracle`` (and those two modules) are
-imported on first use, so the scalar detection chain runs without numpy.
+Every public name below, and the module that defines it, is imported on
+first use, so ``import parsim`` loads none of its modules, and a caller
+loads only what it touches: the scalar detection chain runs without
+numpy, and the driven oracle without numpy or yaml.
 """
 
 import importlib
 
-from .quantities import (
-    ATOMIC_MASS,
-    AVOGADRO,
-    GAS_CONSTANT,
-    HBAR,
-    K_BOLTZMANN,
-    SPEED_OF_LIGHT,
-    STEFAN_BOLTZMANN,
-    CellGeometry,
-    DetectorNoiseSpec,
-    GasProperties,
-    LaserDrive,
-    ParticleSpec,
-    PhysicalConstants,
-    Scenario,
-    ScenarioValidationError,
-    Violation,
-    optimal_cell_radius,
-    sound_speed,
-    validate_scenario,
-)
-from .raman import (
-    gain_coefficient,
-    heat_source_density,
-    population_factor,
-)
-from .thermal import (
-    collision_rate,
-    collisional_timescale,
-    radiative_power,
-    temperature_rise,
-    thermal_report,
-    transfer_efficiency,
-)
-from .noise import nep, noise_spectrum
-from .detection import DetectionReport, min_density
-from .presets import anthrax_stp, build_preset, preset_names
-from .scenario_io import load_scenario, loads_scenario, scenario_hash
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "__version__",
-    # constants
-    "ATOMIC_MASS", "AVOGADRO", "GAS_CONSTANT", "HBAR", "K_BOLTZMANN",
-    "SPEED_OF_LIGHT", "STEFAN_BOLTZMANN",
-    # scenario types
-    "CellGeometry", "DetectorNoiseSpec", "GasProperties", "LaserDrive",
-    "ParticleSpec", "PhysicalConstants", "Scenario",
-    "ScenarioValidationError", "Violation",
-    "optimal_cell_radius", "sound_speed", "validate_scenario",
-    # physics
-    "gain_coefficient", "heat_source_density", "population_factor",
-    "collision_rate", "collisional_timescale", "radiative_power",
-    "temperature_rise", "thermal_report", "transfer_efficiency",
-    "AcousticMode", "SpectrumSeries", "cylinder_modes",
-    "nep", "noise_spectrum",
-    "DetectionReport", "min_density",
-    # oracle
-    "FreeDecay", "SdeRunConfig", "ThermalForcing", "estimate_psd",
-    "integrate_driven", "integrate_langevin", "series_variance",
-    "transition",
-    # scenarios
-    "anthrax_stp", "build_preset", "preset_names",
-    "load_scenario", "loads_scenario", "scenario_hash",
-]
 
 # public names resolved on first access (PEP 562), by defining module
 _LAZY = {
+    # constants
+    **dict.fromkeys((
+        "ATOMIC_MASS", "AVOGADRO", "GAS_CONSTANT", "HBAR", "K_BOLTZMANN",
+        "SPEED_OF_LIGHT", "STEFAN_BOLTZMANN"), "quantities"),
+    # scenario types
+    **dict.fromkeys((
+        "CellGeometry", "DetectorNoiseSpec", "GasProperties", "LaserDrive",
+        "ParticleSpec", "PhysicalConstants", "Scenario",
+        "ScenarioValidationError", "Violation", "optimal_cell_radius",
+        "sound_speed", "validate_scenario"), "quantities"),
+    # physics
+    **dict.fromkeys(("gain_coefficient", "heat_source_density",
+                     "population_factor"), "raman"),
+    **dict.fromkeys((
+        "collision_rate", "collisional_timescale", "radiative_power",
+        "temperature_rise", "thermal_report", "transfer_efficiency"),
+        "thermal"),
     **dict.fromkeys(("AcousticMode", "SpectrumSeries", "cylinder_modes"),
                     "acoustics"),
+    **dict.fromkeys(("nep", "noise_spectrum"), "noise"),
+    **dict.fromkeys(("DetectionReport", "min_density"), "detection"),
+    # oracle
     **dict.fromkeys((
         "FreeDecay", "SdeRunConfig", "ThermalForcing", "estimate_psd",
         "integrate_driven", "integrate_langevin", "series_variance",
         "transition"), "oracle"),
+    # scenarios
+    **dict.fromkeys(("anthrax_stp", "build_preset", "preset_names"),
+                    "presets"),
+    **dict.fromkeys(("load_scenario", "loads_scenario", "scenario_hash"),
+                    "scenario_io"),
 }
+
+__all__ = ["__version__", *_LAZY]
+
+# the modules that define those names, also reachable as attributes
+_SUBMODULES = frozenset(_LAZY.values())
 
 
 def __getattr__(name):
-    if name in ("acoustics", "oracle"):
+    if name in _SUBMODULES:
         return importlib.import_module(f"{__name__}.{name}")
     if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

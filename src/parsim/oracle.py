@@ -29,13 +29,14 @@ trajectories are stored only on request.
 
 The driven oracle appends the drive oscillator (cos wt, sin wt) to the mode
 state, which makes the driven system linear with a constant generator, and
-steps it with the exact propagator expm(M dt), through the same blocked
-stepper without noise.  Both oracles take their matrix exponentials from
-``_expm``: power-of-two diagonal balancing, then Pade-13 scaling and
-squaring (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005).  Balancing
-matters here: the mode generator pairs entries of order w_j^2 dt with dt,
-and without it the small entries of Phi come out of the squarings with
-relative errors of 1e-9 to 1e-5 instead of 1e-16.
+steps it one sample at a time with the exact propagator expm(M dt).  Its
+state is four floats, so it runs in plain Python and needs no numpy.  Both
+oracles take their matrix exponentials from ``_expm``, which works on
+nested lists of floats: power-of-two diagonal balancing, then Pade-13
+scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005).
+Balancing matters here: the mode generator pairs entries of order
+w_j^2 dt with dt, and without it the small entries of Phi come out of the
+squarings with relative errors of 1e-9 to 1e-5 instead of 1e-16.
 
 Randomness: numpy Philox (counter-based) generators, one independent
 stream per ensemble member derived with SeedSequence.spawn; Gaussian
@@ -52,7 +53,8 @@ Parseval checks.  The estimator is ``_Welch``, Welch's averaged periodogram
 and half-overlapping segments; ``estimate_psd`` feeds it a whole array,
 ``integrate_langevin`` one chunk at a time.
 
-The module needs numpy only.
+The Langevin oracle and the Welch estimator import numpy when they run;
+the driven oracle and ``_expm`` use the standard library alone.
 """
 
 from __future__ import annotations
@@ -61,11 +63,14 @@ import math
 import numbers
 import time
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .acoustics import SpectrumSeries
 from .quantities import Scenario, sound_speed
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .acoustics import SpectrumSeries
 
 __all__ = [
     "ThermalForcing",
@@ -159,7 +164,7 @@ class SdeRunConfig:
     def validate(self) -> None:
         if not (0.0 < self.timestep < math.inf) or not (0.0 < self.duration < math.inf):
             raise ValueError("timestep and duration must be positive and finite")
-        if not (self.damping > 0.0) or self.mode_omega < 0.0:
+        if not (self.damping > 0.0) or not (self.mode_omega >= 0.0):
             raise ValueError("damping must be positive, mode_omega non-negative")
         if self.burn_in is not None and not (0.0 <= self.burn_in < math.inf):
             raise ValueError(f"burn_in must be finite and non-negative, "
@@ -191,12 +196,13 @@ def transition(mode_omega: float, damping: float, sigma2: float,
     C = expm([[-A, Q], [0, A^T]] dt), Phi = C22^T and Sigma = Phi C12
     (Van Loan 1978).  mode_omega = 0 needs no separate branch.
     """
-    a = np.array([[0.0, 1.0], [-mode_omega**2, -damping]])
-    block = np.zeros((4, 4))
-    block[:2, :2] = -a
-    block[1, 3] = sigma2
-    block[2:, 2:] = a.T
-    c = _expm(block * dt)
+    import numpy as np
+
+    w2 = mode_omega**2
+    c = np.array(_expm([[0.0, -dt, 0.0, 0.0],
+                        [w2 * dt, damping * dt, 0.0, sigma2 * dt],
+                        [0.0, 0.0, 0.0, -w2 * dt],
+                        [0.0, 0.0, dt, -damping * dt]]))
     phi = c[2:, 2:].T
     sig = phi @ c[:2, 2:]
     return phi, 0.5 * (sig + sig.T)
@@ -211,21 +217,58 @@ _PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
 _THETA13 = 5.371920351148152
 
 
-def _balance(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _matmul(a: list[list[float]], b: list[list[float]]) -> list[list[float]]:
+    """A B.  The oracles' matrices are at most 4x4, small enough to keep as
+    nested lists of floats, so that the driven oracle needs no numpy."""
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+
+
+def _combine(*terms: tuple[float, list[list[float]]]) -> list[list[float]]:
+    """The sum of coefficient * matrix over (coefficient, matrix) pairs."""
+    n = len(terms[0][1])
+    out = [[0.0] * n for _ in range(n)]
+    for coef, mat in terms:
+        for row_out, row in zip(out, mat):
+            for j, x in enumerate(row):
+                row_out[j] += coef * x
+    return out
+
+
+def _solve(a: list[list[float]], b: list[list[float]]) -> list[list[float]]:
+    """X with A X = B, by Gaussian elimination with partial pivoting."""
+    n = len(a)
+    rows = [list(ra) + list(rb) for ra, rb in zip(a, b)]
+    for k in range(n):
+        pivot = max(range(k, n), key=lambda i: abs(rows[i][k]))
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        for i in range(k + 1, n):
+            f = rows[i][k] / rows[k][k]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[k])]
+    x = [None] * n
+    for i in reversed(range(n)):
+        x[i] = [(rows[i][n + j] - sum(rows[i][k] * x[k][j] for k in range(i + 1, n)))
+                / rows[i][i] for j in range(len(b[0]))]
+    return x
+
+
+def _balance(a: list[list[float]]) -> tuple[list[list[float]], list[float]]:
     """(B, d) with B = D^-1 A D, D = diag(d) of powers of two.
 
     Parlett-Reinsch scaling without permutations: each row and column pair
     is scaled by powers of two until their off-diagonal 1-norms are within
-    a factor of two.  The scaling is exact in floating point.
+    a factor of two.  The scaling is exact in floating point.  The sums
+    must be finite, or the scaling loops would not end; ``_expm`` checks.
     """
-    b = np.array(a, dtype=float)
-    d = np.ones(len(b))
+    b = [list(row) for row in a]
+    n = len(b)
+    d = [1.0] * n
     settled = False
     while not settled:
         settled = True
-        for i in range(len(b)):
-            col = np.sum(np.abs(b[:, i])) - abs(b[i, i])
-            row = np.sum(np.abs(b[i, :])) - abs(b[i, i])
+        for i in range(n):
+            col = sum(abs(b[k][i]) for k in range(n)) - abs(b[i][i])
+            row = sum(abs(x) for x in b[i]) - abs(b[i][i])
             if col == 0.0 or row == 0.0:
                 continue
             before = col + row
@@ -238,39 +281,52 @@ def _balance(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 col /= 4.0
             if (col + row) / f < 0.95 * before:
                 settled = False
-                b[i, :] /= f
-                b[:, i] *= f
+                b[i] = [x / f for x in b[i]]
+                for r in b:
+                    r[i] *= f
                 d[i] *= f
     return b, d
 
 
-def _expm(a: np.ndarray) -> np.ndarray:
+def _expm(a) -> list[list[float]]:
     """Matrix exponential of a small dense matrix, to double precision.
 
-    The balanced matrix is scaled by 2^-s into the range of the Pade-13
-    approximant r13 = (V - U)^-1 (V + U), which is then squared s times.
+    a is any square sequence of rows of numbers; the result is a list of
+    rows of floats.  The balanced matrix is scaled by 2^-s into the range of
+    the Pade-13 approximant r13 = (V - U)^-1 (V + U), which is then squared
+    s times.  A non-finite entry, or entries whose sum overflows, raise
+    ValueError.
     """
+    a = [[float(x) for x in row] for row in a]
+    if not math.isfinite(sum(abs(x) for row in a for x in row)):
+        raise ValueError("matrix exponential needs finite entries with a "
+                         "finite sum")
     b, d = _balance(a)
-    norm = float(np.max(np.sum(np.abs(b), axis=0)))
+    n = len(b)
+    norm = max(sum(abs(row[j]) for row in b) for j in range(n))
     s = max(0, math.ceil(math.log2(norm / _THETA13))) if norm > 0.0 else 0
-    b = b / 2.0**s
+    b = [[x / 2.0**s for x in row] for row in b]
     c = _PADE13
-    ident = np.eye(len(b))
-    b2 = b @ b
-    b4 = b2 @ b2
-    b6 = b4 @ b2
-    u = b @ (b6 @ (c[13] * b6 + c[11] * b4 + c[9] * b2)
-             + c[7] * b6 + c[5] * b4 + c[3] * b2 + c[1] * ident)
-    v = (b6 @ (c[12] * b6 + c[10] * b4 + c[8] * b2)
-         + c[6] * b6 + c[4] * b4 + c[2] * b2 + c[0] * ident)
-    r = np.linalg.solve(v - u, v + u)
+    ident = [[float(i == j) for j in range(n)] for i in range(n)]
+    b2 = _matmul(b, b)
+    b4 = _matmul(b2, b2)
+    b6 = _matmul(b4, b2)
+    u = _matmul(b, _combine(
+        (1.0, _matmul(b6, _combine((c[13], b6), (c[11], b4), (c[9], b2)))),
+        (c[7], b6), (c[5], b4), (c[3], b2), (c[1], ident)))
+    v = _combine(
+        (1.0, _matmul(b6, _combine((c[12], b6), (c[10], b4), (c[8], b2)))),
+        (c[6], b6), (c[4], b4), (c[2], b2), (c[0], ident))
+    r = _solve(_combine((1.0, v), (-1.0, u)), _combine((1.0, v), (1.0, u)))
     for _ in range(s):
-        r = r @ r
-    return r * d[:, None] / d[None, :]
+        r = _matmul(r, r)
+    return [[x * d[i] / d[j] for j, x in enumerate(row)] for i, row in enumerate(r)]
 
 
 def _noise_factor(sigma: np.ndarray) -> np.ndarray:
     """Matrix square root of the transition covariance, robust to rounding."""
+    import numpy as np
+
     try:
         return np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError:
@@ -296,6 +352,8 @@ class TrajectoryStats:
 
 
 def _member_generators(seed: int, count: int) -> list[np.random.Generator]:
+    import numpy as np
+
     seq = np.random.SeedSequence(seed)
     return [np.random.Generator(np.random.Philox(child))
             for child in seq.spawn(count)]
@@ -309,6 +367,8 @@ def integrate_langevin(config: SdeRunConfig, scenario: Scenario) -> TrajectorySt
     raises RunTooLong before anything is allocated.  metadata["wall_s"] is
     the wall time of the call.
     """
+    import numpy as np
+
     started = time.perf_counter()
     config.validate()
     gas = scenario.gas
@@ -429,6 +489,8 @@ def _block_operators(phi: np.ndarray, noise_l: np.ndarray | None,
     noise each row has accumulated, sum_(j<=k) Phi^(k-j) L z_j.  noise_map
     is None for unforced runs.
     """
+    import numpy as np
+
     d = len(phi)
     stack = [np.eye(d)]
     for _ in range(block):
@@ -453,6 +515,8 @@ def _propagate_blocks(x: np.ndarray, z: np.ndarray | None, lift: np.ndarray,
     has accumulated.  The start rows follow s_(b+1) = s_b P + e_b, with P the
     last d columns of lift and e_b the noise block b ends with.
     """
+    import numpy as np
+
     m, d = x.shape
     width = lift.shape[1]
     # the start rows are the sums s_b = sum_(j<=b) w_j P^(b-j) over the
@@ -495,6 +559,8 @@ class _Welch:
     """
 
     def __init__(self, nperseg: int, n: int):
+        import numpy as np
+
         if nperseg < 8:
             raise SegmentTooShort("nperseg below 8 cannot resolve anything")
         if nperseg > n:
@@ -508,6 +574,8 @@ class _Welch:
         self.carry = None
 
     def feed(self, x: np.ndarray) -> None:
+        import numpy as np
+
         if self.carry is not None:
             x = np.concatenate((self.carry, x), axis=1)
         n_seg = max(0, (x.shape[1] - self.nperseg) // self.step + 1)
@@ -522,6 +590,8 @@ class _Welch:
 
     def density(self, fs: float) -> tuple[np.ndarray, np.ndarray]:
         """Frequencies (Hz) and the one-sided density per ordinary Hz."""
+        import numpy as np
+
         pxx = self.power / (self.count * fs * np.sum(self.window**2))
         # fold the negative frequencies in; DC and an even length's Nyquist
         # bin have no mirror
@@ -531,6 +601,8 @@ class _Welch:
 
 def _welch(x: np.ndarray, fs: float, nperseg: int) -> tuple[np.ndarray, np.ndarray]:
     """One-sided Welch density per ordinary Hz, averaged over rows of x."""
+    import numpy as np
+
     x = np.atleast_2d(x)
     welch = _Welch(nperseg, x.shape[1])
     welch.feed(x)
@@ -539,6 +611,8 @@ def _welch(x: np.ndarray, fs: float, nperseg: int) -> tuple[np.ndarray, np.ndarr
 
 def _two_sided_angular(freqs: np.ndarray, pxx: np.ndarray) -> SpectrumSeries:
     # one-sided per ordinary Hz to the package's two-sided dw/pi measure
+    from .acoustics import SpectrumSeries
+
     return SpectrumSeries(2.0 * math.pi * freqs, pxx / 4.0)
 
 
@@ -555,6 +629,8 @@ def estimate_psd(samples, sample_rate: float,
     zero-mean fluctuations, and removing each segment's mean would take
     the low-frequency part of their variance with it.
     """
+    import numpy as np
+
     x = np.atleast_2d(np.asarray(samples, dtype=float))
     if nperseg is None:
         nperseg = min(4096, x.shape[1])
@@ -563,6 +639,8 @@ def estimate_psd(samples, sample_rate: float,
 
 def series_variance(series: SpectrumSeries) -> float:
     """Variance implied by a power density on a non-negative frequency grid."""
+    import numpy as np
+
     omega = series.omega
     values = np.asarray(series.values, dtype=float)
     if len(omega) > 1:
@@ -599,14 +677,18 @@ def integrate_driven(mode_omega: float, damping: float, drive_strength: float,
     The drive oscillator (cos w t, sin w t) is part of the state, so the
     system has a constant 4x4 generator M and its exact propagator is
     expm(M t).  From rest, one propagator covers the settle time (default
-    30/damping); then equal steps of expm(M dt) sample two consecutive
-    integer-period windows, each demodulated by the trapezoid rule.
-    Raises NotConverged if the phasor still drifts by more than 0.1%
-    between windows.
+    30/damping); then P = expm(M dt) steps the state one sample at a time
+    through two consecutive integer-period windows, each demodulated by the
+    trapezoid rule.  Non-finite arguments raise ValueError.  Raises
+    NotConverged if the phasor still drifts by more than 0.1% between
+    windows, or if the drift is not a number.
     """
     started = time.perf_counter()
-    if not (drive_omega > 0.0) or not (damping > 0.0):
-        raise ValueError("drive frequency and damping must be positive")
+    if not (math.isfinite(mode_omega * mode_omega) and math.isfinite(drive_strength)):
+        raise ValueError("mode_omega, its square and drive_strength must be "
+                         f"finite, got {mode_omega!r} and {drive_strength!r}")
+    if not (0.0 < drive_omega < math.inf) or not (0.0 < damping < math.inf):
+        raise ValueError("drive frequency and damping must be positive and finite")
     if not isinstance(periods_per_window, numbers.Integral) or periods_per_window < 1:
         raise ValueError("periods_per_window must be a positive integer, "
                          f"got {periods_per_window!r}")
@@ -617,35 +699,52 @@ def integrate_driven(mode_omega: float, damping: float, drive_strength: float,
     period = 2.0 * math.pi / drive_omega
 
     # state (A, A', cos w t, sin w t)
-    generator = np.array([
+    generator = [
         [0.0, 1.0, 0.0, 0.0],
         [-mode_omega**2, -damping, 0.0, -drive_strength * drive_omega],
         [0.0, 0.0, 0.0, -drive_omega],
         [0.0, 0.0, drive_omega, 0.0],
-    ])
+    ]
     window = periods_per_window * period
     n_eval = 2 * periods_per_window * _SAMPLES_PER_PERIOD + 1
-    t_eval = settle_time + np.linspace(0.0, 2.0 * window, n_eval)
     sample_dt = 2.0 * window / (n_eval - 1)
-    lift, _ = _block_operators(_expm(generator * sample_dt), None, _BLOCK_STEPS)
-    y = _expm(generator * settle_time) @ np.array([0.0, 0.0, 1.0, 0.0])
-    n_blocks = -(-(n_eval - 1) // _BLOCK_STEPS)
-    states = _propagate_blocks(y[None, :], None, lift, None, n_blocks)
-    response = np.concatenate(([y[0]], states[0, :n_eval - 1, 0]))
+    # from rest, (A, A', cos, sin) = (0, 0, 1, 0): the settled state is the
+    # propagator's third column
+    a, v, c, s = (row[2] for row in _expm(
+        [[x * settle_time for x in row] for row in generator]))
+    ((p00, p01, p02, p03), (p10, p11, p12, p13),
+     (p20, p21, p22, p23), (p30, p31, p32, p33)) = _expm(
+        [[x * sample_dt for x in row] for row in generator])
+    response = [a]
+    for _ in range(n_eval - 1):
+        a, v, c, s = (p00 * a + p01 * v + p02 * c + p03 * s,
+                      p10 * a + p11 * v + p12 * c + p13 * s,
+                      p20 * a + p21 * v + p22 * c + p23 * s,
+                      p30 * a + p31 * v + p32 * c + p33 * s)
+        response.append(a)
+    t_eval = [settle_time + i * sample_dt for i in range(n_eval)]
 
     half = n_eval // 2
     phasors = []
-    for sl in (slice(0, half + 1), slice(half, n_eval)):
-        t = t_eval[sl]
-        a = response[sl]
-        ci = 2.0 / window * np.trapezoid(a * np.cos(drive_omega * t), t)
-        cq = 2.0 / window * np.trapezoid(a * np.sin(drive_omega * t), t)
+    for lo, hi in ((0, half + 1), (half, n_eval)):
+        t, part = t_eval[lo:hi], response[lo:hi]
+        ci = 2.0 / window * _trapezoid(
+            [x * math.cos(drive_omega * ti) for x, ti in zip(part, t)], t)
+        cq = 2.0 / window * _trapezoid(
+            [x * math.sin(drive_omega * ti) for x, ti in zip(part, t)], t)
         phasors.append(complex(ci, cq))
     drift = abs(phasors[1] - phasors[0]) / max(abs(phasors[1]), 1e-300)
-    if drift > 1e-3:
+    if not drift <= 1e-3:
         raise NotConverged(
             f"steady state drifting {drift:.2e} between windows")
     return DrivenModeResult(amplitude=phasors[1], drift=drift,
                             drive_omega=drive_omega, n_samples=n_eval,
                             sample_dt=sample_dt,
                             wall_s=time.perf_counter() - started)
+
+
+def _trapezoid(f: list[float], t: list[float]) -> float:
+    """Trapezoid-rule integral of the samples f over the grid t, summed
+    with math.fsum."""
+    return 0.5 * math.fsum((t1 - t0) * (f0 + f1)
+                           for t0, t1, f0, f1 in zip(t, t[1:], f, f[1:]))

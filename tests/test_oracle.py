@@ -1,11 +1,16 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from parsim import noise, quantities
+import parsim
+from parsim import noise, oracle, quantities
 from parsim.acoustics import SpectrumSeries
 from parsim.oracle import (
     _BLOCK_STEPS,
@@ -228,6 +233,11 @@ def test_basic_config_guards():
         SdeRunConfig(timestep=1.0e-6, duration=1.0e-2, seed=1,
                      ensemble_size=4, mode_omega=MODE_OMEGA,
                      damping=0.0).validate()
+    # a NaN mode frequency passed, and the run returned NaN statistics
+    with pytest.raises(ValueError, match="mode_omega"):
+        SdeRunConfig(timestep=1.0e-6, duration=1.0e-2, seed=1,
+                     ensemble_size=4, mode_omega=math.nan,
+                     damping=DAMPING).validate()
 
 
 def test_burn_in_guard(anthrax):
@@ -727,3 +737,54 @@ def test_driven_argument_checks(kwargs, name):
     # a negative settle time would integrate backwards in time
     with pytest.raises(ValueError, match=name):
         integrate_driven(1.0e4, 100.0, 1.0, 1.0e4, **kwargs)
+
+
+def _fresh_error(*lines, args=()):
+    """Last stderr line of a fresh interpreter that runs the lines with
+    sys.argv[1:] = args.  The timeout makes a hang fail the test instead of
+    stalling the suite."""
+    src = str(Path(parsim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", "\n".join(lines), *args],
+                            env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode != 0, result.stdout
+    return result.stderr.strip().splitlines()[-1]
+
+
+DRIVEN_ARGS = ("1e4", "100.0", "1e-3", "1e4")
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("index", range(4))
+def test_driven_refuses_non_finite_arguments(index, value):
+    # an infinite damping or frequency used to hang in _balance, and a NaN
+    # mode frequency or strength returned a NaN phasor
+    args = list(DRIVEN_ARGS)
+    args[index] = value
+    last = _fresh_error("import sys",
+                        "from parsim.oracle import integrate_driven",
+                        "integrate_driven(*map(float, sys.argv[1:]))", args=args)
+    assert last.startswith("ValueError: "), last
+
+
+def test_driven_refuses_a_mode_frequency_whose_square_overflows():
+    with pytest.raises(ValueError, match="mode_omega"):
+        integrate_driven(1.0e200, 100.0, 1.0e-3, 1.0e4)
+
+
+@pytest.mark.parametrize("entry", ["inf", "-inf", "nan", "1e308"])
+def test_expm_refuses_non_finite_entries(entry):
+    # 1e308 is finite, but the sums _balance scales by overflow
+    last = _fresh_error("import sys",
+                        "from parsim.oracle import _expm",
+                        "x = float(sys.argv[1])",
+                        "_expm([[0.0, 1.0], [x, x]])", args=[entry])
+    assert last.startswith("ValueError: "), last
+
+
+def test_driven_nan_drift_is_not_converged(monkeypatch):
+    # NaN compares False with any limit, so the check must read "not <="
+    monkeypatch.setattr(oracle, "_expm", lambda a: [[math.nan] * 4] * 4)
+    with pytest.raises(NotConverged, match="nan"):
+        integrate_driven(1.0e4, 100.0, 1.0e-3, 1.0e4)

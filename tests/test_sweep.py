@@ -89,11 +89,13 @@ def test_sweeps_cover_every_warning_bit_and_the_eta_switch():
     assert etas == {True, False}
 
 
-def _modules_after(prefix, *lines):
-    """Modules under prefix loaded by a fresh interpreter running the lines."""
+def _fresh_modules(prefix, *lines):
+    """Modules under prefix loaded by a fresh interpreter running the lines.
+
+    The timeout makes a hang fail the test instead of stalling the suite.
+    """
     script = "\n".join([
         "import contextlib, io, sys",
-        "from parsim.cli import main",
         *lines,
         f"print(sorted(m for m in sys.modules if (m + '.').startswith({prefix + '.'!r})))",
     ])
@@ -101,8 +103,14 @@ def _modules_after(prefix, *lines):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     result = subprocess.run([sys.executable, "-c", script], env=env,
-                            capture_output=True, text=True, check=True)
+                            capture_output=True, text=True, check=True,
+                            timeout=120)
     return result.stdout.strip()
+
+
+def _modules_after(prefix, *lines):
+    """_fresh_modules after `from parsim.cli import main`."""
+    return _fresh_modules(prefix, "from parsim.cli import main", *lines)
 
 
 def test_analytic_commands_import_no_scipy():
@@ -183,6 +191,32 @@ def test_modes_beyond_the_root_table_import_scipy_special():
 @pytest.mark.parametrize("module", ["parsim.oracle", "parsim.acoustics"])
 def test_cli_import_loads_no_oracle_or_acoustics(module):
     assert _modules_after(module) == "[]"
+
+
+def test_cli_import_loads_the_chain_modules():
+    assert _modules_after("parsim") == str([
+        "parsim", "parsim.cli", "parsim.detection", "parsim.noise",
+        "parsim.presets", "parsim.quantities", "parsim.raman",
+        "parsim.scenario_io", "parsim.thermal"])
+
+
+@pytest.mark.parametrize("prefix", ["numpy", "yaml"])
+def test_bare_package_import_loads_no_numpy_or_yaml(prefix):
+    assert _fresh_modules(prefix, "import parsim") == "[]"
+
+
+DRIVEN_CALL = ("from parsim.oracle import integrate_driven",
+               "integrate_driven(1.0e4, 100.0, 1.0e-3, 1.0e4)")
+
+
+@pytest.mark.parametrize("prefix", ["numpy", "yaml", "scipy"])
+def test_driven_oracle_imports_no_numpy_yaml_or_scipy(prefix):
+    assert _fresh_modules(prefix, *DRIVEN_CALL) == "[]"
+
+
+def test_driven_oracle_loads_three_parsim_modules():
+    assert _fresh_modules("parsim", *DRIVEN_CALL) == str(
+        ["parsim", "parsim.oracle", "parsim.quantities"])
 
 
 def test_package_names_resolve():

@@ -15,17 +15,24 @@ neither the stationary covariance the oracle is meant to check nor a
 separate form for w_j = 0.  The update is distributionally exact for any
 dt, so timestep refinement changes statistics only through sampling
 noise, never through bias; the stability guard below merely keeps spectra
-well resolved.  Steps are taken in blocks, with one row of state per
-ensemble member: one matrix product maps every block's draws to the noise
-it accumulates, the blocks' start states follow from that noise by
-recursive doubling, and one product against the stacked powers of Phi
-lifts every start state to its block's states.
+well resolved.  Steps are taken in blocks, one ensemble member at a time:
+one matrix product maps every block's draws to the noise it accumulates,
+the blocks' start states follow from that noise by recursive doubling, and
+one product against the stacked powers of Phi lifts every start state to
+its block's states.
 
-The reductions are streamed.  Each chunk of states is reduced as soon as
-it is produced, into a per-member sum of u^2 and Welch segment powers, and
-only the samples of the unfinished Welch segment pass between chunks.
-Memory therefore grows with the ensemble, not with the run length; the
-trajectories are stored only on request.
+The reductions are streamed.  Runs go a chunk of steps at a time, and
+within a chunk one member at a time: each member's states are reduced as
+soon as they are produced, into its sum of u^2 and the Welch segment
+powers, and only the samples of each member's unfinished Welch segment
+pass between chunks.  Every chunk-sized array is allocated once per run
+and reused for every member and chunk, so memory grows with neither the
+run length nor the ensemble, apart from that carry of under nperseg
+samples per member.  The traced peak of a run with nperseg 1024 is about
+2 MiB, and a ``validate-noise`` process peaks at 39-40 MB of resident
+memory from 4 to 64 members, of which an interpreter that has imported
+numpy, yaml and parsim takes about 35 MB.  The trajectories are stored
+only on request.
 
 The driven oracle appends the drive oscillator (cos wt, sin wt) to the mode
 state, which makes the driven system linear with a constant generator, and
@@ -100,10 +107,16 @@ MIN_STATIONARY_DURATIONS = 50.0
 # starts: 1e3 s at 100 ns per member-step
 MAX_MEMBER_STEPS = 1.0e10
 
-_CHUNK_STEPS = 16384  # fixed so the random stream split never varies
+# steps per chunk.  Fixed, because it fixes the rounding: at 8192 each
+# member draws the same variates, but its mean u^2 moves by up to 4.4e-16
+# relative and the Welch PSD by up to 6e-15
+_CHUNK_STEPS = 16384
 _BLOCK_STEPS = 32      # steps propagated by one matrix product
 
 _SAMPLES_PER_PERIOD = 256  # demodulation samples per drive period
+# largest distance of the settled drive oscillator from unit length; it
+# grows as about 1e-17 drive_omega settle_time, and the phasor's error with it
+_UNIT_TOLERANCE = 1.0e-6
 
 
 class StabilityGuardViolated(ValueError):
@@ -402,9 +415,10 @@ def integrate_langevin(config: SdeRunConfig, scenario: Scenario) -> TrajectorySt
                      config.forcing.initial_velocity], (m, 1))
 
     u2_sums = np.zeros(m)
+    n_row = min(_CHUNK_STEPS, n_keep)
     welch = None
     if config.psd_nperseg is not None:
-        welch = _Welch(config.psd_nperseg, n_keep)
+        welch = _Welch(config.psd_nperseg, n_keep, m, n_row)
         # the mode's pressure amplitude; the velocity for mode_omega = 0
         pressure_per_q = (gas.density * sound_speed(gas) * config.mode_omega
                           if config.mode_omega > 0.0 else None)
@@ -419,30 +433,32 @@ def integrate_langevin(config: SdeRunConfig, scenario: Scenario) -> TrajectorySt
     gens = _member_generators(config.seed, m)
 
     total = n_burn + n_keep
+    stepper = _Stepper(lift, noise_map, min(_CHUNK_STEPS, total))
+    # u^2, then the pressure, of one member's kept steps in a chunk
+    row = np.empty(n_row)
     done = 0
     while done < total:
         span = min(_CHUNK_STEPS, total - done)
-        n_blocks = -(-span // _BLOCK_STEPS)
-        z = None
-        if noise_l is not None:
-            # each member's draws fill its own row, step after step; zero
-            # draws pad the last block, and the states they reach are dropped
-            z = np.zeros((m, 2 * _BLOCK_STEPS * n_blocks))
-            for member, g in enumerate(gens):
-                g.standard_normal(out=z[member, :2 * span])
-        states = _propagate_blocks(x, z, lift, noise_map, n_blocks)[:, :span]
-        x = states[:, -1]
         keep = max(n_burn - done, 0)
-        if keep < span:
-            # (members, samples) views of this chunk's kept positions, velocities
-            q_c, u_c = states[:, keep:, 0], states[:, keep:, 1]
-            u2_sums += np.sum(u_c * u_c, axis=1)
+        n = span - keep
+        # chunk-outer, member-inner: the Welch powers are summed chunk by
+        # chunk and member by member, the order that fixed the digits
+        # validate-noise prints
+        for member, g in enumerate(gens):
+            states = stepper.advance(x[member], g, span)
+            x[member] = states[-1]
+            if n <= 0:
+                continue
+            # this chunk's kept positions and velocities of the member
+            q_c, u_c = states[keep:, 0], states[keep:, 1]
+            u2_sums[member] += np.sum(np.multiply(u_c, u_c, out=row[:n]))
             if welch is not None:
-                welch.feed(u_c if pressure_per_q is None else pressure_per_q * q_c)
+                welch.feed(member, u_c if pressure_per_q is None else
+                           np.multiply(pressure_per_q, q_c, out=row[:n]))
             if config.keep_samples:
                 dest = slice(done + keep - n_burn, done + span - n_burn)
-                q[:, dest] = q_c
-                u[:, dest] = u_c
+                q[member, dest] = q_c
+                u[member, dest] = u_c
         done += span
 
     member_mean_u2 = u2_sums / n_keep
@@ -505,60 +521,86 @@ def _block_operators(phi: np.ndarray, noise_l: np.ndarray | None,
     return lift, noise_map
 
 
-def _propagate_blocks(x: np.ndarray, z: np.ndarray | None, lift: np.ndarray,
-                      noise_map: np.ndarray | None, n_blocks: int) -> np.ndarray:
-    """States (members, n_blocks * block, d) after each step from the rows x.
+class _Stepper:
+    """One member's states a chunk at a time, through buffers allocated once.
 
-    x is (members, d).  z holds each member's draws in one row, d per step,
-    (members, n_blocks * block * d), or is None for an unforced run.  Row k
-    of a block is its start row lifted to step k + 1 plus the noise the block
-    has accumulated.  The start rows follow s_(b+1) = s_b P + e_b, with P the
-    last d columns of lift and e_b the noise block b ends with.
+    lift and noise_map come from ``_block_operators``; noise_map is None for
+    an unforced run.  The buffers hold a chunk of up to ``chunk`` steps, so
+    memory does not grow with the ensemble or the run length.
     """
-    import numpy as np
 
-    m, d = x.shape
-    width = lift.shape[1]
-    # the start rows are the sums s_b = sum_(j<=b) w_j P^(b-j) over the
-    # terms w = (x, e_0, .., e_(n_blocks-2))
-    starts = np.zeros((m, n_blocks, d))
-    starts[:, 0] = x
-    if noise_map is not None:
-        noise = (z.reshape(m * n_blocks, width) @ noise_map.T).reshape(
-            m, n_blocks, width)
-        starts[:, 1:] = noise[:, :-1, width - d:]
-    _sum_powers(starts, lift[:, width - d:])
-    states = (starts.reshape(m * n_blocks, d) @ lift).reshape(m, n_blocks, width)
-    if noise_map is not None:
-        states += noise
-    return states.reshape(m, -1, d)
+    def __init__(self, lift: np.ndarray, noise_map: np.ndarray | None, chunk: int):
+        import numpy as np
+
+        self.lift, self.noise_map = lift, noise_map
+        d, width = lift.shape
+        n_blocks = -(-chunk // (width // d))
+        self.starts = np.empty((n_blocks, d))
+        self.states = np.empty((n_blocks, width))
+        if noise_map is not None:
+            self.draws = np.empty((n_blocks, width))
+            self.noise = np.empty((n_blocks, width))
+
+    def advance(self, x: np.ndarray, gen: np.random.Generator,
+                span: int) -> np.ndarray:
+        """States (span, d) after each of span steps from the row x.
+
+        gen fills the draws, d per step, step after step; zero draws pad
+        the last block, and the states they reach are dropped.  Row k of a
+        block is its start row lifted to step k + 1 plus the noise the block
+        has accumulated.  The start rows follow s_(b+1) = s_b P + e_b, with P
+        the last d columns of lift and e_b the noise block b ends with.  The
+        result is a view into a buffer that the next call overwrites.
+        """
+        import numpy as np
+
+        d, width = self.lift.shape
+        n_blocks = -(-span // (width // d))
+        # the start rows are the sums s_b = sum_(j<=b) w_j P^(b-j) over the
+        # terms w = (x, e_0, .., e_(n_blocks-2))
+        starts = self.starts[:n_blocks]
+        starts[0] = x
+        if self.noise_map is None:
+            starts[1:] = 0.0
+        else:
+            draws = self.draws[:n_blocks]
+            gen.standard_normal(out=draws.reshape(-1)[:d * span])
+            draws.reshape(-1)[d * span:] = 0.0
+            noise = np.matmul(draws, self.noise_map.T, out=self.noise[:n_blocks])
+            starts[1:] = noise[:-1, width - d:]
+        _sum_powers(starts, self.lift[:, width - d:])
+        states = np.matmul(starts, self.lift, out=self.states[:n_blocks])
+        if self.noise_map is not None:
+            states += noise
+        return states.reshape(-1, d)[:span]
 
 
 def _sum_powers(w: np.ndarray, p: np.ndarray) -> None:
-    """Replace each w[:, b] by sum_(j<=b) w[:, j] p^(b-j), in place.
+    """Replace each row w[b] by sum_(j<=b) w[j] p^(b-j), in place.
 
     Recursive doubling (Hillis and Steele, CACM 29(12), 1986): after the
-    round with shift h, w[:, b] holds the sum over j in (b - 2h, b].
+    round with shift h, w[b] holds the sum over j in (b - 2h, b].
     """
     shift = 1
-    while shift < w.shape[1]:
-        w[:, shift:] += w[:, :-shift] @ p
+    while shift < len(w):
+        w[shift:] += w[:-shift] @ p
         p = p @ p
         shift *= 2
 
 
 class _Welch:
-    """Welch's averaged periodogram of rows fed in consecutive column chunks.
+    """Welch's averaged periodogram of rows fed in consecutive chunks.
 
     Periodic Hann window, segments of nperseg samples starting every
     nperseg - nperseg // 2 samples, no detrending: the estimate of
     scipy.signal.welch(x, fs, "hann", nperseg, detrend=False) averaged over
-    rows.  Samples that do not yet complete a segment are carried to the
-    next chunk.  Rows are transformed one at a time, so only one row's
-    segments are held at once.  n is the row length that will be fed.
+    rows.  Each row's samples that do not yet complete a segment are
+    carried to its next chunk.  Rows are transformed one at a time through
+    buffers allocated once, which hold a carry and one chunk of at most
+    ``chunk`` samples.  n is the row length that will be fed.
     """
 
-    def __init__(self, nperseg: int, n: int):
+    def __init__(self, nperseg: int, n: int, rows: int, chunk: int):
         import numpy as np
 
         if nperseg < 8:
@@ -571,22 +613,38 @@ class _Welch:
         self.window = 0.5 - 0.5 * np.cos(2.0 * math.pi / nperseg * np.arange(nperseg))
         self.power = np.zeros(nperseg // 2 + 1)
         self.count = 0
-        self.carry = None
+        # a carry is shorter than one segment
+        self.carry = np.empty((rows, nperseg - 1))
+        self.carried = [0] * rows
+        self.row = np.empty(nperseg - 1 + chunk)
+        # every segment that the row buffer can hold, as views into it
+        self.row_segments = np.lib.stride_tricks.sliding_window_view(
+            self.row, nperseg)[::self.step]
+        most = len(self.row_segments)
+        self.segments = np.empty((most, nperseg))
+        self.spec = np.empty((most, nperseg // 2 + 1), dtype=complex)
+        self.terms = np.empty((2, most, nperseg // 2 + 1))
 
-    def feed(self, x: np.ndarray) -> None:
+    def feed(self, index: int, samples: np.ndarray) -> None:
+        """Feed the next chunk of row ``index``."""
         import numpy as np
 
-        if self.carry is not None:
-            x = np.concatenate((self.carry, x), axis=1)
-        n_seg = max(0, (x.shape[1] - self.nperseg) // self.step + 1)
+        carried = self.carried[index]
+        end = carried + len(samples)
+        self.row[:carried] = self.carry[index, :carried]
+        self.row[carried:end] = samples
+        n_seg = max(0, (end - self.nperseg) // self.step + 1)
         if n_seg:
-            for row in x:
-                segments = np.lib.stride_tricks.sliding_window_view(
-                    row, self.nperseg)[::self.step]
-                spec = np.fft.rfft(segments * self.window, axis=1)
-                self.power += np.sum(spec.real**2 + spec.imag**2, axis=0)
-            self.count += n_seg * len(x)
-        self.carry = x[:, n_seg * self.step:].copy()
+            segments = np.multiply(self.row_segments[:n_seg], self.window,
+                                   out=self.segments[:n_seg])
+            spec = np.fft.rfft(segments, axis=1, out=self.spec[:n_seg])
+            terms = np.square(spec.real, out=self.terms[0, :n_seg])
+            terms += np.square(spec.imag, out=self.terms[1, :n_seg])
+            self.power += np.sum(terms, axis=0)
+            self.count += n_seg
+        rest = end - n_seg * self.step
+        self.carry[index, :rest] = self.row[n_seg * self.step:end]
+        self.carried[index] = rest
 
     def density(self, fs: float) -> tuple[np.ndarray, np.ndarray]:
         """Frequencies (Hz) and the one-sided density per ordinary Hz."""
@@ -604,8 +662,9 @@ def _welch(x: np.ndarray, fs: float, nperseg: int) -> tuple[np.ndarray, np.ndarr
     import numpy as np
 
     x = np.atleast_2d(x)
-    welch = _Welch(nperseg, x.shape[1])
-    welch.feed(x)
+    welch = _Welch(nperseg, x.shape[1], *x.shape)
+    for index, row in enumerate(x):
+        welch.feed(index, row)
     return welch.density(fs)
 
 
@@ -679,7 +738,9 @@ def integrate_driven(mode_omega: float, damping: float, drive_strength: float,
     expm(M t).  From rest, one propagator covers the settle time (default
     30/damping); then P = expm(M dt) steps the state one sample at a time
     through two consecutive integer-period windows, each demodulated by the
-    trapezoid rule.  Non-finite arguments raise ValueError.  Raises
+    trapezoid rule.  Non-finite arguments raise ValueError, and so does a
+    settle time so long that the settled drive oscillator (cos, sin) is
+    more than _UNIT_TOLERANCE from unit length.  Raises
     NotConverged if the phasor still drifts by more than 0.1% between
     windows, or if the drift is not a number.
     """
@@ -710,8 +771,18 @@ def integrate_driven(mode_omega: float, damping: float, drive_strength: float,
     sample_dt = 2.0 * window / (n_eval - 1)
     # from rest, (A, A', cos, sin) = (0, 0, 1, 0): the settled state is the
     # propagator's third column
-    a, v, c, s = (row[2] for row in _expm(
-        [[x * settle_time for x in row] for row in generator]))
+    settle = [[x * settle_time for x in row] for row in generator]
+    # the drive oscillator keeps unit length; a settle time whose generator
+    # overflows, in its sum (length nan) or in the squarings of expm, loses it
+    length = math.nan
+    if math.isfinite(sum(abs(x) for row in settle for x in row)):
+        a, v, c, s = (row[2] for row in _expm(settle))
+        length = math.hypot(c, s)
+    if not abs(length - 1.0) <= _UNIT_TOLERANCE:
+        raise ValueError(
+            f"settle_time {settle_time!r} s (30/damping by default, damping "
+            f"{damping!r}) is too long: the settled drive oscillator has "
+            f"length {length!r}, not 1")
     ((p00, p01, p02, p03), (p10, p11, p12, p13),
      (p20, p21, p22, p23), (p30, p31, p32, p33)) = _expm(
         [[x * sample_dt for x in row] for row in generator])

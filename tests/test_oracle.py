@@ -539,9 +539,36 @@ def test_langevin_memory_independent_of_run_length(anthrax):
     config = SdeRunConfig(timestep=1.0e-6, duration=6.4e-2, seed=4,
                           ensemble_size=8, mode_omega=MODE_OMEGA,
                           damping=DAMPING, psd_nperseg=1024)
+    integrate_langevin(config, anthrax)   # lazy imports are not the run's
     short = _traced_peak(config, anthrax)
     long = _traced_peak(dataclasses.replace(config, duration=2.56e-1), anthrax)
     assert long <= short + 2 * 2**20
+
+
+def test_langevin_memory_independent_of_ensemble_size(anthrax):
+    # members are stepped one at a time through buffers allocated once;
+    # each adds only its generator, its state row and a Welch carry of
+    # under nperseg samples (2 KiB here).  Batched (members, chunk) arrays
+    # add about 1 MB per member
+    config = SdeRunConfig(timestep=1.0e-6, duration=4.0e-2, seed=4,
+                          ensemble_size=2, mode_omega=MODE_OMEGA,
+                          damping=DAMPING, psd_nperseg=256)
+    integrate_langevin(config, anthrax)   # lazy imports are not the run's
+    few = _traced_peak(config, anthrax)
+    many = _traced_peak(dataclasses.replace(config, ensemble_size=32), anthrax)
+    assert many <= 1.1 * few
+
+
+def test_member_statistics_independent_of_ensemble_size(anthrax):
+    # a member's draws, states and sums never meet another member's; the
+    # run ends in a short chunk of 433 steps
+    config = SdeRunConfig(timestep=1.0e-6, duration=3.3e-2, seed=5,
+                          ensemble_size=3, mode_omega=MODE_OMEGA,
+                          damping=DAMPING, psd_nperseg=256)
+    few = integrate_langevin(config, anthrax)
+    many = integrate_langevin(dataclasses.replace(config, ensemble_size=8),
+                              anthrax)
+    assert np.array_equal(few.member_mean_u2, many.member_mean_u2[:3])
 
 
 def test_run_too_long_refused_before_allocating(anthrax):
@@ -784,7 +811,26 @@ def test_expm_refuses_non_finite_entries(entry):
 
 
 def test_driven_nan_drift_is_not_converged(monkeypatch):
-    # NaN compares False with any limit, so the check must read "not <="
-    monkeypatch.setattr(oracle, "_expm", lambda a: [[math.nan] * 4] * 4)
+    # NaN compares False with any limit, so the check must read "not <=".
+    # The settle propagator stays exact: a NaN settled state is refused
+    # before the windows run; the per-sample propagator turns NaN
+    exact = oracle._expm
+    calls = []
+
+    def nan_after_settling(a):
+        calls.append(a)
+        return exact(a) if len(calls) == 1 else [[math.nan] * 4] * 4
+
+    monkeypatch.setattr(oracle, "_expm", nan_after_settling)
     with pytest.raises(NotConverged, match="nan"):
         integrate_driven(1.0e4, 100.0, 1.0e-3, 1.0e4)
+
+
+@pytest.mark.parametrize("damping, settle_time", [
+    (1.0e-300, None),      # the default 30/damping overflows the generator
+    (1.0e-300, 1.0e300),
+    (100.0, 1.0e300),      # expm's squarings lose the drive oscillator
+])
+def test_driven_refuses_a_settle_time_too_long_to_resolve(damping, settle_time):
+    with pytest.raises(ValueError, match="settle_time .*damping"):
+        integrate_driven(1.0e4, damping, 1.0e-3, 1.0e4, settle_time=settle_time)

@@ -31,8 +31,7 @@ _LAZY = {
     # scenario types
     **dict.fromkeys((
         "CellGeometry", "DetectorNoiseSpec", "GasProperties", "LaserDrive",
-        "ParticleSpec", "PhysicalConstants", "Scenario",
-        "ScenarioValidationError", "Violation", "optimal_cell_radius",
+        "ParticleSpec", "Scenario", "ScenarioValidationError", "Violation",
         "sound_speed", "validate_scenario"), "quantities"),
     # physics
     **dict.fromkeys(("gain_coefficient", "heat_source_density",
@@ -47,7 +46,7 @@ _LAZY = {
     **dict.fromkeys(("DetectionReport", "min_density"), "detection"),
     # oracle
     **dict.fromkeys((
-        "FreeDecay", "SdeRunConfig", "ThermalForcing", "estimate_psd",
+        "FreeDecay", "SdeRunConfig", "estimate_psd",
         "integrate_driven", "integrate_langevin", "series_variance",
         "transition"), "oracle"),
     # scenarios

@@ -153,11 +153,14 @@ def cylinder_modes(cell: CellGeometry, gas: GasProperties,
     Ties are broken lexicographically on (q, m, n).  Azimuthal orders above
     zero are off by default: axisymmetric heat sources cannot excite them.
     For m >= 1 the radial index starts at 1 (alpha = 0 would be a null
-    profile there).
+    profile there).  A sound speed or a mode frequency that leaves the
+    range of a double raises ValueError saying "arithmetic out of range".
     """
     if max_axial < 0 or max_radial < 0 or max_azimuthal < 0:
         raise ValueError("mode index cutoffs must be non-negative")
     c = sound_speed(gas)
+    if not 0.0 < c < math.inf:
+        raise ValueError(f"arithmetic out of range: sound speed is {c!r}")
     a, l = cell.radius, cell.length
 
     modes: list[AcousticMode] = []
@@ -172,6 +175,9 @@ def cylinder_modes(cell: CellGeometry, gas: GasProperties,
             for q in range(max_axial + 1):
                 kz = q * math.pi / l
                 omega = c * math.hypot(kz, kr)
+                if not omega < math.inf:
+                    raise ValueError(f"arithmetic out of range: mode "
+                                     f"{q},{m},{n} has omega {omega!r}")
                 modes.append(AcousticMode(
                     index=(q, m, n),
                     omega=omega,

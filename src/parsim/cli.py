@@ -302,6 +302,14 @@ def _cmd_validate_noise(args) -> int:
     if args.seed < 0:
         raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     scenario, origin = _load(args)
+    # the comparison divides by it, so refuse before integrating
+    try:
+        analytic_var = thermal_variance(scenario)
+    except ArithmeticError:
+        analytic_var = math.nan
+    if not 0.0 < analytic_var < math.inf:
+        raise ValueError(f"arithmetic out of range: the analytic pressure "
+                         f"variance is {analytic_var!r}")
     det = scenario.detector
     fastest = max(det.noise_damping, det.noise_mode_omega)
     dt = 0.05 / fastest
@@ -334,6 +342,15 @@ def _cmd_validate_noise(args) -> int:
     ok = True
 
     ratio = stats.equipartition_ratio
+    welch_var = series_variance(stats.psd)
+    # statistics that under- or overflowed in the run compare to nothing
+    for name, value in (("mean u^2", stats.mean_u2),
+                        ("standard error of mean u^2", stats.mean_u2_stderr),
+                        ("equipartition ratio", ratio),
+                        ("Welch variance", welch_var)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"arithmetic out of range: the run's {name} "
+                             f"is {value!r}")
     sigma = ratio * stats.mean_u2_stderr / stats.mean_u2
     z = abs(ratio - 1.0) / sigma
     passed = z <= args.sigmas
@@ -342,8 +359,6 @@ def _cmd_validate_noise(args) -> int:
                  f"(z = {z:.2f}, limit {args.sigmas:.1f}) "
                  f"{'PASS' if passed else 'FAIL'}")
 
-    analytic_var = thermal_variance(scenario)
-    welch_var = series_variance(stats.psd)
     rel = abs(welch_var - analytic_var) / analytic_var
     passed = rel <= args.psd_tolerance
     ok &= passed

@@ -50,7 +50,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .quantities import Scenario, everywhere, first_failure, sound_speed, xp
+from .quantities import K_BOLTZMANN, Scenario, everywhere, first_failure, sound_speed, xp
 
 if TYPE_CHECKING:
     from .acoustics import SpectrumSeries
@@ -73,7 +73,7 @@ _SMALL_MODULATION_FRACTION = 0.1
 def thermal_variance(scenario: Scenario) -> float:
     """Equipartition pressure variance of a detector mode, rho0 c^2 k T / V, Pa^2."""
     gas = scenario.gas
-    return (gas.density * sound_speed(gas)**2 * scenario.constants.k_boltzmann
+    return (gas.density * sound_speed(gas)**2 * K_BOLTZMANN
             * gas.temperature / scenario.cell.volume)
 
 
@@ -145,7 +145,7 @@ def nep(scenario: Scenario) -> NepResult:
     v = scenario.cell.volume
     # not thermal_variance(scenario) * ...: that order moves h_nep by an ulp
     vh2 = (v * det.noise_damping * gas.density * c**2
-           * scenario.constants.k_boltzmann * gas.temperature
+           * K_BOLTZMANN * gas.temperature
            * (modulation_omega**2 + det.signal_damping**2))
     vh = xp(vh2).sqrt(vh2) / (det.noise_mode_omega * (gas.gamma - 1.0))
     small = modulation_omega <= _SMALL_MODULATION_FRACTION * det.noise_mode_omega

@@ -69,10 +69,10 @@ from __future__ import annotations
 import math
 import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .quantities import Scenario, sound_speed
+from .quantities import K_BOLTZMANN, Scenario, sound_speed
 
 if TYPE_CHECKING:
     import numpy as np
@@ -80,7 +80,6 @@ if TYPE_CHECKING:
     from .acoustics import SpectrumSeries
 
 __all__ = [
-    "ThermalForcing",
     "FreeDecay",
     "SdeRunConfig",
     "TrajectoryStats",
@@ -140,11 +139,6 @@ class NotConverged(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ThermalForcing:
-    """Stochastic forcing of diffusion D = rho0 V Gamma k T."""
-
-
-@dataclass(frozen=True)
 class FreeDecay:
     """No forcing: deterministic relaxation from an initial condition."""
 
@@ -156,6 +150,9 @@ class FreeDecay:
 class SdeRunConfig:
     """One stochastic (or decay) integration run.
 
+    forcing None (the default) drives the mode with the thermal Langevin
+    force of diffusion D = rho0 V Gamma k T from rest; a FreeDecay instead
+    lets it relax deterministically from its initial condition.
     mode_omega may be zero, in which case the velocity is an
     Ornstein-Uhlenbeck process and the position a free integral of it.
     burn_in defaults to 10 dampings for thermal runs and 0 for decay runs.
@@ -169,7 +166,7 @@ class SdeRunConfig:
     ensemble_size: int
     mode_omega: float
     damping: float
-    forcing: ThermalForcing | FreeDecay = field(default_factory=ThermalForcing)
+    forcing: FreeDecay | None = None
     burn_in: float | None = None
     psd_nperseg: int | None = None
     keep_samples: bool = False
@@ -187,7 +184,7 @@ class SdeRunConfig:
             raise StabilityGuardViolated(
                 f"timestep {self.timestep:g} times fastest rate {rate:g} "
                 f"exceeds the stability limit {STABILITY_LIMIT}")
-        if isinstance(self.forcing, ThermalForcing):
+        if self.forcing is None:
             if self.ensemble_size < 2:
                 raise InsufficientStatistics(
                     "need at least 2 ensemble members to estimate errors")
@@ -377,18 +374,19 @@ def integrate_langevin(config: SdeRunConfig, scenario: Scenario) -> TrajectorySt
 
     Every chunk of kept states is reduced as soon as it is produced; see the
     module docstring.  A run of more than MAX_MEMBER_STEPS member-steps
-    raises RunTooLong before anything is allocated.  metadata["wall_s"] is
-    the wall time of the call.
+    raises RunTooLong before anything is allocated, and a thermal force
+    strength or a pressure factor rho0 c w_j that leaves the range of a
+    double raises ValueError saying "arithmetic out of range", also before
+    the run.  metadata["wall_s"] is the wall time of the call.
     """
     import numpy as np
 
     started = time.perf_counter()
     config.validate()
     gas = scenario.gas
-    k = scenario.constants
     rho_v = gas.density * scenario.cell.volume
-    kt = k.k_boltzmann * gas.temperature
-    thermal = isinstance(config.forcing, ThermalForcing)
+    kt = K_BOLTZMANN * gas.temperature
+    thermal = config.forcing is None
     m = config.ensemble_size
 
     burn_in = config.burn_in
@@ -406,8 +404,18 @@ def integrate_langevin(config: SdeRunConfig, scenario: Scenario) -> TrajectorySt
         raise ValueError("duration must cover at least two timesteps")
 
     if thermal:
-        # 2 D / (rho0 V)^2 with D = rho0 V Gamma k T
-        sigma2 = 2.0 * (rho_v * config.damping * kt) / rho_v**2
+        # 2 D / (rho0 V)^2 with D = rho0 V Gamma k T.  The square raises
+        # OverflowError past the double range, the division
+        # ZeroDivisionError when it underflows to 0
+        try:
+            sigma2 = 2.0 * (rho_v * config.damping * kt) / rho_v**2
+        except ArithmeticError:
+            sigma2 = math.nan
+        if not 0.0 < sigma2 < math.inf:
+            raise ValueError(
+                f"arithmetic out of range: the thermal force strength "
+                f"2 D / (rho0 V)^2 is {sigma2!r} for rho0 V = {rho_v!r} and "
+                f"k T = {kt!r}")
         x = np.zeros((m, 2))
     else:
         sigma2 = 0.0
@@ -418,10 +426,14 @@ def integrate_langevin(config: SdeRunConfig, scenario: Scenario) -> TrajectorySt
     n_row = min(_CHUNK_STEPS, n_keep)
     welch = None
     if config.psd_nperseg is not None:
-        welch = _Welch(config.psd_nperseg, n_keep, m, n_row)
         # the mode's pressure amplitude; the velocity for mode_omega = 0
         pressure_per_q = (gas.density * sound_speed(gas) * config.mode_omega
                           if config.mode_omega > 0.0 else None)
+        if pressure_per_q is not None and not 0.0 < pressure_per_q < math.inf:
+            raise ValueError(
+                f"arithmetic out of range: the pressure per unit position "
+                f"rho0 c w_j is {pressure_per_q!r}")
+        welch = _Welch(config.psd_nperseg, n_keep, m, n_row)
     if config.keep_samples:
         q = np.empty((m, n_keep))
         u = np.empty((m, n_keep))
@@ -675,14 +687,13 @@ def _two_sided_angular(freqs: np.ndarray, pxx: np.ndarray) -> SpectrumSeries:
     return SpectrumSeries(2.0 * math.pi * freqs, pxx / 4.0)
 
 
-def estimate_psd(samples, sample_rate: float,
-                 nperseg: int | None = None) -> SpectrumSeries:
+def estimate_psd(samples, sample_rate: float, nperseg: int) -> SpectrumSeries:
     """Welch PSD in the package's two-sided-angular convention.
 
     samples may be (n,) or (members, n); member periodograms are averaged.
-    Segments of nperseg samples (default min(4096, n)) overlap by half and
-    are tapered with a periodic Hann window (see ``_Welch``).  The returned
-    density satisfies variance = integral PSD dw / pi (two-sided), i.e.
+    Segments of nperseg samples overlap by half and are tapered with a
+    periodic Hann window (see ``_Welch``).  The returned density
+    satisfies variance = integral PSD dw / pi (two-sided), i.e.
     ``series_variance`` of the result approximates the time-domain
     variance.  Segments are not detrended: the oracle's samples are
     zero-mean fluctuations, and removing each segment's mean would take
@@ -691,8 +702,6 @@ def estimate_psd(samples, sample_rate: float,
     import numpy as np
 
     x = np.atleast_2d(np.asarray(samples, dtype=float))
-    if nperseg is None:
-        nperseg = min(4096, x.shape[1])
     return _two_sided_angular(*_welch(x, sample_rate, nperseg))
 
 
@@ -738,9 +747,10 @@ def integrate_driven(mode_omega: float, damping: float, drive_strength: float,
     expm(M t).  From rest, one propagator covers the settle time (default
     30/damping); then P = expm(M dt) steps the state one sample at a time
     through two consecutive integer-period windows, each demodulated by the
-    trapezoid rule.  Non-finite arguments raise ValueError, and so does a
+    trapezoid rule.  Non-finite arguments raise ValueError, and so do a
     settle time so long that the settled drive oscillator (cos, sin) is
-    more than _UNIT_TOLERANCE from unit length.  Raises
+    more than _UNIT_TOLERANCE from unit length and a drive frequency so low
+    that the generator over one sample spacing overflows.  Raises
     NotConverged if the phasor still drifts by more than 0.1% between
     windows, or if the drift is not a number.
     """
@@ -783,9 +793,14 @@ def integrate_driven(mode_omega: float, damping: float, drive_strength: float,
             f"settle_time {settle_time!r} s (30/damping by default, damping "
             f"{damping!r}) is too long: the settled drive oscillator has "
             f"length {length!r}, not 1")
+    step = [[x * sample_dt for x in row] for row in generator]
+    if not math.isfinite(sum(abs(x) for row in step for x in row)):
+        raise ValueError(
+            f"drive_omega {drive_omega!r} is too low for mode_omega "
+            f"{mode_omega!r} and damping {damping!r}: over its sample spacing "
+            f"of {sample_dt!r} s the generator leaves the range of a double")
     ((p00, p01, p02, p03), (p10, p11, p12, p13),
-     (p20, p21, p22, p23), (p30, p31, p32, p33)) = _expm(
-        [[x * sample_dt for x in row] for row in generator])
+     (p20, p21, p22, p23), (p30, p31, p32, p33)) = _expm(step)
     response = [a]
     for _ in range(n_eval - 1):
         a, v, c, s = (p00 * a + p01 * v + p02 * c + p03 * s,

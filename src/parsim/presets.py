@@ -10,8 +10,9 @@ for that configuration, not a calibrated instrument model.
 
 The cell radius is chosen so the cell volume is exactly 1e-8 m^3 at
 10 cm length, which keeps thermodynamic noise figures round; it is
-within a factor of two of the confocal optimum for near-infrared beams
-(see ``quantities.optimal_cell_radius``).
+within a factor of two of the confocal optimum for near-infrared beams,
+r = sqrt(lambda l / pi), the radius at which the cell just contains a
+focused diffraction-limited beam of wavelength lambda over its length l.
 """
 
 from __future__ import annotations

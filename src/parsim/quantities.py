@@ -1,5 +1,8 @@
 """Physical constants, scenario data model, and validation.
 
+The physical constants are the CODATA 2018 values, fixed at module level;
+every stage of the detection chain reads them from here.
+
 Unit discipline
 ---------------
 Everything is SI internally.  All frequencies are angular (rad/s); scenario
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "HBAR",
@@ -39,7 +42,6 @@ __all__ = [
     "STEFAN_BOLTZMANN",
     "SPEED_OF_LIGHT",
     "ATOMIC_MASS",
-    "PhysicalConstants",
     "GasProperties",
     "CellGeometry",
     "LaserDrive",
@@ -50,7 +52,6 @@ __all__ = [
     "ScenarioValidationError",
     "validate_scenario",
     "sound_speed",
-    "optimal_cell_radius",
     "is_array",
     "xp",
     "first_failure",
@@ -66,17 +67,6 @@ GAS_CONSTANT = K_BOLTZMANN * AVOGADRO   # J/(mol K)
 STEFAN_BOLTZMANN = 5.670374419e-8       # W/(m^2 K^4)
 SPEED_OF_LIGHT = 2.99792458e8           # m/s
 ATOMIC_MASS = 1.66053906660e-27         # kg
-
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Fundamental constants used throughout; overridable for tests."""
-
-    hbar: float = HBAR
-    k_boltzmann: float = K_BOLTZMANN
-    avogadro: float = AVOGADRO
-    gas_constant: float = GAS_CONSTANT
-    stefan_boltzmann: float = STEFAN_BOLTZMANN
 
 
 @dataclass(frozen=True)
@@ -178,10 +168,6 @@ class ParticleSpec:
             return self.radius_override
         return (3.0 * self.volume / (4.0 * math.pi)) ** (1.0 / 3.0)
 
-    @property
-    def radius_is_derived(self) -> bool:
-        return self.radius_override is None
-
 
 @dataclass(frozen=True)
 class DetectorNoiseSpec:
@@ -197,10 +183,6 @@ class DetectorNoiseSpec:
     noise_damping: float
     signal_damping: float
 
-    @property
-    def quality_factor(self) -> float:
-        return self.noise_mode_omega / self.noise_damping
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -212,14 +194,12 @@ class Scenario:
     particle: ParticleSpec
     detector: DetectorNoiseSpec
     spore_density: float | None = None
-    constants: PhysicalConstants = field(default_factory=PhysicalConstants)
 
 
 # violation codes, stable strings used by tests and the CLI
 NEGATIVE_QUANTITY = "negative_quantity"
 STOKES_NOT_BELOW_PUMP = "stokes_not_below_pump"
 GAMMA_NOT_ABOVE_ONE = "gamma_not_above_one"
-INCONSISTENT_DERIVED_FIELD = "inconsistent_derived_field"
 OUT_OF_RANGE = "out_of_range"
 
 
@@ -385,13 +365,6 @@ def validate_scenario(scenario: Scenario) -> Scenario:
     if scenario.spore_density is not None:
         _check_nonnegative(v, "scenario", spore_density=scenario.spore_density)
 
-    k = scenario.constants
-    expected_r = k.k_boltzmann * k.avogadro
-    if abs(k.gas_constant - expected_r) > 1e-12 * expected_r:
-        v.append((0, Violation(
-            INCONSISTENT_DERIVED_FIELD, "constants.gas_constant",
-            f"gas constant {k.gas_constant!r} disagrees with k_B * N_A = {expected_r!r}")))
-
     if v:
         point = min(p for p, _ in v)
         raise ScenarioValidationError([x for p, x in v if p == point], point)
@@ -403,13 +376,3 @@ def sound_speed(gas: GasProperties) -> float:
     c2 = gas.gamma * gas.pressure / gas.density
     return xp(c2).sqrt(c2)
 
-
-def optimal_cell_radius(wavelength: float, length: float) -> float:
-    """Cell radius matching a focused Gaussian beam over the cell length.
-
-    r = sqrt(lambda l / pi): the radius at which the cell just contains the
-    diffraction-limited beam over its full length, minimizing dead volume.
-    """
-    if not (wavelength > 0.0) or not (length > 0.0):
-        raise ValueError("wavelength and length must both be positive")
-    return math.sqrt(wavelength * length / math.pi)

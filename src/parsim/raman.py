@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .quantities import SPEED_OF_LIGHT, Scenario, first_failure, xp
+from .quantities import HBAR, K_BOLTZMANN, SPEED_OF_LIGHT, Scenario, first_failure, xp
 
 __all__ = [
     "RamanGainResult",
@@ -76,10 +76,9 @@ class HeatDeposition:
     branching: float
 
 
-def population_factor(raman_shift: float, temperature: float, hbar: float,
-                      k_boltzmann: float) -> float:
+def population_factor(raman_shift: float, temperature: float) -> float:
     """Thermal population contrast 1 - exp(-hbar dw / kT), in [0, 1]."""
-    x = hbar * raman_shift / (k_boltzmann * temperature)
+    x = HBAR * raman_shift / (K_BOLTZMANN * temperature)
     return -xp(x).expm1(-x)
 
 
@@ -91,18 +90,16 @@ def gain_coefficient(scenario: Scenario,
                          f"expected one of {LINEWIDTH_CONVENTIONS}")
     laser = scenario.laser
     particle = scenario.particle
-    k = scenario.constants
 
     v_s = SPEED_OF_LIGHT / laser.refractive_index
     dnu = particle.linewidth_hz
     if linewidth_convention == "angular":
         dnu = 2.0 * math.pi * dnu
 
-    f_pop = population_factor(laser.raman_shift, scenario.gas.temperature,
-                              k.hbar, k.k_boltzmann)
+    f_pop = population_factor(laser.raman_shift, scenario.gas.temperature)
     gain_factor = (8.0 * math.pi**2 * particle.active_density * v_s**2
                    * particle.raman_cross_section * f_pop
-                   / (k.hbar * laser.stokes_omega**3 * dnu))
+                   / (HBAR * laser.stokes_omega**3 * dnu))
     return RamanGainResult(
         gain=gain_factor * laser.pump_intensity,
         gain_factor=gain_factor,

@@ -170,9 +170,9 @@ def _parse_yaml(text: str):
         raise ParseError(str(exc)) from exc
 
 
-def loads_scenario(text: str, lenient: bool = False,
-                   validate: bool = True) -> LoadResult:
-    """Parse a scenario from YAML text.  See module docstring for rules."""
+def loads_scenario(text: str, lenient: bool = False) -> LoadResult:
+    """Parse and validate a scenario from YAML text.  See module docstring
+    for rules."""
     doc = _parse_yaml(text)
     if doc is None:
         raise SchemaError("empty document")
@@ -227,8 +227,7 @@ def loads_scenario(text: str, lenient: bool = False,
                         laser=built["laser"], particle=built["particle"],
                         detector=built["detector"],
                         spore_density=spore_density)
-    if validate:
-        validate_scenario(scenario)
+    validate_scenario(scenario)
     return LoadResult(scenario, tuple(warnings))
 
 
@@ -265,10 +264,9 @@ def _read_section(name: str, section: dict, fields: tuple[_Field, ...]):
     return kwargs, missing, unknown
 
 
-def load_scenario(path, lenient: bool = False,
-                  validate: bool = True) -> LoadResult:
+def load_scenario(path, lenient: bool = False) -> LoadResult:
     text = Path(path).read_text(encoding="utf-8")
-    return loads_scenario(text, lenient=lenient, validate=validate)
+    return loads_scenario(text, lenient=lenient)
 
 
 def _canonical_sections(scenario: Scenario) -> dict:

@@ -33,8 +33,12 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .quantities import (
+    AVOGADRO,
+    GAS_CONSTANT,
+    HBAR,
+    K_BOLTZMANN,
+    STEFAN_BOLTZMANN,
     GasProperties,
-    PhysicalConstants,
     Scenario,
     everywhere,
     first_failure,
@@ -62,47 +66,39 @@ TIMESCALES_NOT_SEPARATED = "timescales_not_separated"
 DEFAULT_DOMINANCE_RATIO = 10.0
 
 
-def collision_rate(gas: GasProperties, radius: float,
-                   constants: PhysicalConstants | None = None) -> float:
+def collision_rate(gas: GasProperties, radius: float) -> float:
     """Gas-molecule collision rate on a sphere of the given radius, 1/s.
 
     N_c = P 4 pi r^2 / (2 m_g u_g) with u_g = sqrt(3 k T / m_g) the rms
     molecular speed: flux of momentum-carrying molecules onto the surface.
     """
-    k = constants or PhysicalConstants()
-    u_g2 = 3.0 * k.k_boltzmann * gas.temperature / gas.molecule_mass
+    u_g2 = 3.0 * K_BOLTZMANN * gas.temperature / gas.molecule_mass
     u_g = xp(u_g2).sqrt(u_g2)
     return gas.pressure * 4.0 * math.pi * radius**2 / (2.0 * gas.molecule_mass * u_g)
 
 
 def temperature_rise(particle_molar_heat: float, raman_fraction: float,
-                     raman_shift: float,
-                     constants: PhysicalConstants | None = None) -> float:
+                     raman_shift: float) -> float:
     """Temperature gained per excitation cycle, K.
 
     dT = f_R N_A hbar dw / c_v: every active molecule receives one quantum
     hbar dw, a fraction f_R of which is degraded to heat in the particle.
     """
-    k = constants or PhysicalConstants()
-    return (raman_fraction * k.avogadro * k.hbar * raman_shift
+    return (raman_fraction * AVOGADRO * HBAR * raman_shift
             / particle_molar_heat)
 
 
 def collisional_timescale(molecule_count: float, collisions_per_second: float,
-                          molar_heat: float,
-                          constants: PhysicalConstants | None = None) -> float:
+                          molar_heat: float) -> float:
     """Cooling time constant tau = (c_v/R)(N_S/N_c), s."""
     if first_failure(collisions_per_second > 0.0) is not None:
         raise ValueError("collision rate must be positive")
-    k = constants or PhysicalConstants()
-    return (molar_heat / k.gas_constant) * (molecule_count / collisions_per_second)
+    return (molar_heat / GAS_CONSTANT) * (molecule_count / collisions_per_second)
 
 
-def radiative_power(temperature: float, radius: float,
-                    constants: PhysicalConstants | None = None) -> float:
+def radiative_power(temperature: float, radius: float) -> float:
     """Blackbody power radiated by a sphere: sigma T^4 4 pi r^2, W."""
-    k = constants or PhysicalConstants()
-    return k.stefan_boltzmann * temperature**4 * 4.0 * math.pi * radius**2
+    return STEFAN_BOLTZMANN * temperature**4 * 4.0 * math.pi * radius**2
 
 
 @dataclass(frozen=True)
@@ -182,16 +178,15 @@ def thermal_report(scenario: Scenario) -> ThermalReport:
     """Evaluate the whole heating/cooling chain for a scenario."""
     particle = scenario.particle
     gas = scenario.gas
-    k = scenario.constants
 
-    n_c = collision_rate(gas, particle.equivalent_radius, k)
+    n_c = collision_rate(gas, particle.equivalent_radius)
     d_t = temperature_rise(particle.molar_heat, particle.raman_fraction,
-                           scenario.laser.raman_shift, k)
+                           scenario.laser.raman_shift)
     tau_c = collisional_timescale(particle.molecule_count, n_c,
-                                  particle.molar_heat, k)
+                                  particle.molar_heat)
     peak_t = gas.temperature + d_t
-    p_rad = radiative_power(peak_t, particle.equivalent_radius, k)
-    e_dep = particle.molecule_count * k.hbar * scenario.laser.raman_shift
+    p_rad = radiative_power(peak_t, particle.equivalent_radius)
+    e_dep = particle.molecule_count * HBAR * scenario.laser.raman_shift
     tau_rad = e_dep / p_rad
     eff = transfer_efficiency(tau_c, tau_rad, scenario.laser.modulation_omega)
     return ThermalReport(

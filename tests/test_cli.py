@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -350,6 +351,73 @@ def test_report_refuses_arithmetic_out_of_range(capsys, tmp_path, anthrax, case)
     assert (code, out) == (result.returncode, result.stdout)
     assert err.startswith("error: arithmetic out of range: ")
     assert err.count("\n") == 1
+
+
+# scenarios that validate_scenario accepts but whose noise or mode
+# arithmetic leaves the range of a double
+NOISE_AND_MODES_OUT_OF_RANGE = [
+    # (rho0 V)^2 underflows to 0 in the oracle's force strength
+    ("validate-noise", {"cell": {"radius": 1.0e-150}}),
+    # (rho0 V)^2 overflows
+    ("validate-noise", {"gas": {"density": 1.0e300}}),
+    # the force strength underflows to 0, and so did the run's mean u^2
+    ("validate-noise", {"gas": {"temperature": 1.0e-300}}),
+    # the sound speed overflows: the Welch variance came out nan
+    ("validate-noise", {"gas": {"pressure": 1.7e308}}),
+    # the cell volume underflows to 0
+    ("validate-noise", {"cell": {"radius": 1.0e-310}}),
+    # both printed an inf sound speed or inf mode frequencies with exit 0
+    ("modes", {"gas": {"pressure": 1.7e308}}),
+    ("modes", {"cell": {"radius": 1.0e-310}}),
+]
+
+
+@pytest.mark.parametrize("command, fields", NOISE_AND_MODES_OUT_OF_RANGE)
+def test_noise_and_modes_refuse_arithmetic_out_of_range(tmp_path, anthrax,
+                                                         command, fields):
+    path = tmp_path / "extreme.yaml"
+    path.write_text(dumps_scenario(validate_scenario(_with_fields(anthrax, fields))))
+    result = _cli(command, "--scenario", str(path))
+    assert (result.returncode, result.stdout) == (2, "")
+    # one line, and no langevin: line, so refused before integrating
+    assert result.stderr.startswith("error: arithmetic out of range: ")
+    assert result.stderr.count("\n") == 1
+
+
+# fields an extreme draw may set; the detector's set the length of
+# validate-noise's run, so they stay at the preset
+EXTREME_FIELDS = (
+    ("gas", "pressure"), ("gas", "temperature"), ("gas", "density"),
+    ("gas", "molecule_mass"), ("cell", "length"), ("cell", "radius"),
+    ("laser", "pump_intensity"), ("laser", "stokes_intensity"),
+    ("laser", "modulation_omega"), ("particle", "volume"),
+    ("particle", "molecule_count"), ("particle", "molar_heat"),
+)
+
+
+def _extreme_draws(count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        fields = {}
+        for section, attr in rng.sample(EXTREME_FIELDS, 2):
+            fields.setdefault(section, {})[attr] = 10.0 ** rng.uniform(-320.0, 308.0)
+        yield fields
+
+
+@pytest.mark.parametrize("draw", range(12))
+def test_cli_answers_or_refuses_extreme_scenarios(tmp_path, anthrax, draw):
+    fields = list(_extreme_draws(12, 20261019))[draw]
+    path = tmp_path / "extreme.yaml"
+    path.write_text(dumps_scenario(validate_scenario(_with_fields(anthrax, fields))))
+    for argv, codes in ((["report"], {0, 2}), (["modes"], {0, 2}),
+                        (["validate-noise", "--members", "4"], {0, 1, 2})):
+        result = _cli(*argv, "--scenario", str(path))
+        assert "Traceback" not in result.stderr, (argv, fields, result.stderr)
+        assert result.returncode in codes, (argv, fields, result.stderr)
+        if result.returncode == 2:
+            # validate-noise may refuse statistics that its run underflowed
+            assert result.stderr.splitlines()[-1].startswith("error: ")
+            assert result.stdout == ""
 
 
 def test_modes_table(capsys):

@@ -24,7 +24,6 @@ from parsim.oracle import (
     STABILITY_LIMIT,
     SegmentTooShort,
     StabilityGuardViolated,
-    ThermalForcing,
     _expm,
     _member_generators,
     _noise_factor,
@@ -336,18 +335,19 @@ def _reference_trajectory(config, scenario):
     return n_burn, states[n_burn:, 0, :].T, states[n_burn:, 1, :].T
 
 
+# forcing holds SdeRunConfig keywords: none for the default thermal forcing
 @pytest.mark.parametrize("mode_omega,forcing", [
-    (MODE_OMEGA, ThermalForcing()),        # underdamped
-    (DAMPING / 2.0, ThermalForcing()),     # critically damped
-    (1.0e4, ThermalForcing()),             # overdamped
-    (0.0, ThermalForcing()),               # free Ornstein-Uhlenbeck velocity
-    (MODE_OMEGA, FreeDecay(1.0e-9, 2.0e-5)),
+    (MODE_OMEGA, {}),        # underdamped
+    (DAMPING / 2.0, {}),     # critically damped
+    (1.0e4, {}),             # overdamped
+    (0.0, {}),               # free Ornstein-Uhlenbeck velocity
+    (MODE_OMEGA, {"forcing": FreeDecay(1.0e-9, 2.0e-5)}),
 ])
 def test_blocked_stepper_matches_per_step_loop(anthrax, mode_omega, forcing):
     config = SdeRunConfig(timestep=1.0e-6, duration=1.7e-2, seed=11,
                           ensemble_size=3, mode_omega=mode_omega,
-                          damping=DAMPING, forcing=forcing,
-                          burn_in=2.03e-4, keep_samples=True)
+                          damping=DAMPING, burn_in=2.03e-4,
+                          keep_samples=True, **forcing)
     n_burn, q_ref, u_ref = _reference_trajectory(config, anthrax)
     assert n_burn % _BLOCK_STEPS != 0
     assert n_burn + q_ref.shape[1] > _CHUNK_STEPS
@@ -834,3 +834,14 @@ def test_driven_nan_drift_is_not_converged(monkeypatch):
 def test_driven_refuses_a_settle_time_too_long_to_resolve(damping, settle_time):
     with pytest.raises(ValueError, match="settle_time .*damping"):
         integrate_driven(1.0e4, damping, 1.0e-3, 1.0e4, settle_time=settle_time)
+
+
+@pytest.mark.parametrize("mode_omega, damping", [
+    (1.0e150, 1.0),      # w_j^2 times the sample spacing overflows
+    (1.0e4, 1.0e300),    # the damping times it does
+])
+def test_driven_refuses_a_drive_frequency_too_low_to_sample(mode_omega, damping):
+    # at drive_omega 1e-100 the samples lie 2.5e98 s apart; _expm used to
+    # refuse the overflowing generator without naming either frequency
+    with pytest.raises(ValueError, match="drive_omega 1e-100 .*mode_omega"):
+        integrate_driven(mode_omega, damping, 1.0e-3, 1.0e-100)

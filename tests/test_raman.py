@@ -10,13 +10,13 @@ from parsim import raman
 
 def test_population_factor_reference(anthrax):
     f = raman.population_factor(anthrax.laser.raman_shift,
-                                anthrax.gas.temperature, q.HBAR, q.K_BOLTZMANN)
+                                anthrax.gas.temperature)
     assert math.isclose(f, 0.9216114592223598, rel_tol=1e-13)
 
 
 def test_population_factor_limits():
-    assert raman.population_factor(0.0, 300.0, q.HBAR, q.K_BOLTZMANN) == 0.0
-    f = raman.population_factor(1.0e20, 300.0, q.HBAR, q.K_BOLTZMANN)
+    assert raman.population_factor(0.0, 300.0) == 0.0
+    f = raman.population_factor(1.0e20, 300.0)
     assert f == pytest.approx(1.0, abs=1e-15)
 
 
@@ -25,7 +25,7 @@ def test_population_factor_bounds_random():
     for _ in range(200):
         shift = 10.0 ** rng.uniform(8, 17)
         temp = 10.0 ** rng.uniform(0, 4)
-        f = raman.population_factor(shift, temp, q.HBAR, q.K_BOLTZMANN)
+        f = raman.population_factor(shift, temp)
         assert 0.0 < f <= 1.0
 
 

@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from parsim import quantities as q
 from parsim import thermal
 
 
@@ -168,15 +167,3 @@ def test_thermal_report_band_of_raman_fractions(anthrax):
         report = thermal.thermal_report(scenario)
         assert math.isclose(report.temperature_rise, expected, rel_tol=1e-12)
 
-
-def test_thermal_report_honors_constants(anthrax):
-    k = q.PhysicalConstants()
-    scaled = dataclasses.replace(
-        k, hbar=2.0 * k.hbar)
-    scenario = dataclasses.replace(anthrax, constants=scaled)
-    report = thermal.thermal_report(scenario)
-    base = thermal.thermal_report(anthrax)
-    assert math.isclose(report.temperature_rise, 2.0 * base.temperature_rise,
-                        rel_tol=1e-12)
-    assert math.isclose(report.deposited_energy, 2.0 * base.deposited_energy,
-                        rel_tol=1e-12)

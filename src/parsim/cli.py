@@ -288,7 +288,7 @@ def _cmd_modes(args) -> int:
 # validate-noise
 
 def _cmd_validate_noise(args) -> int:
-    from .oracle import SdeRunConfig, integrate_langevin, series_variance
+    from .oracle import STABILITY_LIMIT, SdeRunConfig, integrate_langevin, series_variance
 
     if not (0.0 < args.duration_dampings < math.inf):
         raise ValueError("--duration-dampings must be positive and finite, "
@@ -312,7 +312,7 @@ def _cmd_validate_noise(args) -> int:
                          f"variance is {analytic_var!r}")
     det = scenario.detector
     fastest = max(det.noise_damping, det.noise_mode_omega)
-    dt = 0.05 / fastest
+    dt = STABILITY_LIMIT / fastest
     duration = args.duration_dampings / det.noise_damping
     # 1024 samples, or the largest power of two that a shorter run holds
     n_keep = round(min(duration / dt, 1024.0))

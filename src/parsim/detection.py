@@ -203,6 +203,7 @@ def _min_density(scenario: Scenario, snr: float,
         raise ValueError(_no_heating(scenario.particle, point))
     rho_min = snr * floor.h_nep * root_bw / signal_per_density
 
+    # the one place where each warning code meets its condition
     flags = {
         BREAKDOWN_RISK: breakdown_guard(laser.pump_intensity,
                                         laser.stokes_intensity),

@@ -40,23 +40,22 @@ volume-integrated heating per root bandwidth,
     V H_nep = sqrt[V Gamma_n rho0 c^2 k T (w^2 + Gamma_s^2)] / (w_1 (gamma - 1))
 
 in W s^(1/2); dividing by V gives the heating density floor in
-W m^-3 s^(1/2).  The small-modulation assumption w << w_1 is checked and
-flagged, not enforced.
+W m^-3 s^(1/2).  The small-modulation assumption w << w_1 is checked, not
+enforced: ``nep`` returns it as ``NepResult.small_modulation``, and
+``detection`` attaches the warning code where it is False.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .quantities import K_BOLTZMANN, Scenario, everywhere, first_failure, sound_speed, xp
+from .quantities import K_BOLTZMANN, Scenario, first_failure, sound_speed, xp
 
 if TYPE_CHECKING:
     from .acoustics import SpectrumSeries
 
 __all__ = [
-    "NoiseSpectrumResult",
     "NepResult",
     "MODULATION_NOT_SMALL",
     "thermal_variance",
@@ -66,7 +65,7 @@ __all__ = [
 
 MODULATION_NOT_SMALL = "modulation_not_small"
 
-# w above this fraction of the detector mode frequency gets flagged
+# w above this fraction of the detector mode frequency is not small
 _SMALL_MODULATION_FRACTION = 0.1
 
 
@@ -86,22 +85,14 @@ def _thermal_psd(omega, mode_omega: float, scenario: Scenario):
             / ((mode_omega**2 - w**2) ** 2 + (w * damping) ** 2))
 
 
-@dataclass(frozen=True)
-class NoiseSpectrumResult:
-    """Thermal noise PSD of one detector mode on a frequency grid.
-
-    variance_on_grid integrates the PSD over the grid with the package's
-    dw / pi two-sided measure (even extension); it approaches the full
-    variance ``thermal_variance`` as the grid covers the spectral support.
-    """
-
-    spectrum: SpectrumSeries
-    variance_on_grid: float
-
-
 def noise_spectrum(mode_omega: float, scenario: Scenario,
-                   omega_grid) -> NoiseSpectrumResult:
-    """Thermal pressure-amplitude PSD of a detector mode at mode_omega."""
+                   omega_grid) -> SpectrumSeries:
+    """Thermal pressure-amplitude PSD of a detector mode at mode_omega.
+
+    Its integral over the grid with the package's dw / pi two-sided measure
+    (even extension) approaches ``thermal_variance`` as the grid covers the
+    spectral support.
+    """
     import numpy as np
 
     from .acoustics import SpectrumSeries
@@ -109,10 +100,7 @@ def noise_spectrum(mode_omega: float, scenario: Scenario,
     if mode_omega < 0.0:
         raise ValueError("mode frequency cannot be negative")
     grid = np.asarray(omega_grid, dtype=float)
-    values = _thermal_psd(grid, mode_omega, scenario)
-    variance = 2.0 / math.pi * float(np.trapezoid(values, grid))
-    return NoiseSpectrumResult(spectrum=SpectrumSeries(grid, values),
-                               variance_on_grid=variance)
+    return SpectrumSeries(grid, _thermal_psd(grid, mode_omega, scenario))
 
 
 @dataclass(frozen=True)
@@ -122,14 +110,12 @@ class NepResult:
     vh_nep  W s^(1/2), volume-integrated heating per root bandwidth
     h_nep   W m^-3 s^(1/2), heating density per root bandwidth
     small_modulation  the modulation lies well below the detector mode
-    warnings          warning codes (empty when small at every point)
     """
 
     vh_nep: float
     h_nep: float
     modulation_omega: float
     small_modulation: bool
-    warnings: tuple[str, ...]
 
 
 def nep(scenario: Scenario) -> NepResult:
@@ -149,11 +135,9 @@ def nep(scenario: Scenario) -> NepResult:
            * (modulation_omega**2 + det.signal_damping**2))
     vh = xp(vh2).sqrt(vh2) / (det.noise_mode_omega * (gas.gamma - 1.0))
     small = modulation_omega <= _SMALL_MODULATION_FRACTION * det.noise_mode_omega
-    warnings = () if everywhere(small) else (MODULATION_NOT_SMALL,)
     return NepResult(
         vh_nep=vh,
         h_nep=vh / v,
         modulation_omega=modulation_omega,
         small_modulation=small,
-        warnings=warnings,
     )

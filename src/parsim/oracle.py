@@ -384,7 +384,6 @@ def integrate_langevin(config: SdeRunConfig, scenario: Scenario) -> TrajectorySt
     started = time.perf_counter()
     config.validate()
     gas = scenario.gas
-    rho_v = gas.density * scenario.cell.volume
     kt = K_BOLTZMANN * gas.temperature
     thermal = config.forcing is None
     m = config.ensemble_size
@@ -404,10 +403,13 @@ def integrate_langevin(config: SdeRunConfig, scenario: Scenario) -> TrajectorySt
         raise ValueError("duration must cover at least two timesteps")
 
     if thermal:
-        # 2 D / (rho0 V)^2 with D = rho0 V Gamma k T.  The square raises
-        # OverflowError past the double range, the division
-        # ZeroDivisionError when it underflows to 0
+        # 2 D / (rho0 V)^2 with D = rho0 V Gamma k T.  The cell volume and
+        # the square raise OverflowError past the double range (rho0 V
+        # stays inf when the volume does), the division ZeroDivisionError
+        # when the square underflows to 0
+        rho_v = math.inf
         try:
+            rho_v = gas.density * scenario.cell.volume
             sigma2 = 2.0 * (rho_v * config.damping * kt) / rho_v**2
         except ArithmeticError:
             sigma2 = math.nan
@@ -418,6 +420,7 @@ def integrate_langevin(config: SdeRunConfig, scenario: Scenario) -> TrajectorySt
                 f"k T = {kt!r}")
         x = np.zeros((m, 2))
     else:
+        rho_v = gas.density * scenario.cell.volume
         sigma2 = 0.0
         x = np.tile([config.forcing.initial_position,
                      config.forcing.initial_velocity], (m, 1))

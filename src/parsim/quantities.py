@@ -55,7 +55,6 @@ __all__ = [
     "is_array",
     "xp",
     "first_failure",
-    "everywhere",
     "value_at",
 ]
 
@@ -256,11 +255,6 @@ def first_failure(ok) -> int | None:
 
     failed = np.flatnonzero(np.logical_not(ok))
     return int(failed[0]) if failed.size else None
-
-
-def everywhere(flag) -> bool:
-    """True if a flag (a bool, or a bool array over a sweep) holds at every point."""
-    return bool(flag.all()) if is_array(flag) else bool(flag)
 
 
 def value_at(value, point: int):

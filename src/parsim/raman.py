@@ -38,6 +38,7 @@ __all__ = [
     "LINEWIDTH_CONVENTIONS",
     "gain_coefficient",
     "heat_source_density",
+    "population_factor",
 ]
 
 LINEWIDTH_CONVENTIONS = ("ordinary", "angular")

@@ -8,11 +8,13 @@ needs out-of-band documentation; a few convenience aliases convert on load
 ``molecule_mass_amu`` converts to kilograms).
 
 Loading is strict by default: unknown keys are an error, and every missing
-required key is reported in one message.  Lenient mode downgrades unknown
-keys to warnings (typo-tolerant exploration) but never silently drops a
-required field.  Plain YAML loaders parse exponent literals like ``1.0e12``
-as strings, so numeric fields are coerced from strings when needed.
-Parsing uses libyaml's C parser when PyYAML was built with it, and the
+required key is reported in one message.  A key is required exactly when its
+field of the ``quantities`` dataclass has no default, and an omitted optional
+key takes that default (``detector_coverage`` 1, for one).  Lenient mode
+downgrades unknown keys to warnings (typo-tolerant exploration) but never
+silently drops a required field.  Plain YAML loaders parse exponent literals
+like ``1.0e12`` as strings, so numeric fields are coerced from strings when
+needed.  Parsing uses libyaml's C parser when PyYAML was built with it, and the
 pure-Python parser otherwise.  Both resolve scalars the same way; they word
 a syntax error differently and may place it on a different line (an
 unclosed ``{`` at the end of the text, for one).
@@ -24,10 +26,10 @@ scenarios hash identically regardless of which aliases the source file used.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import io
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import yaml
@@ -70,12 +72,10 @@ class SchemaError(ValueError):
     """Structurally valid YAML that does not describe a scenario."""
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class _Field:
     attr: str
     key: str
-    optional: bool = False
-    default: float | None = None
     # alias key -> multiplicative conversion into the canonical unit
     aliases: tuple[tuple[str, float], ...] = ()
 
@@ -92,7 +92,7 @@ _GAS_FIELDS = (
 _CELL_FIELDS = (
     _Field("length", "length_m"),
     _Field("radius", "radius_m"),
-    _Field("detector_coverage", "detector_coverage", optional=True, default=1.0),
+    _Field("detector_coverage", "detector_coverage"),
 )
 
 _LASER_FIELDS = (
@@ -102,9 +102,9 @@ _LASER_FIELDS = (
            aliases=(("stokes_hz", _TWO_PI),)),
     _Field("pump_intensity", "pump_intensity_w_m2"),
     _Field("stokes_intensity", "stokes_intensity_w_m2"),
-    _Field("refractive_index", "refractive_index", optional=True, default=1.0),
-    _Field("modulation_omega", "modulation_omega_rad_s", optional=True,
-           default=100.0, aliases=(("modulation_hz", _TWO_PI),)),
+    _Field("refractive_index", "refractive_index"),
+    _Field("modulation_omega", "modulation_omega_rad_s",
+           aliases=(("modulation_hz", _TWO_PI),)),
 )
 
 _PARTICLE_FIELDS = (
@@ -117,7 +117,7 @@ _PARTICLE_FIELDS = (
     _Field("collisional_rate", "collisional_rate_rad_s"),
     _Field("radiative_rate", "radiative_rate_rad_s"),
     _Field("molar_heat", "molar_heat_j_mol_k"),
-    _Field("radius_override", "equivalent_radius_m", optional=True),
+    _Field("radius_override", "equivalent_radius_m"),
 )
 
 _DETECTOR_FIELDS = (
@@ -137,8 +137,13 @@ _SECTIONS = (
 
 SECTION_NAMES = tuple(name for name, _, _ in _SECTIONS)
 
+# the fields a file must give: those whose dataclass field has no default
+_REQUIRED = {cls: {f.name for f in dataclasses.fields(cls)
+                   if f.default is dataclasses.MISSING}
+             for _, cls, _ in _SECTIONS}
 
-@dataclass(frozen=True)
+
+@dataclasses.dataclass(frozen=True)
 class LoadResult:
     scenario: Scenario
     warnings: tuple[str, ...]
@@ -200,13 +205,15 @@ def loads_scenario(text: str, lenient: bool = False) -> LoadResult:
     for name, cls, fields in _SECTIONS:
         section = doc.get(name)
         if section is None:
-            missing.extend(f"{name}.{f.key}" for f in fields if not f.optional)
-            continue
-        if not isinstance(section, dict):
+            section = {}
+        elif not isinstance(section, dict):
             raise SchemaError(f"{name}: expected a mapping")
-        kwargs, sec_missing, sec_unknown = _read_section(name, section, fields)
-        missing.extend(sec_missing)
+        kwargs, sec_unknown = _read_section(name, section, fields)
         unknown.extend(sec_unknown)
+        # an omitted optional key takes its dataclass default
+        sec_missing = [f"{name}.{f.key}" for f in fields
+                       if f.attr in _REQUIRED[cls] and f.attr not in kwargs]
+        missing.extend(sec_missing)
         if not sec_missing:
             built[name] = cls(**kwargs)
 
@@ -233,7 +240,6 @@ def loads_scenario(text: str, lenient: bool = False) -> LoadResult:
 
 def _read_section(name: str, section: dict, fields: tuple[_Field, ...]):
     kwargs = {}
-    missing = []
     unknown = []
     known = {}
     for f in fields:
@@ -253,15 +259,7 @@ def _read_section(name: str, section: dict, fields: tuple[_Field, ...]):
                 f"{name}: {key} and {seen[f.attr]} specify the same quantity")
         seen[f.attr] = key
         kwargs[f.attr] = _coerce_number(raw, f"{name}.{key}") * factor
-
-    for f in fields:
-        if f.attr not in kwargs:
-            if f.optional:
-                if f.default is not None:
-                    kwargs[f.attr] = f.default
-            else:
-                missing.append(f"{name}.{f.key}")
-    return kwargs, missing, unknown
+    return kwargs, unknown
 
 
 def load_scenario(path, lenient: bool = False) -> LoadResult:

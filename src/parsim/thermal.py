@@ -20,7 +20,9 @@ deposited energy divided by the blackbody power at the particle's peak
 temperature.  When collisions beat both the modulation timescale 1/w and
 radiation by a comfortable margin (DEFAULT_DOMINANCE_RATIO, 10), the
 transfer efficiency eta is 1; otherwise the collisional fraction
-(1/tau_coll) / (1/tau_coll + 1/tau_rad) applies and a warning is recorded.
+(1/tau_coll) / (1/tau_coll + 1/tau_rad) applies.  The stage returns which
+case holds as ``EfficiencyResult.separated``, and ``detection`` attaches
+the warning code where it is False.
 
 The modulation timescale is taken as 1/w, not the full period 2 pi / w,
 matching how modulation times are usually quoted for these estimates.
@@ -40,9 +42,9 @@ from .quantities import (
     STEFAN_BOLTZMANN,
     GasProperties,
     Scenario,
-    everywhere,
     first_failure,
     is_array,
+    value_at,
     xp,
 )
 
@@ -90,9 +92,21 @@ def temperature_rise(particle_molar_heat: float, raman_fraction: float,
 
 def collisional_timescale(molecule_count: float, collisions_per_second: float,
                           molar_heat: float) -> float:
-    """Cooling time constant tau = (c_v/R)(N_S/N_c), s."""
-    if first_failure(collisions_per_second > 0.0) is not None:
-        raise ValueError("collision rate must be positive")
+    """Cooling time constant tau = (c_v/R)(N_S/N_c), s.
+
+    A collision rate that overflowed to inf (or turned nan) is refused
+    with a ValueError saying "arithmetic out of range", naming the first
+    sweep point that holds it; one at or below 0 is refused as such.
+    """
+    point = first_failure((collisions_per_second > 0.0)
+                          & (collisions_per_second < math.inf))
+    if point is not None:
+        rate = value_at(collisions_per_second, point)
+        if rate <= 0.0:
+            raise ValueError("collision rate must be positive")
+        where = f" at sweep point {point}" if is_array(collisions_per_second) else ""
+        raise ValueError(f"arithmetic out of range: the collision rate is "
+                         f"{rate!r}{where}")
     return (molar_heat / GAS_CONSTANT) * (molecule_count / collisions_per_second)
 
 
@@ -111,7 +125,6 @@ class EfficiencyResult:
     radiative_separation  tau_rad / tau_coll
     chain_separation      tau_rad / modulation_time
     separated         collisions dominate both other timescales, so eta == 1
-    warnings          warning codes (empty when separated at every point)
     """
 
     eta: float
@@ -120,7 +133,6 @@ class EfficiencyResult:
     radiative_separation: float
     chain_separation: float
     separated: bool | np.ndarray
-    warnings: tuple[str, ...]
 
 
 def transfer_efficiency(tau_collisional: float, tau_radiative: float,
@@ -130,7 +142,7 @@ def transfer_efficiency(tau_collisional: float, tau_radiative: float,
     eta = 1 when collisions dominate: tau_coll shorter than the modulation
     timescale AND shorter than the radiative timescale, both by at least
     DEFAULT_DOMINANCE_RATIO.  Otherwise the collisional branching fraction is
-    returned and a warning is recorded.
+    returned, with separated False.
     """
     if first_failure((tau_collisional > 0.0) & (tau_radiative > 0.0)) is not None:
         raise ValueError("timescales must be positive")
@@ -147,9 +159,8 @@ def transfer_efficiency(tau_collisional: float, tau_radiative: float,
         eta = xp(separated).where(separated, 1.0, collisional_fraction)
     else:
         eta = 1.0 if separated else collisional_fraction
-    warnings = () if everywhere(separated) else (TIMESCALES_NOT_SEPARATED,)
     return EfficiencyResult(eta, t_mod, drive_sep, rad_sep, chain_sep,
-                            separated, warnings)
+                            separated)
 
 
 @dataclass(frozen=True)
@@ -168,10 +179,6 @@ class ThermalReport:
     @property
     def eta(self) -> float:
         return self.efficiency.eta
-
-    @property
-    def warnings(self) -> tuple[str, ...]:
-        return self.efficiency.warnings
 
 
 def thermal_report(scenario: Scenario) -> ThermalReport:

@@ -307,6 +307,9 @@ OUT_OF_RANGE = {
                     "laser.pump_intensity,laser.stokes_intensity=log:1e200:1e201:2"),
     "temperature": ({"gas": {"temperature": 1.0e300}},
                     "gas.temperature=lin:1e300:1e301:2"),
+    # the collision rate overflows to inf, which makes tau_c 0.0
+    "collision_rate": ({"gas": {"pressure": 1.7e308}},
+                       "gas.pressure=lin:1.7e308:1e5:2"),
     # each of these took rho_min to 0.0
     "pressure": ({"gas": {"pressure": 1.0e-300}},
                  "gas.pressure=log:1e-300:1e-299:2"),

@@ -391,7 +391,7 @@ def test_psd_matches_analytic_pointwise(thermal_run):
     keep = (grid >= MODE_OMEGA / 4.0) & (grid <= 4.0 * MODE_OMEGA)
     assert np.count_nonzero(keep) >= 10
     analytic = noise.noise_spectrum(MODE_OMEGA, scenario,
-                                    grid[keep]).spectrum.values
+                                    grid[keep]).values
     ratio = psd.values[keep] / analytic
     assert np.max(np.abs(ratio - 1.0)) < 0.12
     assert abs(np.median(ratio) - 1.0) < 0.04
@@ -585,6 +585,17 @@ def test_run_too_long_refused_before_allocating(anthrax):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_langevin_refuses_a_cell_volume_that_overflows(anthrax):
+    # the volume overflows inside the guard of the force strength
+    cell = dataclasses.replace(anthrax.cell, radius=3.5e278)
+    config = SdeRunConfig(timestep=1.0e-6, duration=1.0e-2, seed=1,
+                          ensemble_size=2, mode_omega=MODE_OMEGA,
+                          damping=DAMPING)
+    with pytest.raises(ValueError, match=r"^arithmetic out of range: .* "
+                                         r"for rho0 V = inf and k T = "):
+        integrate_langevin(config, dataclasses.replace(anthrax, cell=cell))
 
 
 def test_langevin_wall_time_in_metadata(anthrax):

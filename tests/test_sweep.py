@@ -5,8 +5,10 @@ scalar scenario per value, validated and passed through min_density.
 """
 
 import dataclasses
+import importlib
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -217,6 +219,17 @@ def test_driven_oracle_imports_no_numpy_yaml_or_scipy(prefix):
 def test_driven_oracle_loads_three_parsim_modules():
     assert _fresh_modules("parsim", *DRIVEN_CALL) == str(
         ["parsim", "parsim.oracle", "parsim.quantities"])
+
+
+def test_export_lists_match_their_modules():
+    # a name deleted from a module must leave its __all__, and a name the
+    # package exports lazily must be exported by its module too
+    modules = {info.name: importlib.import_module(f"parsim.{info.name}")
+               for info in pkgutil.iter_modules(parsim.__path__)}
+    for name, module in modules.items():
+        assert [n for n in module.__all__ if not hasattr(module, n)] == [], name
+    for name, module in parsim._LAZY.items():
+        assert name in modules[module].__all__, (module, name)
 
 
 def test_package_names_resolve():

@@ -2,9 +2,11 @@ import dataclasses
 import math
 import random
 
+import numpy as np
 import pytest
 
 from parsim import thermal
+from parsim.detection import min_density
 
 
 def test_collision_rate_reference_micron(anthrax):
@@ -80,7 +82,7 @@ def test_radiative_power_t4_scaling():
 def test_transfer_efficiency_separated():
     result = thermal.transfer_efficiency(1.0e-5, 0.5, 100.0)
     assert result.eta == 1.0
-    assert result.warnings == ()
+    assert result.separated is True
     assert math.isclose(result.modulation_time, 0.01, rel_tol=1e-15)
     assert math.isclose(result.drive_separation, 1.0e3, rel_tol=1e-12)
     assert math.isclose(result.radiative_separation, 5.0e4, rel_tol=1e-12)
@@ -94,13 +96,13 @@ def test_transfer_efficiency_uses_reciprocal_omega_not_period():
     tau_coll = 1.0 / (8.0 * omega)
     result = thermal.transfer_efficiency(tau_coll, 1.0e3, omega)
     assert result.eta < 1.0
-    assert thermal.TIMESCALES_NOT_SEPARATED in result.warnings
+    assert result.separated is False
 
 
 def test_transfer_efficiency_degraded_value():
     result = thermal.transfer_efficiency(1.0e-3, 1.0e-3, 100.0)
     assert math.isclose(result.eta, 0.5, rel_tol=1e-14)
-    assert result.warnings == (thermal.TIMESCALES_NOT_SEPARATED,)
+    assert result.separated is False
 
 
 def test_transfer_efficiency_boundary_inclusive():
@@ -120,6 +122,23 @@ def test_transfer_efficiency_guards():
         thermal.transfer_efficiency(1.0e-5, 1.0, 0.0)
 
 
+def test_collisional_timescale_refuses_a_rate_out_of_range(anthrax):
+    # refused here, before tau_c = 0 reaches transfer_efficiency's check
+    # on the timescales
+    with pytest.raises(ValueError, match="^arithmetic out of range: "
+                                         "the collision rate is inf$"):
+        thermal.collisional_timescale(1.0e12, math.inf, 30.0)
+    with pytest.raises(ValueError, match="^collision rate must be positive$"):
+        thermal.collisional_timescale(1.0e12, np.array([1.0e16, 0.0]), 30.0)
+    gas = dataclasses.replace(anthrax.gas,
+                              pressure=np.array([1.0e5, 1.0e6, 1.7e308]))
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="^arithmetic out of range: the "
+                                             "collision rate is inf at sweep "
+                                             "point 2$"):
+            thermal.thermal_report(dataclasses.replace(anthrax, gas=gas))
+
+
 def test_thermal_report_reference(anthrax):
     report = thermal.thermal_report(anthrax)
     assert math.isclose(report.collision_rate, 1.6180462995004508e+16, rel_tol=1e-12)
@@ -134,7 +153,7 @@ def test_thermal_report_reference(anthrax):
     assert math.isclose(report.radiative_timescale, 0.5844972132514945,
                         rel_tol=1e-12)
     assert report.eta == 1.0
-    assert report.warnings == ()
+    assert report.efficiency.separated is True
 
 
 def test_thermal_report_separations(anthrax):
@@ -151,7 +170,8 @@ def test_thermal_report_degrades_when_modulated_fast(anthrax):
     laser = dataclasses.replace(anthrax.laser, modulation_omega=1.0e6)
     fast = dataclasses.replace(anthrax, laser=laser)
     report = thermal.thermal_report(fast)
-    assert thermal.TIMESCALES_NOT_SEPARATED in report.warnings
+    assert report.efficiency.separated is False
+    assert min_density(fast).warning_flags[thermal.TIMESCALES_NOT_SEPARATED] is True
     tau_c, tau_r = report.collisional_timescale, report.radiative_timescale
     assert math.isclose(report.eta, tau_r / (tau_r + tau_c), rel_tol=1e-14)
     assert 0.0 < report.eta < 1.0

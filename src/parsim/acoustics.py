@@ -16,6 +16,11 @@ Modes are normalized to unit mean square over the cell,
 (1/V) integral p^2 dV = 1, so the uniform mode is identically 1.  Sine
 azimuthal partners are degenerate with the cosine set and are omitted;
 axisymmetric sources never excite m > 0 anyway.
+
+An ``AcousticMode`` carries the index, omega_qmn, alpha_mn and N_qmn, all
+that the mode table needs; the profile itself is evaluated only where it
+is checked, in the tests' orthonormality quadratures.  scipy is imported
+only to compute roots beyond the built-in table.
 """
 
 from __future__ import annotations
@@ -75,38 +80,22 @@ class RootFindingFailure(RuntimeError):
 class AcousticMode:
     """One normal mode of the rigid-walled cylinder.
 
-    index             (q, m, n): axial, azimuthal, radial
-    omega             rad/s
-    axial_wavenumber  q pi / l, 1/m
-    bessel_order      m
-    radial_wavenumber alpha_mn / a, 1/m
-    bessel_root       alpha_mn (0 for the uniform radial profile)
-    norm              normalization constant N_qmn
+    index        (q, m, n): axial, azimuthal, radial
+    omega        rad/s
+    bessel_root  alpha_mn (0 for the uniform radial profile)
+    norm         normalization constant N_qmn
+
+    With the cell these give the profile p_qmn of the module docstring.
     """
 
     index: tuple[int, int, int]
     omega: float
-    axial_wavenumber: float
-    bessel_order: int
-    radial_wavenumber: float
     bessel_root: float
     norm: float
 
     @property
     def is_uniform(self) -> bool:
         return self.index == (0, 0, 0)
-
-    def pressure(self, z, r, phi=0.0):
-        """Evaluate the mode profile; accepts scalars or arrays."""
-        import numpy as np
-        from scipy import special
-
-        axial = np.cos(self.axial_wavenumber * np.asarray(z, dtype=float))
-        radial = special.jv(self.bessel_order,
-                            self.radial_wavenumber * np.asarray(r, dtype=float))
-        azim = np.cos(self.bessel_order * np.asarray(phi, dtype=float))
-        out = self.norm * axial * radial * azim
-        return float(out) if np.ndim(out) == 0 else out
 
 
 def _radial_roots(m: int, count: int) -> list[tuple[float, float]]:
@@ -173,17 +162,13 @@ def cylinder_modes(cell: CellGeometry, gas: GasProperties,
             n = n_start + n_offset
             kr = alpha / a
             for q in range(max_axial + 1):
-                kz = q * math.pi / l
-                omega = c * math.hypot(kz, kr)
+                omega = c * math.hypot(q * math.pi / l, kr)
                 if not omega < math.inf:
                     raise ValueError(f"arithmetic out of range: mode "
                                      f"{q},{m},{n} has omega {omega!r}")
                 modes.append(AcousticMode(
                     index=(q, m, n),
                     omega=omega,
-                    axial_wavenumber=kz,
-                    bessel_order=m,
-                    radial_wavenumber=kr,
                     bessel_root=alpha,
                     norm=_norm_constant(q, m, alpha, j_m),
                 ))

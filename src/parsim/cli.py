@@ -30,7 +30,8 @@ from . import __version__
 from .detection import BREAKDOWN_RISK, SPARSE_SUSPENSION, min_density
 from .noise import MODULATION_NOT_SMALL, thermal_variance
 from .presets import PRESETS, build_preset, preset_names
-from .quantities import Scenario, ScenarioValidationError, sound_speed, validate_scenario
+from .quantities import (K_BOLTZMANN, Scenario, ScenarioValidationError, sound_speed,
+                         validate_scenario)
 from .raman import LINEWIDTH_CONVENTIONS
 from .scenario_io import SECTION_NAMES, ParseError, SchemaError, load_scenario, scenario_hash
 from .thermal import TIMESCALES_NOT_SEPARATED
@@ -287,6 +288,18 @@ def _cmd_modes(args) -> int:
 # ---------------------------------------------------------------------------
 # validate-noise
 
+def _in_range(name: str, compute) -> float:
+    """compute(), refused as "arithmetic out of range" if it is not positive
+    and finite or raises ArithmeticError."""
+    try:
+        value = compute()
+    except ArithmeticError:
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"arithmetic out of range: {name} is {value!r}")
+    return value
+
+
 def _cmd_validate_noise(args) -> int:
     from .oracle import STABILITY_LIMIT, SdeRunConfig, integrate_langevin, series_variance
 
@@ -302,14 +315,16 @@ def _cmd_validate_noise(args) -> int:
     if args.seed < 0:
         raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     scenario, origin = _load(args)
-    # the comparison divides by it, so refuse before integrating
-    try:
-        analytic_var = thermal_variance(scenario)
-    except ArithmeticError:
-        analytic_var = math.nan
-    if not 0.0 < analytic_var < math.inf:
-        raise ValueError(f"arithmetic out of range: the analytic pressure "
-                         f"variance is {analytic_var!r}")
+    # refused before integrating: the comparison divides by the analytic
+    # variance, and the run's standard error squares deviations of the
+    # mean u^2, whose scale is k T / (rho0 V)
+    analytic_var = _in_range("the analytic pressure variance",
+                             lambda: thermal_variance(scenario))
+    gas = scenario.gas
+    u2 = _in_range("the velocity variance k T / (rho0 V)",
+                   lambda: K_BOLTZMANN * gas.temperature
+                   / (gas.density * scenario.cell.volume))
+    _in_range(f"the square of the velocity variance {u2!r}", lambda: u2 * u2)
     det = scenario.detector
     fastest = max(det.noise_damping, det.noise_mode_omega)
     dt = STABILITY_LIMIT / fastest

@@ -23,14 +23,13 @@ takes rho_min to 0): its numbers would be inf, nan or 0.
 
 from __future__ import annotations
 
-import contextlib
 import math
-import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import noise, raman, thermal
-from .quantities import ParticleSpec, Scenario, first_failure, is_array, value_at, xp
+from .quantities import (ParticleSpec, Scenario, errstate, first_failure, is_array,
+                         value_at, xp)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -155,13 +154,9 @@ def min_density(scenario: Scenario, snr: float = 1.0,
     ValueError saying "arithmetic out of range", and so is a rho_min that
     underflows to 0.
     """
-    # numpy warns and goes on where math raises; without numpy loaded no
-    # value is an array and math raises by itself
-    np = sys.modules.get("numpy")
-    guard = (contextlib.nullcontext() if np is None else
-             np.errstate(over="raise", divide="raise", invalid="raise"))
+    # numpy warns and goes on where math raises
     try:
-        with guard:
+        with errstate(over="raise", divide="raise", invalid="raise"):
             report = _min_density(scenario, snr, linewidth_convention)
     except ArithmeticError as exc:
         # FloatingPointError from numpy names the operation; math and Python

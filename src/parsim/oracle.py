@@ -67,7 +67,6 @@ the driven oracle and ``_expm`` use the standard library alone.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -113,6 +112,7 @@ _CHUNK_STEPS = 16384
 _BLOCK_STEPS = 32      # steps propagated by one matrix product
 
 _SAMPLES_PER_PERIOD = 256  # demodulation samples per drive period
+_PERIODS_PER_WINDOW = 20   # drive periods per demodulation window
 # largest distance of the settled drive oscillator from unit length; it
 # grows as about 1e-17 drive_omega settle_time, and the phasor's error with it
 _UNIT_TOLERANCE = 1.0e-6
@@ -155,7 +155,8 @@ class SdeRunConfig:
     lets it relax deterministically from its initial condition.
     mode_omega may be zero, in which case the velocity is an
     Ornstein-Uhlenbeck process and the position a free integral of it.
-    burn_in defaults to 10 dampings for thermal runs and 0 for decay runs.
+    Thermal runs burn in for 10/damping before the kept samples; decay
+    runs keep every step.
     psd_nperseg enables a Welch PSD of the run (pressure amplitude for
     mode_omega > 0, velocity otherwise).
     """
@@ -167,7 +168,6 @@ class SdeRunConfig:
     mode_omega: float
     damping: float
     forcing: FreeDecay | None = None
-    burn_in: float | None = None
     psd_nperseg: int | None = None
     keep_samples: bool = False
 
@@ -176,9 +176,6 @@ class SdeRunConfig:
             raise ValueError("timestep and duration must be positive and finite")
         if not (self.damping > 0.0) or not (self.mode_omega >= 0.0):
             raise ValueError("damping must be positive, mode_omega non-negative")
-        if self.burn_in is not None and not (0.0 <= self.burn_in < math.inf):
-            raise ValueError(f"burn_in must be finite and non-negative, "
-                             f"got {self.burn_in!r}")
         rate = max(self.damping, self.mode_omega)
         if self.timestep * rate > STABILITY_LIMIT * (1.0 + 1e-12):
             raise StabilityGuardViolated(
@@ -388,9 +385,7 @@ def integrate_langevin(config: SdeRunConfig, scenario: Scenario) -> TrajectorySt
     thermal = config.forcing is None
     m = config.ensemble_size
 
-    burn_in = config.burn_in
-    if burn_in is None:
-        burn_in = 10.0 / config.damping if thermal else 0.0
+    burn_in = 10.0 / config.damping if thermal else 0.0
     member_steps = m * (burn_in + config.duration) / config.timestep
     if not member_steps <= MAX_MEMBER_STEPS:
         raise RunTooLong(
@@ -709,16 +704,18 @@ def estimate_psd(samples, sample_rate: float, nperseg: int) -> SpectrumSeries:
 
 
 def series_variance(series: SpectrumSeries) -> float:
-    """Variance implied by a power density on a non-negative frequency grid."""
+    """2 / pi times the sum of the values times the step of a uniform
+    non-negative grid, such as the PSDs here have; any other grid, or one
+    point, raises ValueError."""
     import numpy as np
 
     omega = series.omega
     values = np.asarray(series.values, dtype=float)
-    if len(omega) > 1:
-        step = np.diff(omega)
-        if np.allclose(step, step[0], rtol=1e-9):
-            return 2.0 / math.pi * float(np.sum(values) * step[0])
-    return 2.0 / math.pi * float(np.trapezoid(values, omega))
+    step = np.diff(omega)
+    if len(omega) < 2 or not np.allclose(step, step[0], rtol=1e-9):
+        raise ValueError(f"series_variance needs a uniform grid of at least "
+                         f"two points, got {len(omega)} points")
+    return 2.0 / math.pi * float(np.sum(values) * step[0])
 
 
 @dataclass(frozen=True)
@@ -741,21 +738,20 @@ class DrivenModeResult:
 
 
 def integrate_driven(mode_omega: float, damping: float, drive_strength: float,
-                     drive_omega: float, periods_per_window: int = 20,
-                     settle_time: float | None = None) -> DrivenModeResult:
+                     drive_omega: float) -> DrivenModeResult:
     """Integrate A'' + Gamma A' + w_j^2 A = d/dt[S cos(w t)] to steady state.
 
     The drive oscillator (cos w t, sin w t) is part of the state, so the
     system has a constant 4x4 generator M and its exact propagator is
-    expm(M t).  From rest, one propagator covers the settle time (default
-    30/damping); then P = expm(M dt) steps the state one sample at a time
-    through two consecutive integer-period windows, each demodulated by the
-    trapezoid rule.  Non-finite arguments raise ValueError, and so do a
-    settle time so long that the settled drive oscillator (cos, sin) is
-    more than _UNIT_TOLERANCE from unit length and a drive frequency so low
-    that the generator over one sample spacing overflows.  Raises
-    NotConverged if the phasor still drifts by more than 0.1% between
-    windows, or if the drift is not a number.
+    expm(M t).  From rest, one propagator covers the settle time
+    30/damping; then P = expm(M dt) steps the state one sample at a time
+    through two consecutive windows of 20 drive periods, each demodulated
+    by the trapezoid rule.  Non-finite arguments raise ValueError, and so
+    do a damping so low that after the settle time the drive oscillator
+    (cos, sin) is more than _UNIT_TOLERANCE from unit length and a drive
+    frequency so low that the generator over one sample spacing overflows.
+    Raises NotConverged if the phasor still drifts by more than 0.1%
+    between windows, or if the drift is not a number.
     """
     started = time.perf_counter()
     if not (math.isfinite(mode_omega * mode_omega) and math.isfinite(drive_strength)):
@@ -763,13 +759,7 @@ def integrate_driven(mode_omega: float, damping: float, drive_strength: float,
                          f"finite, got {mode_omega!r} and {drive_strength!r}")
     if not (0.0 < drive_omega < math.inf) or not (0.0 < damping < math.inf):
         raise ValueError("drive frequency and damping must be positive and finite")
-    if not isinstance(periods_per_window, numbers.Integral) or periods_per_window < 1:
-        raise ValueError("periods_per_window must be a positive integer, "
-                         f"got {periods_per_window!r}")
-    if settle_time is None:
-        settle_time = 30.0 / damping
-    if not (math.isfinite(settle_time) and settle_time >= 0.0):
-        raise ValueError(f"settle_time must be finite and >= 0, got {settle_time!r}")
+    settle_time = 30.0 / damping
     period = 2.0 * math.pi / drive_omega
 
     # state (A, A', cos w t, sin w t)
@@ -779,8 +769,8 @@ def integrate_driven(mode_omega: float, damping: float, drive_strength: float,
         [0.0, 0.0, 0.0, -drive_omega],
         [0.0, 0.0, drive_omega, 0.0],
     ]
-    window = periods_per_window * period
-    n_eval = 2 * periods_per_window * _SAMPLES_PER_PERIOD + 1
+    window = _PERIODS_PER_WINDOW * period
+    n_eval = 2 * _PERIODS_PER_WINDOW * _SAMPLES_PER_PERIOD + 1
     sample_dt = 2.0 * window / (n_eval - 1)
     # from rest, (A, A', cos, sin) = (0, 0, 1, 0): the settled state is the
     # propagator's third column
@@ -793,8 +783,8 @@ def integrate_driven(mode_omega: float, damping: float, drive_strength: float,
         length = math.hypot(c, s)
     if not abs(length - 1.0) <= _UNIT_TOLERANCE:
         raise ValueError(
-            f"settle_time {settle_time!r} s (30/damping by default, damping "
-            f"{damping!r}) is too long: the settled drive oscillator has "
+            f"damping {damping!r} is too low: after the settle time "
+            f"30/damping = {settle_time!r} s the drive oscillator has "
             f"length {length!r}, not 1")
     step = [[x * sample_dt for x in row] for row in generator]
     if not math.isfinite(sum(abs(x) for row in step for x in row)):

@@ -30,6 +30,7 @@ runs without it (``is_array`` tells the two apart without importing it).
 
 from __future__ import annotations
 
+import contextlib
 import math
 import sys
 from dataclasses import dataclass
@@ -54,6 +55,7 @@ __all__ = [
     "sound_speed",
     "is_array",
     "xp",
+    "errstate",
     "first_failure",
     "value_at",
 ]
@@ -239,6 +241,13 @@ def is_array(value) -> bool:
 def xp(value):
     """The module to compute with: numpy for an array, math otherwise."""
     return sys.modules["numpy"] if is_array(value) else math
+
+
+def errstate(**how):
+    """numpy.errstate(**how), or no context while numpy is not loaded (then
+    no value is an array)."""
+    np = sys.modules.get("numpy")
+    return contextlib.nullcontext() if np is None else np.errstate(**how)
 
 
 def first_failure(ok) -> int | None:

@@ -42,6 +42,7 @@ from .quantities import (
     STEFAN_BOLTZMANN,
     GasProperties,
     Scenario,
+    errstate,
     first_failure,
     is_array,
     value_at,
@@ -76,7 +77,10 @@ def collision_rate(gas: GasProperties, radius: float) -> float:
     """
     u_g2 = 3.0 * K_BOLTZMANN * gas.temperature / gas.molecule_mass
     u_g = xp(u_g2).sqrt(u_g2)
-    return gas.pressure * 4.0 * math.pi * radius**2 / (2.0 * gas.molecule_mass * u_g)
+    # inf past the double range, as on floats, for collisional_timescale to
+    # refuse by name; numpy would raise under detection's errstate instead
+    with errstate(over="ignore"):
+        return gas.pressure * 4.0 * math.pi * radius**2 / (2.0 * gas.molecule_mass * u_g)
 
 
 def temperature_rise(particle_molar_heat: float, raman_fraction: float,

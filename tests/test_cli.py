@@ -356,6 +356,15 @@ def test_report_refuses_arithmetic_out_of_range(capsys, tmp_path, anthrax, case)
     assert err.count("\n") == 1
 
 
+def test_sweep_names_the_collision_rate_that_overflows(capsys):
+    # this used to say only "overflow encountered in multiply"
+    spore = Path(__file__).parent / "golden" / "spore.yaml"
+    result = run(capsys, "sweep", "--scenario", str(spore),
+                 "--vary", "gas.pressure=lin:1e5:1.7e308:3")
+    assert result == (2, "", "error: arithmetic out of range: the collision "
+                             "rate is inf at sweep point 1\n")
+
+
 # scenarios that validate_scenario accepts but whose noise or mode
 # arithmetic leaves the range of a double
 NOISE_AND_MODES_OUT_OF_RANGE = [
@@ -372,6 +381,8 @@ NOISE_AND_MODES_OUT_OF_RANGE = [
     # both printed an inf sound speed or inf mode frequencies with exit 0
     ("modes", {"gas": {"pressure": 1.7e308}}),
     ("modes", {"cell": {"radius": 1.0e-310}}),
+    # (k T / (rho0 V))^2 underflows to 0: the run's standard error did
+    ("validate-noise", {"gas": {"temperature": 2.45e-235}}),
 ]
 
 
@@ -385,6 +396,7 @@ def test_noise_and_modes_refuse_arithmetic_out_of_range(tmp_path, anthrax,
     # one line, and no langevin: line, so refused before integrating
     assert result.stderr.startswith("error: arithmetic out of range: ")
     assert result.stderr.count("\n") == 1
+    assert "langevin:" not in result.stderr
 
 
 # fields an extreme draw may set; the detector's set the length of

@@ -239,20 +239,6 @@ def test_basic_config_guards():
                      damping=DAMPING).validate()
 
 
-def test_burn_in_guard(anthrax):
-    config = SdeRunConfig(timestep=1.0e-6, duration=2.0e-3, seed=1,
-                          ensemble_size=4, mode_omega=MODE_OMEGA,
-                          damping=DAMPING, burn_in=-1.0e-3)
-    # a negative burn-in would step fewer steps than it keeps, leaving the
-    # first kept samples uninitialised
-    with pytest.raises(ValueError, match="burn_in must be finite and non-negative"):
-        integrate_langevin(config, anthrax)
-    for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="burn_in"):
-            dataclasses.replace(config, burn_in=bad).validate()
-    dataclasses.replace(config, burn_in=-0.0).validate()
-
-
 # ---------------------------------------------------------------------------
 # free decay against the closed-form damped oscillator
 
@@ -304,7 +290,8 @@ def test_free_decay_overdamped(anthrax):
 def _reference_trajectory(config, scenario):
     """Per-step loop x <- Phi x + L z over the engine's own draws.
 
-    The config must set burn_in; thermal forcing uses the default diffusion.
+    Thermal forcing uses the default diffusion and burns in for 10/damping;
+    free decay keeps every step.
     """
     rho_v = scenario.gas.density * scenario.cell.volume
     kt = quantities.K_BOLTZMANN * scenario.gas.temperature
@@ -313,10 +300,11 @@ def _reference_trajectory(config, scenario):
         sigma2 = 0.0
         x = np.tile([[config.forcing.initial_position],
                      [config.forcing.initial_velocity]], (1, m))
+        n_burn = 0
     else:
         sigma2 = 2.0 * config.damping * kt / rho_v
         x = np.zeros((2, m))
-    n_burn = int(round(config.burn_in / config.timestep))
+        n_burn = int(round(10.0 / config.damping / config.timestep))
     total = n_burn + int(round(config.duration / config.timestep))
     phi, sig = transition(config.mode_omega, config.damping, sigma2,
                           config.timestep)
@@ -346,10 +334,10 @@ def _reference_trajectory(config, scenario):
 def test_blocked_stepper_matches_per_step_loop(anthrax, mode_omega, forcing):
     config = SdeRunConfig(timestep=1.0e-6, duration=1.7e-2, seed=11,
                           ensemble_size=3, mode_omega=mode_omega,
-                          damping=DAMPING, burn_in=2.03e-4,
-                          keep_samples=True, **forcing)
+                          damping=DAMPING, keep_samples=True, **forcing)
     n_burn, q_ref, u_ref = _reference_trajectory(config, anthrax)
-    assert n_burn % _BLOCK_STEPS != 0
+    # a thermal burn-in of 200 steps ends 8 steps into a block
+    assert n_burn == (0 if forcing else 200)
     assert n_burn + q_ref.shape[1] > _CHUNK_STEPS
     stats = integrate_langevin(config, anthrax)
     assert stats.metadata["n_steps"] == n_burn + stats.n_samples
@@ -463,16 +451,15 @@ def test_member_reduction_uses_all_members(anthrax):
 # streamed reductions against the whole-array ones
 
 STREAM_CASES = {
-    # burn-in of 203 steps, not a multiple of the block
-    "underdamped": dict(ensemble_size=3, mode_omega=MODE_OMEGA, burn_in=2.03e-4,
+    # the burn-in of 200 steps is not a multiple of the block
+    "underdamped": dict(ensemble_size=3, mode_omega=MODE_OMEGA,
                         duration=4.0e-2, psd_nperseg=1024),
     # segments start every 500 samples, so chunks end inside a segment at
     # a different offset each time
     "unaligned_segments": dict(ensemble_size=2, mode_omega=MODE_OMEGA,
                                duration=5.0e-2, psd_nperseg=1000),
     "segment_beyond_chunk": dict(ensemble_size=2, mode_omega=MODE_OMEGA,
-                                 burn_in=1.1e-5, duration=8.0e-2,
-                                 psd_nperseg=32768),
+                                 duration=8.0e-2, psd_nperseg=32768),
     "zero_frequency_velocity": dict(ensemble_size=3, mode_omega=0.0,
                                     duration=4.0e-2, psd_nperseg=2048),
     "free_decay": dict(ensemble_size=1, mode_omega=MODE_OMEGA, duration=3.5e-2,
@@ -506,11 +493,13 @@ def test_streamed_reductions_match_whole_arrays(kept_run):
 
 
 def test_streamed_segments_cover_the_cases():
-    # the cases above reach a segment longer than one chunk, and segment
-    # starts that chunk boundaries do not line up with
+    # the cases above reach a segment longer than one chunk, segment
+    # starts that chunk boundaries do not line up with, and a thermal
+    # burn-in (10/damping at dt 1e-6 s) that ends inside a block
     assert STREAM_CASES["segment_beyond_chunk"]["psd_nperseg"] > _CHUNK_STEPS
     assert _CHUNK_STEPS % (STREAM_CASES["unaligned_segments"]["psd_nperseg"] // 2)
-    assert round(STREAM_CASES["underdamped"]["burn_in"] / 1.0e-6) % _BLOCK_STEPS
+    n_burn = round(10.0 / DAMPING / 1.0e-6)
+    assert n_burn == 200 and n_burn % _BLOCK_STEPS == 8
 
 
 def test_kept_samples_do_not_change_statistics(kept_run):
@@ -653,14 +642,17 @@ def test_estimate_psd_guards():
         estimate_psd(np.zeros(100), 1.0, nperseg=4)
 
 
-def test_series_variance_uniform_and_nonuniform():
+def test_series_variance_sums_a_uniform_grid_and_refuses_others():
     flat = SpectrumSeries(np.linspace(0.0, 100.0, 101), np.ones(101))
     assert math.isclose(series_variance(flat), 2.0 / math.pi * 101.0 * 1.0,
                         rel_tol=1e-12)
+    # one rule for every grid: a trapezoid here would disagree with the
+    # uniform sum by the end-point halves
     log_grid = np.geomspace(1.0, 100.0, 200)
-    series = SpectrumSeries(log_grid, 1.0 / log_grid**2)
-    expected = 2.0 / math.pi * (1.0 - 1.0e-2)
-    assert math.isclose(series_variance(series), expected, rel_tol=1e-3)
+    for series in (SpectrumSeries(log_grid, 1.0 / log_grid**2),
+                   SpectrumSeries(np.array([0.0]), np.array([1.0]))):
+        with pytest.raises(ValueError, match="uniform grid of at least two"):
+            series_variance(series)
 
 
 def test_psd_in_run_requires_enough_samples(anthrax):
@@ -685,8 +677,7 @@ def test_driven_amplitude_matches_analytic(drive_omega):
     mode_omega = 10377.685870383077
     damping = 100.0
     strength = 2.0e-3
-    result = integrate_driven(mode_omega, damping, strength, drive_omega,
-                              periods_per_window=20)
+    result = integrate_driven(mode_omega, damping, strength, drive_omega)
     expected = _driven_phasor(mode_omega, damping, strength, drive_omega)
     assert abs(result.amplitude - expected) / abs(expected) < 5.0e-3
     assert result.drift < 1.0e-3
@@ -737,8 +728,7 @@ def test_driven_zero_frequency_mode():
     damping = 100.0
     strength = 1.0
     omega = 250.0
-    result = integrate_driven(0.0, damping, strength, omega,
-                              periods_per_window=40)
+    result = integrate_driven(0.0, damping, strength, omega)
     expected = _driven_phasor(0.0, damping, strength, omega)
     assert abs(result.amplitude - expected) / abs(expected) < 5.0e-3
 
@@ -750,10 +740,19 @@ def test_driven_linearity():
     assert abs(ten.amplitude - 10.0 * one.amplitude) / abs(ten.amplitude) < 1e-9
 
 
-def test_driven_not_converged_without_settling():
-    with pytest.raises(NotConverged):
-        integrate_driven(1.0e4, 10.0, 1.0, 1.0e4, periods_per_window=2,
-                         settle_time=0.0)
+def test_driven_not_converged_without_settling(monkeypatch):
+    # an identity settle propagator leaves the mode at rest when the windows
+    # start; at Q = 1000 its response still grows between them
+    exact = oracle._expm
+    calls = []
+
+    def no_settling(a):
+        calls.append(a)
+        return exact(a) if len(calls) > 1 else exact([[0.0] * 4] * 4)
+
+    monkeypatch.setattr(oracle, "_expm", no_settling)
+    with pytest.raises(NotConverged, match=r"drifting \d\.\d\de[+-]\d+ between"):
+        integrate_driven(1.0e4, 10.0, 1.0, 1.0e4)
 
 
 def test_driven_guards():
@@ -761,20 +760,6 @@ def test_driven_guards():
         integrate_driven(1.0e4, 100.0, 1.0, 0.0)
     with pytest.raises(ValueError):
         integrate_driven(1.0e4, -5.0, 1.0, 100.0)
-
-
-@pytest.mark.parametrize("kwargs, name", [
-    ({"periods_per_window": 0}, "periods_per_window"),
-    ({"periods_per_window": -2}, "periods_per_window"),
-    ({"periods_per_window": 1.5}, "periods_per_window"),
-    ({"settle_time": -1.0}, "settle_time"),
-    ({"settle_time": math.inf}, "settle_time"),
-    ({"settle_time": math.nan}, "settle_time"),
-])
-def test_driven_argument_checks(kwargs, name):
-    # a negative settle time would integrate backwards in time
-    with pytest.raises(ValueError, match=name):
-        integrate_driven(1.0e4, 100.0, 1.0, 1.0e4, **kwargs)
 
 
 def _fresh_error(*lines, args=()):
@@ -837,14 +822,14 @@ def test_driven_nan_drift_is_not_converged(monkeypatch):
         integrate_driven(1.0e4, 100.0, 1.0e-3, 1.0e4)
 
 
-@pytest.mark.parametrize("damping, settle_time", [
-    (1.0e-300, None),      # the default 30/damping overflows the generator
-    (1.0e-300, 1.0e300),
-    (100.0, 1.0e300),      # expm's squarings lose the drive oscillator
+@pytest.mark.parametrize("damping", [
+    1.0e-300,   # the settle time 30/damping overflows the generator
+    1.0e-8,     # expm's squarings lose the drive oscillator
 ])
-def test_driven_refuses_a_settle_time_too_long_to_resolve(damping, settle_time):
-    with pytest.raises(ValueError, match="settle_time .*damping"):
-        integrate_driven(1.0e4, damping, 1.0e-3, 1.0e4, settle_time=settle_time)
+def test_driven_refuses_a_settle_time_too_long_to_resolve(damping):
+    with pytest.raises(ValueError, match=f"damping {damping!r} is too low: "
+                                         "after the settle time 30/damping"):
+        integrate_driven(1.0e4, damping, 1.0e-3, 1.0e4)
 
 
 @pytest.mark.parametrize("mode_omega, damping", [

@@ -139,6 +139,17 @@ def test_collisional_timescale_refuses_a_rate_out_of_range(anthrax):
             thermal.thermal_report(dataclasses.replace(anthrax, gas=gas))
 
 
+def test_min_density_names_a_swept_collision_rate_that_overflows(anthrax):
+    # under min_density's errstate, numpy used to raise inside
+    # collision_rate and name only the multiplication
+    gas = dataclasses.replace(anthrax.gas,
+                              pressure=np.array([1.0e5, 8.5e307, 1.7e308]))
+    with pytest.raises(ValueError, match="^arithmetic out of range: the "
+                                         "collision rate is inf at sweep "
+                                         "point 1$"):
+        min_density(dataclasses.replace(anthrax, gas=gas))
+
+
 def test_thermal_report_reference(anthrax):
     report = thermal.thermal_report(anthrax)
     assert math.isclose(report.collision_rate, 1.6180462995004508e+16, rel_tol=1e-12)

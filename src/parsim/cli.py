@@ -33,7 +33,7 @@ from .presets import PRESETS, build_preset, preset_names
 from .quantities import (K_BOLTZMANN, Scenario, ScenarioValidationError, sound_speed,
                          validate_scenario)
 from .raman import LINEWIDTH_CONVENTIONS
-from .scenario_io import SECTION_NAMES, ParseError, SchemaError, load_scenario, scenario_hash
+from .scenario_io import SECTION_NAMES, SchemaError, load_scenario, scenario_hash
 from .thermal import TIMESCALES_NOT_SEPARATED
 
 __all__ = ["main", "WARNING_BITS", "warning_bits"]
@@ -469,13 +469,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    # OSError: a file that is missing, a directory or not permitted
-    except (ParseError, SchemaError, ScenarioValidationError, OSError) as exc:
+    # OSError: a file that is missing, a directory or not permitted.
+    # ValueError covers the scenario errors and a file that is not UTF-8
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        message = exc.args[0] if exc.args else exc
-        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

@@ -21,18 +21,18 @@ the blocks' start states follow from that noise by recursive doubling, and
 one product against the stacked powers of Phi lifts every start state to
 its block's states.
 
-The reductions are streamed.  Runs go a chunk of steps at a time, and
-within a chunk one member at a time: each member's states are reduced as
-soon as they are produced, into its sum of u^2 and the Welch segment
-powers, and only the samples of each member's unfinished Welch segment
-pass between chunks.  Every chunk-sized array is allocated once per run
-and reused for every member and chunk, so memory grows with neither the
-run length nor the ensemble, apart from that carry of under nperseg
-samples per member.  The traced peak of a run with nperseg 1024 is about
-2 MiB, and a ``validate-noise`` process peaks at 39-40 MB of resident
-memory from 4 to 64 members, of which an interpreter that has imported
-numpy, yaml and parsim takes about 35 MB.  The trajectories are stored
-only on request.
+The reductions are streamed.  Runs go one member at a time, and each
+member a chunk of steps at a time: its states are reduced as soon as they
+are produced, into its sum of u^2 and the Welch segment powers, and only
+the samples of its unfinished Welch segment pass between chunks.  A
+member's generator is made when the member before it is done.  Every
+chunk-sized array is allocated once per run and reused for every member
+and chunk, so memory grows with neither the run length nor the ensemble,
+apart from each member's sum of u^2, 8 bytes.  The traced peak of a run
+with nperseg 1024 is about 2 MiB, and a ``validate-noise`` process peaks
+at 38-40 MB of resident memory from 4 to 16384 members, of which an
+interpreter that has imported numpy, yaml and parsim takes about 35 MB.
+The trajectories are stored only on request.
 
 The driven oracle appends the drive oscillator (cos wt, sin wt) to the mode
 state, which makes the driven system linear with a constant generator, and
@@ -57,8 +57,8 @@ angular frequency, variance = two-sided integral of the PSD with measure
 dw / pi.  ``series_variance`` is the discrete counterpart used for
 Parseval checks.  The estimator is ``_Welch``, Welch's averaged periodogram
 (IEEE Trans. Audio Electroacoust. 15(2), 1967) with a periodic Hann window
-and half-overlapping segments; ``estimate_psd`` feeds it a whole array,
-``integrate_langevin`` one chunk at a time.
+and half-overlapping segments; ``estimate_psd`` feeds it whole rows,
+``integrate_langevin`` one chunk of one member at a time.
 
 The Langevin oracle and the Welch estimator import numpy when they run;
 the driven oracle and ``_expm`` use the standard library alone.
@@ -358,14 +358,6 @@ class TrajectoryStats:
     position: np.ndarray | None = None
 
 
-def _member_generators(seed: int, count: int) -> list[np.random.Generator]:
-    import numpy as np
-
-    seq = np.random.SeedSequence(seed)
-    return [np.random.Generator(np.random.Philox(child))
-            for child in seq.spawn(count)]
-
-
 def integrate_langevin(config: SdeRunConfig, scenario: Scenario) -> TrajectoryStats:
     """Integrate the mode SDE and reduce the ensemble to statistics.
 
@@ -413,12 +405,11 @@ def integrate_langevin(config: SdeRunConfig, scenario: Scenario) -> TrajectorySt
                 f"arithmetic out of range: the thermal force strength "
                 f"2 D / (rho0 V)^2 is {sigma2!r} for rho0 V = {rho_v!r} and "
                 f"k T = {kt!r}")
-        x = np.zeros((m, 2))
+        start = (0.0, 0.0)
     else:
         rho_v = gas.density * scenario.cell.volume
         sigma2 = 0.0
-        x = np.tile([config.forcing.initial_position,
-                     config.forcing.initial_velocity], (m, 1))
+        start = (config.forcing.initial_position, config.forcing.initial_velocity)
 
     u2_sums = np.zeros(m)
     n_row = min(_CHUNK_STEPS, n_keep)
@@ -431,7 +422,7 @@ def integrate_langevin(config: SdeRunConfig, scenario: Scenario) -> TrajectorySt
             raise ValueError(
                 f"arithmetic out of range: the pressure per unit position "
                 f"rho0 c w_j is {pressure_per_q!r}")
-        welch = _Welch(config.psd_nperseg, n_keep, m, n_row)
+        welch = _Welch(config.psd_nperseg, n_keep, n_row)
     if config.keep_samples:
         q = np.empty((m, n_keep))
         u = np.empty((m, n_keep))
@@ -439,37 +430,39 @@ def integrate_langevin(config: SdeRunConfig, scenario: Scenario) -> TrajectorySt
     phi, sig = transition(config.mode_omega, config.damping, sigma2,
                           config.timestep)
     noise_l = _noise_factor(sig) if sigma2 > 0.0 else None
-    lift, noise_map = _block_operators(phi, noise_l, _BLOCK_STEPS)
-    gens = _member_generators(config.seed, m)
 
     total = n_burn + n_keep
-    stepper = _Stepper(lift, noise_map, min(_CHUNK_STEPS, total))
+    stepper = _Stepper(phi, noise_l, min(_CHUNK_STEPS, total))
     # u^2, then the pressure, of one member's kept steps in a chunk
     row = np.empty(n_row)
-    done = 0
-    while done < total:
-        span = min(_CHUNK_STEPS, total - done)
-        keep = max(n_burn - done, 0)
-        n = span - keep
-        # chunk-outer, member-inner: the Welch powers are summed chunk by
-        # chunk and member by member, the order that fixed the digits
-        # validate-noise prints
-        for member, g in enumerate(gens):
-            states = stepper.advance(x[member], g, span)
-            x[member] = states[-1]
+    x = np.empty(2)
+    # spawn(1) member after member gives the children of one spawn(m)
+    seeds = np.random.SeedSequence(config.seed)
+    for member in range(m):
+        gen = np.random.Generator(np.random.Philox(seeds.spawn(1)[0]))
+        x[:] = start
+        done = 0
+        while done < total:
+            span = min(_CHUNK_STEPS, total - done)
+            keep = max(n_burn - done, 0)
+            n = span - keep
+            states = stepper.advance(x, gen, span)
+            x[:] = states[-1]
+            done += span
             if n <= 0:
                 continue
-            # this chunk's kept positions and velocities of the member
+            # this chunk's kept positions and velocities
             q_c, u_c = states[keep:, 0], states[keep:, 1]
             u2_sums[member] += np.sum(np.multiply(u_c, u_c, out=row[:n]))
             if welch is not None:
-                welch.feed(member, u_c if pressure_per_q is None else
+                welch.feed(u_c if pressure_per_q is None else
                            np.multiply(pressure_per_q, q_c, out=row[:n]))
             if config.keep_samples:
-                dest = slice(done + keep - n_burn, done + span - n_burn)
+                dest = slice(done - n - n_burn, done - n_burn)
                 q[member, dest] = q_c
                 u[member, dest] = u_c
-        done += span
+        if welch is not None:
+            welch.end_row()
 
     member_mean_u2 = u2_sums / n_keep
     mean_u2 = math.fsum(member_mean_u2.tolist()) / m
@@ -478,9 +471,7 @@ def integrate_langevin(config: SdeRunConfig, scenario: Scenario) -> TrajectorySt
     else:
         stderr = float("nan")
 
-    psd = None
-    if welch is not None:
-        psd = _two_sided_angular(*welch.density(1.0 / config.timestep))
+    psd = welch.density(1.0 / config.timestep) if welch is not None else None
 
     return TrajectoryStats(
         mean_u2=mean_u2,
@@ -503,51 +494,38 @@ def integrate_langevin(config: SdeRunConfig, scenario: Scenario) -> TrajectorySt
     )
 
 
-def _block_operators(phi: np.ndarray, noise_l: np.ndarray | None,
-                     block: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """Operators that advance rows of d-wide state ``block`` steps at once.
-
-    A step maps a state row x to x Phi^T.  lift = [Phi^T, (Phi^2)^T, ...,
-    (Phi^block)^T], (d, block d), carries a block's start row to its stacked
-    rows: row k is x (Phi^(k+1))^T.  noise_map is the lower-block-triangular
-    (block d, block d) matrix whose (k, j) block is Phi^(k-j) L for j <= k:
-    applied to the block's stacked draws z_0 .. z_(block-1) it gives the
-    noise each row has accumulated, sum_(j<=k) Phi^(k-j) L z_j.  noise_map
-    is None for unforced runs.
-    """
-    import numpy as np
-
-    d = len(phi)
-    stack = [np.eye(d)]
-    for _ in range(block):
-        stack.append(phi @ stack[-1])
-    lift = np.concatenate([power.T for power in stack[1:]], axis=1)
-    if noise_l is None:
-        return lift, None
-    noise_map = np.zeros((d * block, d * block))
-    for k in range(block):
-        for j in range(k + 1):
-            noise_map[d * k:d * k + d, d * j:d * j + d] = stack[k - j] @ noise_l
-    return lift, noise_map
-
-
 class _Stepper:
     """One member's states a chunk at a time, through buffers allocated once.
 
-    lift and noise_map come from ``_block_operators``; noise_map is None for
-    an unforced run.  The buffers hold a chunk of up to ``chunk`` steps, so
+    A step maps a state row x to x Phi^T + z L^T, with z the step's draws
+    and noise_l the factor L (None for an unforced run).  lift = [Phi^T,
+    (Phi^2)^T, ..., (Phi^block)^T], (d, block d), carries a block's start
+    row to its stacked rows: row k is x (Phi^(k+1))^T.  noise_map is the
+    lower-block-triangular (block d, block d) matrix whose (k, j) block is
+    Phi^(k-j) L for j <= k: applied to the block's stacked draws z_0 ..
+    z_(block-1) it gives the noise each row has accumulated, sum_(j<=k)
+    Phi^(k-j) L z_j.  The buffers hold a chunk of up to ``chunk`` steps, so
     memory does not grow with the ensemble or the run length.
     """
 
-    def __init__(self, lift: np.ndarray, noise_map: np.ndarray | None, chunk: int):
+    def __init__(self, phi: np.ndarray, noise_l: np.ndarray | None, chunk: int):
         import numpy as np
 
-        self.lift, self.noise_map = lift, noise_map
-        d, width = lift.shape
-        n_blocks = -(-chunk // (width // d))
+        d, block = len(phi), _BLOCK_STEPS
+        width, n_blocks = d * block, -(-chunk // block)
+        stack = [np.eye(d)]
+        for _ in range(block):
+            stack.append(phi @ stack[-1])
+        self.lift = np.concatenate([power.T for power in stack[1:]], axis=1)
         self.starts = np.empty((n_blocks, d))
         self.states = np.empty((n_blocks, width))
-        if noise_map is not None:
+        self.noise_map = None
+        if noise_l is not None:
+            self.noise_map = np.zeros((width, width))
+            for k in range(block):
+                for j in range(k + 1):
+                    self.noise_map[d * k:d * k + d, d * j:d * j + d] = (
+                        stack[k - j] @ noise_l)
             self.draws = np.empty((n_blocks, width))
             self.noise = np.empty((n_blocks, width))
 
@@ -599,18 +577,19 @@ def _sum_powers(w: np.ndarray, p: np.ndarray) -> None:
 
 
 class _Welch:
-    """Welch's averaged periodogram of rows fed in consecutive chunks.
+    """Welch's averaged periodogram of rows fed one after another in chunks.
 
     Periodic Hann window, segments of nperseg samples starting every
     nperseg - nperseg // 2 samples, no detrending: the estimate of
     scipy.signal.welch(x, fs, "hann", nperseg, detrend=False) averaged over
-    rows.  Each row's samples that do not yet complete a segment are
-    carried to its next chunk.  Rows are transformed one at a time through
-    buffers allocated once, which hold a carry and one chunk of at most
-    ``chunk`` samples.  n is the row length that will be fed.
+    rows.  The samples of the current row that do not yet complete a
+    segment are carried to its next chunk, and ``end_row`` drops them.
+    Segments are transformed through buffers allocated once, which hold
+    that carry and one chunk of at most ``chunk`` samples.  n is the row
+    length that will be fed.
     """
 
-    def __init__(self, nperseg: int, n: int, rows: int, chunk: int):
+    def __init__(self, nperseg: int, n: int, chunk: int):
         import numpy as np
 
         if nperseg < 8:
@@ -623,9 +602,8 @@ class _Welch:
         self.window = 0.5 - 0.5 * np.cos(2.0 * math.pi / nperseg * np.arange(nperseg))
         self.power = np.zeros(nperseg // 2 + 1)
         self.count = 0
-        # a carry is shorter than one segment
-        self.carry = np.empty((rows, nperseg - 1))
-        self.carried = [0] * rows
+        # the carry, shorter than one segment, leads the row buffer
+        self.carried = 0
         self.row = np.empty(nperseg - 1 + chunk)
         # every segment that the row buffer can hold, as views into it
         self.row_segments = np.lib.stride_tricks.sliding_window_view(
@@ -635,14 +613,12 @@ class _Welch:
         self.spec = np.empty((most, nperseg // 2 + 1), dtype=complex)
         self.terms = np.empty((2, most, nperseg // 2 + 1))
 
-    def feed(self, index: int, samples: np.ndarray) -> None:
-        """Feed the next chunk of row ``index``."""
+    def feed(self, samples: np.ndarray) -> None:
+        """Feed the next chunk of the current row."""
         import numpy as np
 
-        carried = self.carried[index]
-        end = carried + len(samples)
-        self.row[:carried] = self.carry[index, :carried]
-        self.row[carried:end] = samples
+        end = self.carried + len(samples)
+        self.row[self.carried:end] = samples
         n_seg = max(0, (end - self.nperseg) // self.step + 1)
         if n_seg:
             segments = np.multiply(self.row_segments[:n_seg], self.window,
@@ -652,37 +628,27 @@ class _Welch:
             terms += np.square(spec.imag, out=self.terms[1, :n_seg])
             self.power += np.sum(terms, axis=0)
             self.count += n_seg
-        rest = end - n_seg * self.step
-        self.carry[index, :rest] = self.row[n_seg * self.step:end]
-        self.carried[index] = rest
+        used = n_seg * self.step
+        self.carried = end - used
+        self.row[:self.carried] = self.row[used:end]
 
-    def density(self, fs: float) -> tuple[np.ndarray, np.ndarray]:
-        """Frequencies (Hz) and the one-sided density per ordinary Hz."""
+    def end_row(self) -> None:
+        """End the current row: its carry starts no segment."""
+        self.carried = 0
+
+    def density(self, fs: float) -> SpectrumSeries:
+        """The density in the package's two-sided angular convention."""
         import numpy as np
+
+        from .acoustics import SpectrumSeries
 
         pxx = self.power / (self.count * fs * np.sum(self.window**2))
         # fold the negative frequencies in; DC and an even length's Nyquist
         # bin have no mirror
         pxx[1:(self.nperseg + 1) // 2] *= 2.0
-        return np.fft.rfftfreq(self.nperseg, 1.0 / fs), pxx
-
-
-def _welch(x: np.ndarray, fs: float, nperseg: int) -> tuple[np.ndarray, np.ndarray]:
-    """One-sided Welch density per ordinary Hz, averaged over rows of x."""
-    import numpy as np
-
-    x = np.atleast_2d(x)
-    welch = _Welch(nperseg, x.shape[1], *x.shape)
-    for index, row in enumerate(x):
-        welch.feed(index, row)
-    return welch.density(fs)
-
-
-def _two_sided_angular(freqs: np.ndarray, pxx: np.ndarray) -> SpectrumSeries:
-    # one-sided per ordinary Hz to the package's two-sided dw/pi measure
-    from .acoustics import SpectrumSeries
-
-    return SpectrumSeries(2.0 * math.pi * freqs, pxx / 4.0)
+        # one-sided per ordinary Hz to the two-sided dw/pi measure
+        return SpectrumSeries(2.0 * math.pi * np.fft.rfftfreq(self.nperseg, 1.0 / fs),
+                              pxx / 4.0)
 
 
 def estimate_psd(samples, sample_rate: float, nperseg: int) -> SpectrumSeries:
@@ -700,7 +666,11 @@ def estimate_psd(samples, sample_rate: float, nperseg: int) -> SpectrumSeries:
     import numpy as np
 
     x = np.atleast_2d(np.asarray(samples, dtype=float))
-    return _two_sided_angular(*_welch(x, sample_rate, nperseg))
+    welch = _Welch(nperseg, x.shape[1], x.shape[1])
+    for row in x:
+        welch.feed(row)
+        welch.end_row()
+    return welch.density(sample_rate)
 
 
 def series_variance(series: SpectrumSeries) -> float:

@@ -126,6 +126,18 @@ def test_directory_for_a_file_exits_2_without_traceback(tmp_path, flag):
     assert result.stderr == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
 
 
+@pytest.mark.parametrize("argv", [["report"],
+                                  ["sweep", "--vary", "gas.pressure=log:1e3:1e5:5"]])
+def test_scenario_file_not_utf8_exits_2_naming_the_byte(capsys, tmp_path, argv):
+    # the message used to be the codec's name alone, "error: utf-8"
+    path = tmp_path / "latin.yaml"
+    path.write_bytes(b"gas:\n  pressure_pa: \xff\n")
+    code, out, err = run(capsys, *argv, "--scenario", str(path))
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert "can't decode byte 0xff" in err
+
+
 def test_invalid_scenario_file_exits_2(capsys, tmp_path, anthrax):
     text = dumps_scenario(anthrax).replace("adiabatic_index: 1.4",
                                            "adiabatic_index: 0.9")

@@ -25,9 +25,7 @@ from parsim.oracle import (
     SegmentTooShort,
     StabilityGuardViolated,
     _expm,
-    _member_generators,
     _noise_factor,
-    _welch,
     estimate_psd,
     integrate_driven,
     integrate_langevin,
@@ -309,7 +307,8 @@ def _reference_trajectory(config, scenario):
     phi, sig = transition(config.mode_omega, config.damping, sigma2,
                           config.timestep)
     noise_l = _noise_factor(sig) if sigma2 > 0.0 else None
-    gens = _member_generators(config.seed, m)
+    gens = [np.random.Generator(np.random.Philox(child))
+            for child in np.random.SeedSequence(config.seed).spawn(m)]
     states = np.empty((total, 2, m))
     for done in range(0, total, _CHUNK_STEPS):
         span = min(_CHUNK_STEPS, total - done)
@@ -487,9 +486,9 @@ def test_streamed_reductions_match_whole_arrays(kept_run):
         samples = gas.density * quantities.sound_speed(gas) * config.mode_omega * q
     else:
         samples = u
-    freqs, pxx = _welch(samples, 1.0 / config.timestep, config.psd_nperseg)
-    np.testing.assert_array_equal(stats.psd.omega, 2.0 * math.pi * freqs)
-    assert np.all(np.abs(stats.psd.values - pxx / 4.0) <= 1e-13 * pxx / 4.0)
+    want = estimate_psd(samples, 1.0 / config.timestep, config.psd_nperseg)
+    np.testing.assert_array_equal(stats.psd.omega, want.omega)
+    assert np.all(np.abs(stats.psd.values - want.values) <= 1e-13 * want.values)
 
 
 def test_streamed_segments_cover_the_cases():
@@ -535,10 +534,10 @@ def test_langevin_memory_independent_of_run_length(anthrax):
 
 
 def test_langevin_memory_independent_of_ensemble_size(anthrax):
-    # members are stepped one at a time through buffers allocated once;
-    # each adds only its generator, its state row and a Welch carry of
-    # under nperseg samples (2 KiB here).  Batched (members, chunk) arrays
-    # add about 1 MB per member
+    # members are stepped one after another through buffers allocated once;
+    # each adds only its 8-byte sum of u^2.  Batched (members, chunk)
+    # arrays would add about 1 MB per member, and a Welch carry and a
+    # generator held for every member about 9 KiB at nperseg 1024
     config = SdeRunConfig(timestep=1.0e-6, duration=4.0e-2, seed=4,
                           ensemble_size=2, mode_omega=MODE_OMEGA,
                           damping=DAMPING, psd_nperseg=256)
@@ -546,6 +545,11 @@ def test_langevin_memory_independent_of_ensemble_size(anthrax):
     few = _traced_peak(config, anthrax)
     many = _traced_peak(dataclasses.replace(config, ensemble_size=32), anthrax)
     assert many <= 1.1 * few
+    short = dataclasses.replace(config, duration=2.0e-3, ensemble_size=4,
+                                psd_nperseg=1024)
+    few = _traced_peak(short, anthrax)
+    many = _traced_peak(dataclasses.replace(short, ensemble_size=1024), anthrax)
+    assert many <= few + 256 * 2**10
 
 
 def test_member_statistics_independent_of_ensemble_size(anthrax):
@@ -627,12 +631,13 @@ def test_welch_matches_scipy(nperseg, shape):
     from scipy import signal
 
     x = np.random.Generator(np.random.Philox(27)).standard_normal(shape)
-    freqs, pxx = _welch(x, 2.0e5, nperseg)
+    series = estimate_psd(x, 2.0e5, nperseg)
     want_freqs, want = signal.welch(np.atleast_2d(x), fs=2.0e5, window="hann",
                                     nperseg=nperseg, detrend=False, axis=1)
     want = want.mean(axis=0)
-    np.testing.assert_array_equal(freqs, want_freqs)
-    assert np.all(np.abs(pxx - want) <= 1e-13 * want)
+    # one-sided per Hz is four times the two-sided angular density
+    np.testing.assert_array_equal(series.omega, 2.0 * math.pi * want_freqs)
+    assert np.all(np.abs(4.0 * series.values - want) <= 1e-13 * want)
 
 
 def test_estimate_psd_guards():

@@ -178,8 +178,8 @@ def min_density(scenario: Scenario, snr: float = 1.0,
 
 def _min_density(scenario: Scenario, snr: float,
                  linewidth_convention: str) -> DetectionReport:
-    if not (snr > 0.0):
-        raise ValueError("snr must be positive")
+    if not (0.0 < snr < math.inf):
+        raise ValueError(f"snr must be positive and finite, got {snr!r}")
     laser = scenario.laser
     if first_failure(laser.pump_intensity * laser.stokes_intensity > 0.0) is not None:
         raise ValueError("both beam intensities must be positive to detect anything")

@@ -30,8 +30,8 @@ chunk-sized array is allocated once per run and reused for every member
 and chunk, so memory grows with neither the run length nor the ensemble,
 apart from each member's sum of u^2, 8 bytes.  The traced peak of a run
 with nperseg 1024 is about 2 MiB, and a ``validate-noise`` process peaks
-at 38-40 MB of resident memory from 4 to 16384 members, of which an
-interpreter that has imported numpy, yaml and parsim takes about 35 MB.
+at 37-39 MB of resident memory from 4 to 16384 members, of which an
+interpreter that has imported numpy and parsim takes about 33 MB.
 The trajectories are stored only on request.
 
 The driven oracle appends the drive oscillator (cos wt, sin wt) to the mode

@@ -14,10 +14,11 @@ key takes that default (``detector_coverage`` 1, for one).  Lenient mode
 downgrades unknown keys to warnings (typo-tolerant exploration) but never
 silently drops a required field.  Plain YAML loaders parse exponent literals
 like ``1.0e12`` as strings, so numeric fields are coerced from strings when
-needed.  Parsing uses libyaml's C parser when PyYAML was built with it, and the
-pure-Python parser otherwise.  Both resolve scalars the same way; they word
-a syntax error differently and may place it on a different line (an
-unclosed ``{`` at the end of the text, for one).
+needed.  PyYAML, imported only to parse or write, parses with libyaml's C
+parser when it was built with it, and in pure Python otherwise.  Both
+resolve scalars the same way; they word a syntax error differently and may
+place it on a different line (an unclosed ``{`` at the end of the text,
+for one).
 
 Writing uses repr precision, which round-trips doubles exactly.
 ``scenario_hash`` digests the canonical flattened form, so any two equal
@@ -28,11 +29,8 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import io
 import math
 from pathlib import Path
-
-import yaml
 
 from .quantities import (
     ATOMIC_MASS,
@@ -60,8 +58,6 @@ __all__ = [
 FORMAT_VERSION = 1
 
 _TWO_PI = 2.0 * math.pi
-
-_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 
 class ParseError(ValueError):
@@ -161,17 +157,24 @@ def _coerce_number(value, where: str) -> float:
     return float(value)
 
 
+def _loader():
+    import yaml
+
+    return yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
+
 def _parse_yaml(text: str):
+    import yaml
+
     try:
-        return yaml.load(text, Loader=_LOADER)
-    except yaml.MarkedYAMLError as exc:
-        mark = exc.problem_mark
+        return yaml.load(text, Loader=_loader())
+    except yaml.YAMLError as exc:
+        # a MarkedYAMLError carries a position, which may be None
+        mark = getattr(exc, "problem_mark", None)
         if mark is not None:
             raise ParseError(
                 f"line {mark.line + 1}, column {mark.column + 1}: "
                 f"{exc.problem}") from exc
-        raise ParseError(str(exc)) from exc
-    except yaml.YAMLError as exc:
         raise ParseError(str(exc)) from exc
 
 
@@ -241,11 +244,8 @@ def loads_scenario(text: str, lenient: bool = False) -> LoadResult:
 def _read_section(name: str, section: dict, fields: tuple[_Field, ...]):
     kwargs = {}
     unknown = []
-    known = {}
-    for f in fields:
-        known[f.key] = (f, 1.0)
-        for alias, factor in f.aliases:
-            known[alias] = (f, factor)
+    known = {key: (f, factor) for f in fields
+             for key, factor in ((f.key, 1.0), *f.aliases)}
 
     seen: dict[str, str] = {}
     for key, raw in section.items():
@@ -284,10 +284,10 @@ def _canonical_sections(scenario: Scenario) -> dict:
 
 
 def dumps_scenario(scenario: Scenario) -> str:
-    doc = _canonical_sections(scenario)
-    buf = io.StringIO()
-    yaml.safe_dump(doc, buf, sort_keys=False, default_flow_style=False)
-    return buf.getvalue()
+    import yaml
+
+    return yaml.safe_dump(_canonical_sections(scenario), sort_keys=False,
+                          default_flow_style=False)
 
 
 def scenario_hash(scenario: Scenario) -> str:
@@ -300,5 +300,4 @@ def scenario_hash(scenario: Scenario) -> str:
                 lines.append(f"{section}.{key}={content[key]!r}")
         else:
             lines.append(f"{section}={content!r}")
-    digest = hashlib.sha256("\n".join(lines).encode("ascii")).hexdigest()
-    return digest
+    return hashlib.sha256("\n".join(lines).encode("ascii")).hexdigest()

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import os
 import random
@@ -81,6 +82,18 @@ def test_report_snr_and_convention(capsys):
     ang_rho = float(angular.split("rho_min_m3 = ")[1].split("\n")[0])
     # the angular convention divides the gain by 2 pi, raising the limit
     assert math.isclose(ang_rho, 2.0 * math.pi * base_rho, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("argv", [["report"],
+                                  ["sweep", "--vary", "gas.pressure=log:1e3:1e5:5"]],
+                         ids=["report", "sweep"])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_snr_is_refused_as_input(capsys, argv, value):
+    # report blamed "arithmetic out of range: rho_min is inf" and sweep
+    # "snr is inf": both the input, in different words
+    code, out, err = run(capsys, *argv, "--snr", value)
+    assert (code, out) == (2, "")
+    assert err == f"error: snr must be positive and finite, got {value}\n"
 
 
 def test_report_from_file_matches_preset(capsys, tmp_path, anthrax):
@@ -431,20 +444,48 @@ def _extreme_draws(count, seed):
         yield fields
 
 
+# runs each command line of argv[1:] (JSON lists) through cli.main in one
+# interpreter, and prints one JSON [code, stdout, stderr] per command; an
+# exception that escapes main is printed as a traceback to that stderr
+_MAIN_PER_COMMAND = """\
+import contextlib, io, json, sys, traceback
+from parsim.cli import main
+for argv in map(json.loads, sys.argv[1:]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception:
+            traceback.print_exc()
+            code = 1
+    print(json.dumps([code, out.getvalue(), err.getvalue()]))
+"""
+
+
 @pytest.mark.parametrize("draw", range(12))
 def test_cli_answers_or_refuses_extreme_scenarios(tmp_path, anthrax, draw):
     fields = list(_extreme_draws(12, 20261019))[draw]
     path = tmp_path / "extreme.yaml"
     path.write_text(dumps_scenario(validate_scenario(_with_fields(anthrax, fields))))
-    for argv, codes in ((["report"], {0, 2}), (["modes"], {0, 2}),
-                        (["validate-noise", "--members", "4"], {0, 1, 2})):
-        result = _cli(*argv, "--scenario", str(path))
-        assert "Traceback" not in result.stderr, (argv, fields, result.stderr)
-        assert result.returncode in codes, (argv, fields, result.stderr)
-        if result.returncode == 2:
+    commands = ((["report"], {0, 2}), (["modes"], {0, 2}),
+                (["validate-noise", "--members", "4"], {0, 1, 2}))
+    child = subprocess.run(
+        [sys.executable, "-c", _MAIN_PER_COMMAND,
+         *(json.dumps([*argv, "--scenario", str(path)]) for argv, _ in commands)],
+        env=_env(), capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
+    lines = child.stdout.splitlines()
+    assert len(lines) == len(commands), child.stderr
+    for (argv, codes), line in zip(commands, lines):
+        code, out, err = json.loads(line)
+        assert "Traceback" not in err, (argv, fields, err)
+        assert code in codes, (argv, fields, err)
+        if code == 2:
             # validate-noise may refuse statistics that its run underflowed
-            assert result.stderr.splitlines()[-1].startswith("error: ")
-            assert result.stdout == ""
+            assert err.splitlines()[-1].startswith("error: ")
+            assert out == ""
 
 
 def test_modes_table(capsys):
@@ -519,32 +560,19 @@ def test_validate_noise_bad_duration_exits_2_without_traceback(value):
                              f"finite, got {value}\n")
 
 
-@pytest.mark.parametrize("flag", ["--sigmas", "--psd-tolerance"])
-@pytest.mark.parametrize("value", ["nan", "inf", "-1", "-1e-300"])
-def test_validate_noise_refuses_bad_limits(capsys, monkeypatch, flag, value):
-    # these used to run the whole ensemble, then print FAIL with exit 1
-    from parsim import oracle
-
-    def must_not_run(config, scenario):
-        raise AssertionError("integrated before checking the limits")
-
-    monkeypatch.setattr(oracle, "integrate_langevin", must_not_run)
-    code, out, err = run(capsys, "validate-noise", f"{flag}={value}")
-    assert (code, out) == (2, "")
-    assert err == (f"error: {flag} must be non-negative and finite, "
-                   f"got {float(value)!r}\n")
+@pytest.mark.parametrize("argv", [["--sigmas", "3"], ["--psd-tolerance", "0.1"]])
+def test_validate_noise_limits_are_not_flags(capsys, argv):
+    # the verdict limits are cli.EQUIPARTITION_SIGMAS and PSD_VARIANCE_TOLERANCE
+    with pytest.raises(SystemExit) as exc:
+        main(["validate-noise", *argv])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv)}" in capsys.readouterr().err
 
 
 def test_validate_noise_refuses_a_negative_seed(capsys):
     code, out, err = run(capsys, "validate-noise", "--seed", "-5")
     assert (code, out) == (2, "")
     assert err == "error: --seed must be a non-negative integer, got -5\n"
-
-
-def test_validate_noise_bad_limit_exits_2_without_traceback():
-    result = _cli("validate-noise", "--sigmas", "nan")
-    assert (result.returncode, result.stdout) == (2, "")
-    assert result.stderr == "error: --sigmas must be non-negative and finite, got nan\n"
 
 
 @pytest.mark.parametrize("argv", [("--duration-dampings", "1e12"),
@@ -598,9 +626,10 @@ def test_cli_runs_blas_single_threaded_unless_told(tmp_path, preset, want):
         assert threads == "1"
 
 
-def test_validate_noise_detects_wrong_tolerance(capsys):
+def test_validate_noise_detects_wrong_tolerance(capsys, monkeypatch):
     # an impossible tolerance must flip the exit code, not crash
-    code, out, _ = run(capsys, "validate-noise", "--psd-tolerance", "0.0")
+    monkeypatch.setattr(cli, "PSD_VARIANCE_TOLERANCE", 0.0)
+    code, out, _ = run(capsys, "validate-noise")
     assert code == 1
     assert "FAIL" in out
     assert out.rstrip().endswith("overall: FAIL")

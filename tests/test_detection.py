@@ -52,6 +52,8 @@ def test_min_density_snr_linear(anthrax):
         min_density(anthrax, snr=0.0)
     with pytest.raises(ValueError):
         min_density(anthrax, snr=-2.0)
+    with pytest.raises(ValueError, match=r"^snr must be positive and finite, got inf$"):
+        min_density(anthrax, snr=math.inf)
 
 
 def test_min_density_needs_light(anthrax):

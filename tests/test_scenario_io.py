@@ -269,10 +269,10 @@ def _outcome(text):
 
 @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
 def test_c_and_python_loaders_agree(anthrax, monkeypatch):
-    assert scenario_io._LOADER is yaml.CSafeLoader
+    assert scenario_io._loader() is yaml.CSafeLoader
     texts = _loader_inputs(anthrax)
     fast = [_outcome(text) for text in texts]
-    monkeypatch.setattr(scenario_io, "_LOADER", yaml.SafeLoader)
+    monkeypatch.setattr(scenario_io, "_loader", lambda: yaml.SafeLoader)
     slow = [_outcome(text) for text in texts]
     assert fast == slow
     assert fast[0][0] == loads_scenario(MINIMAL).scenario

@@ -207,6 +207,16 @@ def test_bare_package_import_loads_no_numpy_or_yaml(prefix):
     assert _fresh_modules(prefix, "import parsim") == "[]"
 
 
+@pytest.mark.parametrize("command", ["report", "presets"])
+def test_preset_commands_load_no_yaml(command):
+    # PyYAML is imported only where a scenario file is parsed or written
+    assert _modules_after(
+        "yaml",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        f"    assert main([{command!r}]) == 0",
+    ) == "[]"
+
+
 DRIVEN_CALL = ("from parsim.oracle import integrate_driven",
                "integrate_driven(1.0e4, 100.0, 1.0e-3, 1.0e4)")
 

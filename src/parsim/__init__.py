@@ -40,9 +40,8 @@ _LAZY = {
         "collision_rate", "collisional_timescale", "radiative_power",
         "temperature_rise", "thermal_report", "transfer_efficiency"),
         "thermal"),
-    **dict.fromkeys(("AcousticMode", "SpectrumSeries", "cylinder_modes"),
-                    "acoustics"),
-    **dict.fromkeys(("nep", "noise_spectrum"), "noise"),
+    **dict.fromkeys(("AcousticMode", "cylinder_modes"), "acoustics"),
+    **dict.fromkeys(("SpectrumSeries", "nep", "noise_spectrum"), "noise"),
     **dict.fromkeys(("DetectionReport", "min_density"), "detection"),
     # oracle
     **dict.fromkeys((

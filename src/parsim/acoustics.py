@@ -27,16 +27,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .quantities import CellGeometry, GasProperties, sound_speed
 
-if TYPE_CHECKING:
-    import numpy as np
-
 __all__ = [
     "AcousticMode",
-    "SpectrumSeries",
     "RootFindingFailure",
     "cylinder_modes",
 ]
@@ -175,31 +170,3 @@ def cylinder_modes(cell: CellGeometry, gas: GasProperties,
     modes.sort(key=lambda mode: (mode.omega, mode.index))
     return modes
 
-
-# ---------------------------------------------------------------------------
-# spectra
-
-@dataclass(frozen=True)
-class SpectrumSeries:
-    """A power spectral density (real, non-negative, Pa^2 s) on an
-    angular-frequency grid.
-
-    The convention used throughout is two-sided angular: the variance is
-    the two-sided integral of the PSD with measure dw / pi.
-    """
-
-    omega: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        import numpy as np
-
-        omega = np.asarray(self.omega, dtype=float)
-        object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "values", np.asarray(self.values))
-        if omega.ndim != 1 or len(omega) != len(self.values):
-            raise ValueError("omega and values must be 1-D and equal length")
-        if len(omega) > 1 and not np.all(np.diff(omega) > 0.0):
-            raise ValueError("frequency grid must be strictly increasing")
-        if np.any(self.values < 0.0):
-            raise ValueError("power density cannot be negative")

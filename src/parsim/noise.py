@@ -53,9 +53,10 @@ from typing import TYPE_CHECKING
 from .quantities import K_BOLTZMANN, Scenario, first_failure, sound_speed, xp
 
 if TYPE_CHECKING:
-    from .acoustics import SpectrumSeries
+    import numpy as np
 
 __all__ = [
+    "SpectrumSeries",
     "NepResult",
     "MODULATION_NOT_SMALL",
     "thermal_variance",
@@ -67,6 +68,30 @@ MODULATION_NOT_SMALL = "modulation_not_small"
 
 # w above this fraction of the detector mode frequency is not small
 _SMALL_MODULATION_FRACTION = 0.1
+
+
+@dataclass(frozen=True)
+class SpectrumSeries:
+    """A power spectral density (real, non-negative, Pa^2 s) on an
+    angular-frequency grid, in the convention of the module docstring:
+    the variance is the two-sided integral of the PSD with measure dw / pi.
+    """
+
+    omega: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        import numpy as np
+
+        omega = np.asarray(self.omega, dtype=float)
+        object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "values", np.asarray(self.values))
+        if omega.ndim != 1 or len(omega) != len(self.values):
+            raise ValueError("omega and values must be 1-D and equal length")
+        if len(omega) > 1 and not np.all(np.diff(omega) > 0.0):
+            raise ValueError("frequency grid must be strictly increasing")
+        if np.any(self.values < 0.0):
+            raise ValueError("power density cannot be negative")
 
 
 def thermal_variance(scenario: Scenario) -> float:
@@ -94,8 +119,6 @@ def noise_spectrum(mode_omega: float, scenario: Scenario,
     spectral support.
     """
     import numpy as np
-
-    from .acoustics import SpectrumSeries
 
     if mode_omega < 0.0:
         raise ValueError("mode frequency cannot be negative")

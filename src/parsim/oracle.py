@@ -19,7 +19,9 @@ well resolved.  Steps are taken in blocks, one ensemble member at a time:
 one matrix product maps every block's draws to the noise it accumulates,
 the blocks' start states follow from that noise by recursive doubling, and
 one product against the stacked powers of Phi lifts every start state to
-its block's states.
+its block's states.  Decay runs take the same path: their transition
+covariance is exactly zero, and so are its factor and the noise it maps
+their draws to.
 
 The reductions are streamed.  Runs go one member at a time, and each
 member a chunk of steps at a time: its states are reduced as soon as they
@@ -36,14 +38,16 @@ The trajectories are stored only on request.
 
 The driven oracle appends the drive oscillator (cos wt, sin wt) to the mode
 state, which makes the driven system linear with a constant generator, and
-steps it one sample at a time with the exact propagator expm(M dt).  Its
-state is four floats, so it runs in plain Python and needs no numpy.  Both
-oracles take their matrix exponentials from ``_expm``, which works on
-nested lists of floats: power-of-two diagonal balancing, then Pade-13
-scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005).
-Balancing matters here: the mode generator pairs entries of order
-w_j^2 dt with dt, and without it the small entries of Phi come out of the
-squarings with relative errors of 1e-9 to 1e-5 instead of 1e-16.
+steps it one sample at a time with the exact propagator expm(M dt).  It
+demodulates the response against the oscillator it carries, so it keeps no
+time grid and calls no cos or sin.  Its state is four floats, so it runs in
+plain Python and needs no numpy.  Both oracles take their matrix
+exponentials from ``_expm``, which works on nested lists of floats:
+power-of-two diagonal balancing, then Pade-13 scaling and squaring
+(Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005).  Balancing matters
+here: the mode generator pairs entries of order w_j^2 dt with dt, and
+without it the small entries of Phi come out of the squarings with
+relative errors of 1e-9 to 1e-5 instead of 1e-16.
 
 Randomness: numpy Philox (counter-based) generators, one independent
 stream per ensemble member derived with SeedSequence.spawn; Gaussian
@@ -76,7 +80,7 @@ from .quantities import K_BOLTZMANN, Scenario, sound_speed
 if TYPE_CHECKING:
     import numpy as np
 
-    from .acoustics import SpectrumSeries
+    from .noise import SpectrumSeries
 
 __all__ = [
     "FreeDecay",
@@ -113,8 +117,9 @@ _BLOCK_STEPS = 32      # steps propagated by one matrix product
 
 _SAMPLES_PER_PERIOD = 256  # demodulation samples per drive period
 _PERIODS_PER_WINDOW = 20   # drive periods per demodulation window
-# largest distance of the settled drive oscillator from unit length; it
-# grows as about 1e-17 drive_omega settle_time, and the phasor's error with it
+# largest distance of the settled drive oscillator, which drives the mode and
+# is the demodulation reference, from unit length; it grows as about 1e-17
+# drive_omega settle_time, and the phasor's error with it
 _UNIT_TOLERANCE = 1.0e-6
 
 
@@ -429,10 +434,8 @@ def integrate_langevin(config: SdeRunConfig, scenario: Scenario) -> TrajectorySt
 
     phi, sig = transition(config.mode_omega, config.damping, sigma2,
                           config.timestep)
-    noise_l = _noise_factor(sig) if sigma2 > 0.0 else None
-
     total = n_burn + n_keep
-    stepper = _Stepper(phi, noise_l, min(_CHUNK_STEPS, total))
+    stepper = _Stepper(phi, _noise_factor(sig), min(_CHUNK_STEPS, total))
     # u^2, then the pressure, of one member's kept steps in a chunk
     row = np.empty(n_row)
     x = np.empty(2)
@@ -466,19 +469,15 @@ def integrate_langevin(config: SdeRunConfig, scenario: Scenario) -> TrajectorySt
 
     member_mean_u2 = u2_sums / n_keep
     mean_u2 = math.fsum(member_mean_u2.tolist()) / m
-    if m > 1:
-        stderr = float(np.std(member_mean_u2, ddof=1)) / math.sqrt(m)
-    else:
-        stderr = float("nan")
-
-    psd = welch.density(1.0 / config.timestep) if welch is not None else None
+    stderr = (float(np.std(member_mean_u2, ddof=1)) / math.sqrt(m) if m > 1
+              else math.nan)
 
     return TrajectoryStats(
         mean_u2=mean_u2,
         mean_u2_stderr=stderr,
         equipartition_ratio=rho_v * mean_u2 / kt,
         member_mean_u2=member_mean_u2,
-        psd=psd,
+        psd=welch.density(1.0 / config.timestep) if welch is not None else None,
         n_members=m,
         n_samples=n_keep,
         metadata={
@@ -498,7 +497,7 @@ class _Stepper:
     """One member's states a chunk at a time, through buffers allocated once.
 
     A step maps a state row x to x Phi^T + z L^T, with z the step's draws
-    and noise_l the factor L (None for an unforced run).  lift = [Phi^T,
+    and noise_l the factor L (zero for a decay run).  lift = [Phi^T,
     (Phi^2)^T, ..., (Phi^block)^T], (d, block d), carries a block's start
     row to its stacked rows: row k is x (Phi^(k+1))^T.  noise_map is the
     lower-block-triangular (block d, block d) matrix whose (k, j) block is
@@ -508,7 +507,7 @@ class _Stepper:
     memory does not grow with the ensemble or the run length.
     """
 
-    def __init__(self, phi: np.ndarray, noise_l: np.ndarray | None, chunk: int):
+    def __init__(self, phi: np.ndarray, noise_l: np.ndarray, chunk: int):
         import numpy as np
 
         d, block = len(phi), _BLOCK_STEPS
@@ -517,17 +516,14 @@ class _Stepper:
         for _ in range(block):
             stack.append(phi @ stack[-1])
         self.lift = np.concatenate([power.T for power in stack[1:]], axis=1)
+        self.noise_map = np.zeros((width, width))
+        for k in range(block):
+            for j in range(k + 1):
+                self.noise_map[d * k:d * k + d, d * j:d * j + d] = stack[k - j] @ noise_l
         self.starts = np.empty((n_blocks, d))
+        self.draws = np.empty((n_blocks, width))
+        self.noise = np.empty((n_blocks, width))
         self.states = np.empty((n_blocks, width))
-        self.noise_map = None
-        if noise_l is not None:
-            self.noise_map = np.zeros((width, width))
-            for k in range(block):
-                for j in range(k + 1):
-                    self.noise_map[d * k:d * k + d, d * j:d * j + d] = (
-                        stack[k - j] @ noise_l)
-            self.draws = np.empty((n_blocks, width))
-            self.noise = np.empty((n_blocks, width))
 
     def advance(self, x: np.ndarray, gen: np.random.Generator,
                 span: int) -> np.ndarray:
@@ -546,20 +542,16 @@ class _Stepper:
         n_blocks = -(-span // (width // d))
         # the start rows are the sums s_b = sum_(j<=b) w_j P^(b-j) over the
         # terms w = (x, e_0, .., e_(n_blocks-2))
+        draws = self.draws[:n_blocks]
+        gen.standard_normal(out=draws.reshape(-1)[:d * span])
+        draws.reshape(-1)[d * span:] = 0.0
+        noise = np.matmul(draws, self.noise_map.T, out=self.noise[:n_blocks])
         starts = self.starts[:n_blocks]
         starts[0] = x
-        if self.noise_map is None:
-            starts[1:] = 0.0
-        else:
-            draws = self.draws[:n_blocks]
-            gen.standard_normal(out=draws.reshape(-1)[:d * span])
-            draws.reshape(-1)[d * span:] = 0.0
-            noise = np.matmul(draws, self.noise_map.T, out=self.noise[:n_blocks])
-            starts[1:] = noise[:-1, width - d:]
+        starts[1:] = noise[:-1, width - d:]
         _sum_powers(starts, self.lift[:, width - d:])
         states = np.matmul(starts, self.lift, out=self.states[:n_blocks])
-        if self.noise_map is not None:
-            states += noise
+        states += noise
         return states.reshape(-1, d)[:span]
 
 
@@ -640,7 +632,7 @@ class _Welch:
         """The density in the package's two-sided angular convention."""
         import numpy as np
 
-        from .acoustics import SpectrumSeries
+        from .noise import SpectrumSeries
 
         pxx = self.power / (self.count * fs * np.sum(self.window**2))
         # fold the negative frequencies in; DC and an even length's Nyquist
@@ -716,10 +708,11 @@ def integrate_driven(mode_omega: float, damping: float, drive_strength: float,
     expm(M t).  From rest, one propagator covers the settle time
     30/damping; then P = expm(M dt) steps the state one sample at a time
     through two consecutive windows of 20 drive periods, each demodulated
-    by the trapezoid rule.  Non-finite arguments raise ValueError, and so
-    do a damping so low that after the settle time the drive oscillator
-    (cos, sin) is more than _UNIT_TOLERANCE from unit length and a drive
-    frequency so low that the generator over one sample spacing overflows.
+    against the state's own (cos, sin) by the trapezoid rule.  Non-finite
+    arguments raise ValueError, and so do a damping so low that after the
+    settle time the drive oscillator (cos, sin) is more than
+    _UNIT_TOLERANCE from unit length and a drive frequency so low that the
+    generator over one sample spacing overflows.
     Raises NotConverged if the phasor still drifts by more than 0.1%
     between windows, or if the drift is not a number.
     """
@@ -764,24 +757,20 @@ def integrate_driven(mode_omega: float, damping: float, drive_strength: float,
             f"of {sample_dt!r} s the generator leaves the range of a double")
     ((p00, p01, p02, p03), (p10, p11, p12, p13),
      (p20, p21, p22, p23), (p30, p31, p32, p33)) = _expm(step)
-    response = [a]
+    # the response times the drive oscillator it carries, sample by sample
+    in_phase, quadrature = [a * c], [a * s]
     for _ in range(n_eval - 1):
         a, v, c, s = (p00 * a + p01 * v + p02 * c + p03 * s,
                       p10 * a + p11 * v + p12 * c + p13 * s,
                       p20 * a + p21 * v + p22 * c + p23 * s,
                       p30 * a + p31 * v + p32 * c + p33 * s)
-        response.append(a)
-    t_eval = [settle_time + i * sample_dt for i in range(n_eval)]
+        in_phase.append(a * c)
+        quadrature.append(a * s)
 
     half = n_eval // 2
-    phasors = []
-    for lo, hi in ((0, half + 1), (half, n_eval)):
-        t, part = t_eval[lo:hi], response[lo:hi]
-        ci = 2.0 / window * _trapezoid(
-            [x * math.cos(drive_omega * ti) for x, ti in zip(part, t)], t)
-        cq = 2.0 / window * _trapezoid(
-            [x * math.sin(drive_omega * ti) for x, ti in zip(part, t)], t)
-        phasors.append(complex(ci, cq))
+    phasors = [complex(2.0 / window * _trapezoid(in_phase[lo:hi], sample_dt),
+                       2.0 / window * _trapezoid(quadrature[lo:hi], sample_dt))
+               for lo, hi in ((0, half + 1), (half, n_eval))]
     drift = abs(phasors[1] - phasors[0]) / max(abs(phasors[1]), 1e-300)
     if not drift <= 1e-3:
         raise NotConverged(
@@ -792,8 +781,7 @@ def integrate_driven(mode_omega: float, damping: float, drive_strength: float,
                             wall_s=time.perf_counter() - started)
 
 
-def _trapezoid(f: list[float], t: list[float]) -> float:
-    """Trapezoid-rule integral of the samples f over the grid t, summed
+def _trapezoid(f: list[float], dt: float) -> float:
+    """Trapezoid-rule integral of the samples f spaced dt apart, summed
     with math.fsum."""
-    return 0.5 * math.fsum((t1 - t0) * (f0 + f1)
-                           for t0, t1, f0, f1 in zip(t, t[1:], f, f[1:]))
+    return 0.5 * dt * math.fsum(f0 + f1 for f0, f1 in zip(f, f[1:]))

@@ -12,13 +12,14 @@ required key is reported in one message.  A key is required exactly when its
 field of the ``quantities`` dataclass has no default, and an omitted optional
 key takes that default (``detector_coverage`` 1, for one).  Lenient mode
 downgrades unknown keys to warnings (typo-tolerant exploration) but never
-silently drops a required field.  Plain YAML loaders parse exponent literals
-like ``1.0e12`` as strings, so numeric fields are coerced from strings when
-needed.  PyYAML, imported only to parse or write, parses with libyaml's C
-parser when it was built with it, and in pure Python otherwise.  Both
-resolve scalars the same way; they word a syntax error differently and may
-place it on a different line (an unclosed ``{`` at the end of the text,
-for one).
+silently drops a required field.  In both modes a key given twice in one
+mapping is an error, where PyYAML alone would keep the last value.  Plain
+YAML loaders parse exponent literals like ``1.0e12`` as strings, so numeric
+fields are coerced from strings when needed.  PyYAML, imported only to
+parse or write, parses with libyaml's C parser when it was built with it,
+and in pure Python otherwise.  Both resolve scalars the same way; they word
+a syntax error differently and may place it on a different line (an
+unclosed ``{`` at the end of the text, for one).
 
 Writing uses repr precision, which round-trips doubles exactly.
 ``scenario_hash`` digests the canonical flattened form, so any two equal
@@ -166,8 +167,26 @@ def _loader():
 def _parse_yaml(text: str):
     import yaml
 
+    class UniqueKeyLoader(_loader()):
+        """Refuses a mapping key given twice, where PyYAML keeps the last."""
+
+        def construct_mapping(self, node, deep=False):
+            # a merge key ("<<") has no constructor: the flattening replaces
+            # it by the merged pairs, which the mapping's own keys override
+            keys = [k for k, _ in node.value if k.tag != "tag:yaml.org,2002:merge"]
+            mapping = super().construct_mapping(node, deep=deep)
+            seen = set()
+            for key_node in keys:
+                key = self.construct_object(key_node, deep=deep)
+                if key in seen:
+                    raise yaml.constructor.ConstructorError(
+                        None, None, f"found duplicate key {key!r}",
+                        key_node.start_mark)
+                seen.add(key)
+            return mapping
+
     try:
-        return yaml.load(text, Loader=_loader())
+        return yaml.load(text, Loader=UniqueKeyLoader)
     except yaml.YAMLError as exc:
         # a MarkedYAMLError carries a position, which may be None
         mark = getattr(exc, "problem_mark", None)

@@ -9,7 +9,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.special import j0, jnp_zeros, jv, jvp
 
 from parsim import acoustics, quantities
-from parsim.acoustics import SpectrumSeries, cylinder_modes
+from parsim.acoustics import cylinder_modes
 
 
 @pytest.fixture
@@ -171,12 +171,3 @@ def test_table_and_scipy_paths_agree(anthrax, q, m, n):
     for a, b in zip(tabled, computed):
         for name in ("omega", "bessel_root", "norm"):
             assert _within_ulps(getattr(a, name), getattr(b, name)), (a.index, name)
-
-
-def test_spectrum_series_validation():
-    with pytest.raises(ValueError):
-        SpectrumSeries(np.array([2.0, 1.0]), np.array([1.0, 1.0]))
-    with pytest.raises(ValueError):
-        SpectrumSeries(np.array([1.0, 2.0]), np.array([1.0, -1.0]))
-    with pytest.raises(ValueError):
-        SpectrumSeries(np.array([1.0, 2.0]), np.array([1.0]))

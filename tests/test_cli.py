@@ -151,6 +151,18 @@ def test_scenario_file_not_utf8_exits_2_naming_the_byte(capsys, tmp_path, argv):
     assert "can't decode byte 0xff" in err
 
 
+@pytest.mark.parametrize("lenient", [[], ["--lenient"]])
+def test_scenario_key_given_twice_exits_2(capsys, tmp_path, lenient):
+    # PyYAML keeps the last value: report used to print rho_min for 5e4 Pa
+    text = (Path(__file__).parent / "golden" / "spore.yaml").read_text().replace(
+        "  temperature_k: 300.0", "  pressure_pa: 5.0e4\n  temperature_k: 300.0")
+    path = tmp_path / "twice.yaml"
+    path.write_text(text)
+    code, out, err = run(capsys, "report", "--scenario", str(path), *lenient)
+    assert (code, out) == (2, "")
+    assert err == "error: line 4, column 3: found duplicate key 'pressure_pa'\n"
+
+
 def test_invalid_scenario_file_exits_2(capsys, tmp_path, anthrax):
     text = dumps_scenario(anthrax).replace("adiabatic_index: 1.4",
                                            "adiabatic_index: 0.9")

@@ -10,6 +10,7 @@ from parsim import quantities
 from parsim.detection import min_density
 from parsim.noise import (
     MODULATION_NOT_SMALL,
+    SpectrumSeries,
     nep,
     noise_spectrum,
     thermal_variance,
@@ -146,3 +147,12 @@ def test_nep_flags_fast_modulation(anthrax):
     assert flags[MODULATION_NOT_SMALL] is True
     with pytest.raises(ValueError):
         _nep_at(anthrax, -1.0)
+
+
+def test_spectrum_series_validation():
+    with pytest.raises(ValueError):
+        SpectrumSeries(np.array([2.0, 1.0]), np.array([1.0, 1.0]))
+    with pytest.raises(ValueError):
+        SpectrumSeries(np.array([1.0, 2.0]), np.array([1.0, -1.0]))
+    with pytest.raises(ValueError):
+        SpectrumSeries(np.array([1.0, 2.0]), np.array([1.0]))

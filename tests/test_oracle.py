@@ -11,7 +11,7 @@ import pytest
 
 import parsim
 from parsim import noise, oracle, quantities
-from parsim.acoustics import SpectrumSeries
+from parsim.noise import SpectrumSeries
 from parsim.oracle import (
     _BLOCK_STEPS,
     _CHUNK_STEPS,

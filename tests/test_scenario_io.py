@@ -112,6 +112,30 @@ def test_alias_conflict_rejected():
         loads_scenario(text)
 
 
+LOADERS = [pytest.param("CSafeLoader", marks=pytest.mark.skipif(
+               not yaml.__with_libyaml__, reason="PyYAML built without libyaml")),
+           "SafeLoader"]
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+def test_key_given_twice_rejected(monkeypatch, loader):
+    # PyYAML alone keeps the last of two equal keys
+    monkeypatch.setattr(scenario_io, "_loader", lambda: getattr(yaml, loader))
+    twice = MINIMAL.replace("  temperature_k: 300.0",
+                            "  pressure_pa: 5.0e4\n  temperature_k: 300.0")
+    for lenient in (False, True):
+        with pytest.raises(ParseError, match="^line 4, column 3: found "
+                                             "duplicate key 'pressure_pa'$"):
+            loads_scenario(twice, lenient=lenient)
+    with pytest.raises(ParseError, match="found duplicate key 'gas'"):
+        loads_scenario(MINIMAL + "gas: {}\n")
+    # a merge key may be overridden, and an unhashable key keeps PyYAML's error
+    merged = MINIMAL.replace("gas:\n", "gas:\n  <<: {pressure_pa: 1.0}\n")
+    assert loads_scenario(merged).scenario == loads_scenario(MINIMAL).scenario
+    with pytest.raises(ParseError, match="found unhashable key"):
+        loads_scenario(MINIMAL.replace("gas:\n", "gas:\n  ? [a, b]\n  : 1\n"))
+
+
 def test_unknown_key_strict_vs_lenient():
     text = MINIMAL + "orientation: vertical\n"
     with pytest.raises(SchemaError, match="unknown keys"):

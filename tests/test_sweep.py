@@ -135,6 +135,16 @@ def test_oracle_engines_import_no_scipy():
     ) == "[]"
 
 
+def test_validate_noise_loads_no_acoustics():
+    # the Langevin oracle's spectra are noise.SpectrumSeries; the mode
+    # solver stays unloaded
+    assert _modules_after(
+        "parsim.acoustics",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    assert main(['validate-noise', '--members', '4']) == 0",
+    ) == "[]"
+
+
 GOLDEN_SPORE = Path(__file__).parent / "golden" / "spore.yaml"
 
 # report and presets run the scalar chain with math alone, and so do the
@@ -249,6 +259,6 @@ def test_package_names_resolve():
     exec("from parsim import *", namespace)
     assert set(parsim.__all__) <= set(namespace)
     assert namespace["integrate_driven"] is parsim.oracle.integrate_driven
-    assert namespace["SpectrumSeries"] is parsim.acoustics.SpectrumSeries
+    assert namespace["SpectrumSeries"] is parsim.noise.SpectrumSeries
     with pytest.raises(AttributeError, match="no_such_name"):
         parsim.no_such_name

@@ -6,15 +6,19 @@ Subcommands:
   sweep           CSV of detection limits while one or more inputs vary
   modes           acoustic mode table of the scenario's cell
   validate-noise  stochastic integration cross-check of the noise model
-  presets         list built-in scenarios
+  presets         list built-in scenarios, among them the default
 
 Output is deterministic: identical inputs produce byte-identical output
 (no timestamps, no machine identifiers), so reports can be diffed and
 archived.  Numbers are printed with repr precision, which round-trips
 doubles exactly.
 
+Every command writes its output to stdout and reads its scenario from
+``--scenario FILE``, or computes the built-in anthrax_stp preset without it.
+
 Exit codes: 0 success, 1 a validation subcommand found a mismatch,
-2 bad usage, an invalid scenario or a file that cannot be read or written.
+2 bad usage, an invalid scenario, a scenario file that cannot be read or a
+run too large to start.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ import dataclasses
 import math
 import os
 import sys
-from pathlib import Path
 
 from . import __version__
 from .detection import BREAKDOWN_RISK, SPARSE_SUSPENSION, min_density
@@ -53,31 +56,16 @@ def warning_bits(flags):
     return sum(bit * flags[code] for code, bit in WARNING_BITS.items())
 
 
-def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument("--preset", default=None,
-                       help="built-in scenario name (default: anthrax_stp)")
-    group.add_argument("--scenario", default=None, metavar="FILE",
-                       help="scenario YAML file")
-    parser.add_argument("--lenient", action="store_true",
-                        help="warn about unknown scenario keys instead of failing")
+def _add_scenario_arg(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--scenario", default=None, metavar="FILE",
+                        help="scenario YAML file (default: the built-in "
+                             "anthrax_stp preset)")
 
 
 def _load(args) -> tuple[Scenario, str]:
     if args.scenario is not None:
-        result = load_scenario(args.scenario, lenient=args.lenient)
-        for message in result.warnings:
-            print(f"warning: {message}", file=sys.stderr)
-        return result.scenario, f"file:{args.scenario}"
-    name = args.preset if args.preset is not None else "anthrax_stp"
-    return build_preset(name), f"preset:{name}"
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text, encoding="utf-8")
+        return load_scenario(args.scenario).scenario, f"file:{args.scenario}"
+    return build_preset("anthrax_stp"), "preset:anthrax_stp"
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +136,8 @@ def _report_text(scenario: Scenario, origin: str, snr: float,
 
 def _cmd_report(args) -> int:
     scenario, origin = _load(args)
-    text = _report_text(scenario, origin, args.snr, args.linewidth_convention)
-    _emit(text, args.out)
+    sys.stdout.write(_report_text(scenario, origin, args.snr,
+                                  args.linewidth_convention))
     return 0
 
 
@@ -166,6 +154,9 @@ def _parse_sweep(spec: str):
     paths = [p.strip() for p in head.split(",") if p.strip()]
     if not paths:
         raise ValueError("sweep spec names no scenario path")
+    twice = next((p for i, p in enumerate(paths) if p in paths[:i]), None)
+    if twice is not None:
+        raise ValueError(f"sweep path {twice!r} given twice")
     parts = tail.split(":")
     if len(parts) != 4:
         raise ValueError("sweep range needs the form lin|log:lo:hi:n")
@@ -249,7 +240,7 @@ def _cmd_sweep(args) -> int:
         ",".join(paths) + ",rho_min_m3,h_r_w_m3,eta,h_nep_w_sqrt_s_m3,warning_bits",
     ]
     lines.extend(map(",".join, zip(*columns)))
-    _emit("\n".join(lines) + "\n", args.out)
+    sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 
@@ -281,7 +272,7 @@ def _cmd_modes(args) -> int:
         q, m, n = mode.index
         lines.append(f"{q},{m},{n},{mode.omega!r},{mode.omega / (2 * math.pi)!r},"
                      f"{mode.norm!r},{'yes' if mode.is_uniform else 'no'}")
-    _emit("\n".join(lines) + "\n", args.out)
+    sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 
@@ -387,7 +378,7 @@ def _cmd_validate_noise(args) -> int:
                  f"{'PASS' if passed else 'FAIL'}")
 
     lines.append("overall: " + ("PASS" if ok else "FAIL"))
-    _emit("\n".join(lines) + "\n", args.out)
+    sys.stdout.write("\n".join(lines) + "\n")
     return 0 if ok else 1
 
 
@@ -400,7 +391,7 @@ def _cmd_presets(args) -> int:
         _, blurb = PRESETS[name]
         digest = scenario_hash(build_preset(name))
         lines.append(f"{name}: {blurb} (sha256 {digest[:12]})")
-    _emit("\n".join(lines) + "\n", args.out)
+    sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 
@@ -416,45 +407,41 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     rep = sub.add_parser("report", help="full detection-limit report")
-    _add_scenario_args(rep)
+    _add_scenario_arg(rep)
     rep.add_argument("--snr", type=float, default=1.0)
     rep.add_argument("--linewidth-convention", choices=LINEWIDTH_CONVENTIONS,
                      default="ordinary")
-    rep.add_argument("--out", default=None, metavar="FILE")
     rep.set_defaults(func=_cmd_report)
 
     sw = sub.add_parser("sweep", help="detection limit across a parameter range")
-    _add_scenario_args(sw)
+    _add_scenario_arg(sw)
     sw.add_argument("--vary", required=True, metavar="SPEC",
                     help="path[,path...]=lin|log:lo:hi:n, e.g. "
                          "laser.pump_intensity,laser.stokes_intensity=log:1e10:1e14:9")
     sw.add_argument("--snr", type=float, default=1.0)
     sw.add_argument("--linewidth-convention", choices=LINEWIDTH_CONVENTIONS,
                     default="ordinary")
-    sw.add_argument("--out", default=None, metavar="FILE")
     sw.set_defaults(func=_cmd_sweep)
 
     mo = sub.add_parser("modes", help="acoustic mode table of the cell")
-    _add_scenario_args(mo)
+    _add_scenario_arg(mo)
     mo.add_argument("--max-modes", default="4,0,2", metavar="q,m,n",
                     help="caps on the axial, azimuthal and radial indices "
                          "(default 4,0,2)")
-    mo.add_argument("--out", default=None, metavar="FILE")
     mo.set_defaults(func=_cmd_modes)
 
     vn = sub.add_parser("validate-noise",
                         help="integrate the mode SDE and compare with the "
                              "analytic noise statistics")
-    _add_scenario_args(vn)
+    _add_scenario_arg(vn)
     vn.add_argument("--seed", type=int, default=1234)
     vn.add_argument("--members", type=int, default=32)
     vn.add_argument("--duration-dampings", type=float, default=200.0,
                     help="run length in units of 1/damping (default 200)")
-    vn.add_argument("--out", default=None, metavar="FILE")
     vn.set_defaults(func=_cmd_validate_noise)
 
-    pr = sub.add_parser("presets", help="list built-in scenarios")
-    pr.add_argument("--out", default=None, metavar="FILE")
+    pr = sub.add_parser("presets", help="list the built-in scenarios, among "
+                                        "them the default, anthrax_stp")
     pr.set_defaults(func=_cmd_presets)
 
     return parser

@@ -7,19 +7,17 @@ needs out-of-band documentation; a few convenience aliases convert on load
 (``*_hz`` keys are multiplied by 2 pi into angular frequencies,
 ``molecule_mass_amu`` converts to kilograms).
 
-Loading is strict by default: unknown keys are an error, and every missing
-required key is reported in one message.  A key is required exactly when its
-field of the ``quantities`` dataclass has no default, and an omitted optional
-key takes that default (``detector_coverage`` 1, for one).  Lenient mode
-downgrades unknown keys to warnings (typo-tolerant exploration) but never
-silently drops a required field.  In both modes a key given twice in one
-mapping is an error, where PyYAML alone would keep the last value.  Plain
-YAML loaders parse exponent literals like ``1.0e12`` as strings, so numeric
-fields are coerced from strings when needed.  PyYAML, imported only to
-parse or write, parses with libyaml's C parser when it was built with it,
-and in pure Python otherwise.  Both resolve scalars the same way; they word
-a syntax error differently and may place it on a different line (an
-unclosed ``{`` at the end of the text, for one).
+Loading is strict: unknown keys are an error, and every missing required
+key is reported in one message.  A key is required exactly when its field
+of the ``quantities`` dataclass has no default, and an omitted optional key
+takes that default (``detector_coverage`` 1, for one).  A key given twice
+in one mapping is an error, where PyYAML alone would keep the last value.
+Plain YAML loaders parse exponent literals like ``1.0e12`` as strings, so
+numeric fields are coerced from strings when needed.  PyYAML, imported
+only to parse or write, parses with libyaml's C parser when it was built
+with it, and in pure Python otherwise.  Both resolve scalars the same way;
+they word a syntax error differently and may place it on a different line
+(an unclosed ``{`` at the end of the text, for one).
 
 Writing uses repr precision, which round-trips doubles exactly.
 ``scenario_hash`` digests the canonical flattened form, so any two equal
@@ -143,7 +141,6 @@ _REQUIRED = {cls: {f.name for f in dataclasses.fields(cls)
 @dataclasses.dataclass(frozen=True)
 class LoadResult:
     scenario: Scenario
-    warnings: tuple[str, ...]
 
 
 def _coerce_number(value, where: str) -> float:
@@ -197,7 +194,7 @@ def _parse_yaml(text: str):
         raise ParseError(str(exc)) from exc
 
 
-def loads_scenario(text: str, lenient: bool = False) -> LoadResult:
+def loads_scenario(text: str) -> LoadResult:
     """Parse and validate a scenario from YAML text.  See module docstring
     for rules."""
     doc = _parse_yaml(text)
@@ -206,7 +203,6 @@ def loads_scenario(text: str, lenient: bool = False) -> LoadResult:
     if not isinstance(doc, dict):
         raise SchemaError("top level must be a mapping")
 
-    warnings: list[str] = []
     missing: list[str] = []
     unknown: list[str] = []
 
@@ -240,11 +236,7 @@ def loads_scenario(text: str, lenient: bool = False) -> LoadResult:
             built[name] = cls(**kwargs)
 
     if unknown:
-        message = "unknown keys: " + ", ".join(sorted(unknown))
-        if lenient:
-            warnings.append(message + " (ignored)")
-        else:
-            raise SchemaError(message)
+        raise SchemaError("unknown keys: " + ", ".join(sorted(unknown)))
     if missing:
         raise SchemaError("missing required keys: " + ", ".join(missing))
 
@@ -257,7 +249,7 @@ def loads_scenario(text: str, lenient: bool = False) -> LoadResult:
                         detector=built["detector"],
                         spore_density=spore_density)
     validate_scenario(scenario)
-    return LoadResult(scenario, tuple(warnings))
+    return LoadResult(scenario)
 
 
 def _read_section(name: str, section: dict, fields: tuple[_Field, ...]):
@@ -281,9 +273,8 @@ def _read_section(name: str, section: dict, fields: tuple[_Field, ...]):
     return kwargs, unknown
 
 
-def load_scenario(path, lenient: bool = False) -> LoadResult:
-    text = Path(path).read_text(encoding="utf-8")
-    return loads_scenario(text, lenient=lenient)
+def load_scenario(path) -> LoadResult:
+    return loads_scenario(Path(path).read_text(encoding="utf-8"))
 
 
 def _canonical_sections(scenario: Scenario) -> dict:

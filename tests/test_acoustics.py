@@ -123,6 +123,17 @@ def test_mode_orthonormality_by_quadrature(fat_cell, anthrax, mode_pressure):
     assert np.max(np.abs(gram - np.eye(len(modes)))) < 1.0e-10
 
 
+def test_oversized_table_refused_before_any_root(anthrax, monkeypatch):
+    def no_roots(m, count):
+        raise AssertionError(f"{count} roots of J_{m}' computed")
+
+    monkeypatch.setattr(acoustics, "_radial_roots", no_roots)
+    limit = acoustics.MAX_MODES
+    with pytest.raises(ValueError, match=f"^a table of {limit + 1} modes is "
+                                         f"above the limit of {limit}$"):
+        cylinder_modes(anthrax.cell, anthrax.gas, max_axial=0, max_radial=limit)
+
+
 def test_root_residuals_verified(anthrax):
     # caps beyond the table take scipy's roots, checked against J_m' on
     # construction

@@ -19,6 +19,7 @@ from parsim.detection import (
     SPARSE_SUSPENSION,
     min_density,
 )
+from parsim.presets import build_preset
 from parsim.quantities import validate_scenario
 from parsim.scenario_io import dumps_scenario
 
@@ -64,14 +65,6 @@ def test_report_deterministic(capsys):
     assert "notes = nep_two_sided_angular_convention" in out1
 
 
-def test_report_out_file(capsys, tmp_path):
-    target = tmp_path / "report.txt"
-    code, out, _ = run(capsys, "report", "--out", str(target))
-    assert code == 0
-    assert out == ""
-    assert "rho_min_m3 = " in target.read_text()
-
-
 def test_report_snr_and_convention(capsys):
     _, base, _ = run(capsys, "report")
     _, snr3, _ = run(capsys, "report", "--snr", "3")
@@ -107,12 +100,30 @@ def test_report_from_file_matches_preset(capsys, tmp_path, anthrax):
     assert strip(from_file) == strip(from_preset)
 
 
-def test_unknown_preset_exits_2(capsys):
-    code, _, err = run(capsys, "report", "--preset", "nope")
-    assert code == 2
-    assert "error:" in err
-    assert "anthrax_stp" in err  # lists what is available
-    assert err == "error: unknown preset 'nope'; available: anthrax_stp\n"
+def test_unknown_preset_exits_2():
+    # the refusal lists what is available
+    with pytest.raises(ValueError) as exc:
+        build_preset("nope")
+    assert str(exc.value) == "unknown preset 'nope'; available: anthrax_stp"
+
+
+# the arguments each subcommand needs; without --scenario it computes the
+# preset, and it writes stdout
+_COMMANDS = {"report": [], "sweep": ["--vary", "gas.pressure=lin:1e4:1e5:3"],
+             "modes": [], "validate-noise": ["--members", "4", "--duration-dampings", "50"],
+             "presets": []}
+
+
+@pytest.mark.parametrize("flag", [["--preset", "anthrax_stp"], ["--lenient"],
+                                  ["--out", "out.txt"]], ids=lambda flag: flag[0])
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_removed_flags_are_refused(capsys, monkeypatch, tmp_path, command, flag):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([command, *_COMMANDS[command], *flag])
+    assert exc.value.code == 2
+    assert f"error: unrecognized arguments: {' '.join(flag)}\n" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_internal_key_error_is_not_a_usage_error(capsys, monkeypatch):
@@ -131,9 +142,9 @@ def test_missing_file_exits_2(capsys, tmp_path):
     assert "error:" in err
 
 
-@pytest.mark.parametrize("flag", ["--scenario", "--out"])
+@pytest.mark.parametrize("flag", ["--scenario"])
 def test_directory_for_a_file_exits_2_without_traceback(tmp_path, flag):
-    # both used to end in an IsADirectoryError traceback with exit 1
+    # this used to end in an IsADirectoryError traceback with exit 1
     result = _cli("report", flag, str(tmp_path))
     assert (result.returncode, result.stdout) == (2, "")
     assert result.stderr == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
@@ -151,14 +162,13 @@ def test_scenario_file_not_utf8_exits_2_naming_the_byte(capsys, tmp_path, argv):
     assert "can't decode byte 0xff" in err
 
 
-@pytest.mark.parametrize("lenient", [[], ["--lenient"]])
-def test_scenario_key_given_twice_exits_2(capsys, tmp_path, lenient):
+def test_scenario_key_given_twice_exits_2(capsys, tmp_path):
     # PyYAML keeps the last value: report used to print rho_min for 5e4 Pa
     text = (Path(__file__).parent / "golden" / "spore.yaml").read_text().replace(
         "  temperature_k: 300.0", "  pressure_pa: 5.0e4\n  temperature_k: 300.0")
     path = tmp_path / "twice.yaml"
     path.write_text(text)
-    code, out, err = run(capsys, "report", "--scenario", str(path), *lenient)
+    code, out, err = run(capsys, "report", "--scenario", str(path))
     assert (code, out) == (2, "")
     assert err == "error: line 4, column 3: found duplicate key 'pressure_pa'\n"
 
@@ -174,14 +184,12 @@ def test_invalid_scenario_file_exits_2(capsys, tmp_path, anthrax):
 
 
 def test_lenient_unknown_key_warns(capsys, tmp_path, anthrax):
+    # an unknown key is an error; no mode downgrades it to a warning
     path = tmp_path / "extra.yaml"
     path.write_text(dumps_scenario(anthrax) + "operator_note: hi\n")
-    code, _, err = run(capsys, "report", "--scenario", str(path))
-    assert code == 2
-    code, out, err = run(capsys, "report", "--scenario", str(path), "--lenient")
-    assert code == 0
-    assert "operator_note" in err
-    assert "rho_min_m3 = " in out
+    code, out, err = run(capsys, "report", "--scenario", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: unknown keys: operator_note\n"
 
 
 def test_sweep_coupled_intensity_slope(capsys):
@@ -228,6 +236,14 @@ def test_sweep_names_a_point_count_that_is_not_an_integer(capsys):
     assert err == "error: sweep point count must be an integer, got '2.5'\n"
 
 
+def test_sweep_refuses_a_path_given_twice(capsys):
+    # the CSV used to name gas.pressure twice, over two equal columns
+    code, out, err = run(capsys, "sweep", "--vary",
+                         "gas.pressure, gas.pressure=lin:1e5:2e5:2")
+    assert (code, out) == (2, "")
+    assert err == "error: sweep path 'gas.pressure' given twice\n"
+
+
 def test_sweep_invalid_point_exits_2(capsys):
     code, _, err = run(capsys, "sweep",
                        "--vary", "gas.temperature=lin:-100:300:3")
@@ -259,9 +275,9 @@ def _env():
         filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
-def _cli(*argv):
+def _cli(*argv, timeout=60):
     return subprocess.run([sys.executable, "-m", "parsim.cli", *argv],
-                          env=_env(), capture_output=True, text=True, timeout=60)
+                          env=_env(), capture_output=True, text=True, timeout=timeout)
 
 
 @pytest.mark.parametrize("spec", ["gas.pressure=lin:1e3:inf:3",
@@ -513,6 +529,24 @@ def test_modes_table(capsys):
     assert any(l.startswith("# sound_speed_m_s:") for l in lines)
 
 
+def test_modes_without_radial_modes_visits_only_m_0():
+    # every azimuthal order used to be visited, for more than 10 s here,
+    # though none above 0 has a mode without a radial one
+    result = _cli("modes", "--max-modes", "0,100000000,0", timeout=10)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == _cli("modes", "--max-modes", "0,0,0").stdout
+
+
+@pytest.mark.parametrize("caps, count", [("0,100000000,1", 100000002),
+                                         ("100000,0,0", 100001)])
+def test_modes_refuses_an_oversized_table(caps, count):
+    # 10^8 modes used to run for minutes before a MemoryError traceback
+    result = _cli("modes", "--max-modes", caps, timeout=10)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == (f"error: a table of {count} modes is above the "
+                             "limit of 100000\n")
+
+
 def test_validate_noise_passes(capsys):
     code, out, _ = run(capsys, "validate-noise")
     assert code == 0
@@ -617,20 +651,20 @@ def test_validate_noise_ensemble_out_of_memory_exits_2(capsys, monkeypatch):
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
                     reason="needs the per-thread entries of /proc")
 @pytest.mark.parametrize("preset, want", [(None, "1"), ("2", "2")])
-def test_cli_runs_blas_single_threaded_unless_told(tmp_path, preset, want):
+def test_cli_runs_blas_single_threaded_unless_told(preset, want):
     # OpenBLAS starts its thread pool when numpy is imported
     script = (
-        "import os, sys\n"
+        "import contextlib, io, os\n"
         "from parsim.cli import main\n"
-        "code = main(['sweep', '--vary', 'gas.pressure=lin:1e4:1e5:3',"
-        " '--out', sys.argv[1]])\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['sweep', '--vary', 'gas.pressure=lin:1e4:1e5:3'])\n"
         "print(code, len(os.listdir('/proc/self/task')),"
         " os.environ['OPENBLAS_NUM_THREADS'])\n")
     env = _env()
     env.pop("OPENBLAS_NUM_THREADS", None)
     if preset is not None:
         env["OPENBLAS_NUM_THREADS"] = preset
-    result = subprocess.run([sys.executable, "-c", script, str(tmp_path / "s.csv")],
+    result = subprocess.run([sys.executable, "-c", script],
                             env=env, capture_output=True, text=True, timeout=60)
     code, threads, setting = result.stdout.split()
     assert (code, setting) == ("0", want)

@@ -19,8 +19,10 @@ axisymmetric sources never excite m > 0 anyway.
 
 An ``AcousticMode`` carries the index, omega_qmn, alpha_mn and N_qmn, all
 that the mode table needs; the profile itself is evaluated only where it
-is checked, in the tests' orthonormality quadratures.  scipy is imported
-only to compute roots beyond the built-in table.
+is checked, in the tests' orthonormality quadratures.  alpha_mn and
+J_m(alpha_mn) come from a built-in table for m <= 4 and n <= 4, so the
+module computes no Bessel function and needs neither numpy nor scipy;
+caps beyond the table are refused.
 """
 
 from __future__ import annotations
@@ -32,23 +34,18 @@ from .quantities import CellGeometry, GasProperties, sound_speed
 
 __all__ = [
     "AcousticMode",
-    "RootFindingFailure",
     "cylinder_modes",
 ]
 
-# jnp_zeros residual above this means the root table cannot be trusted
-_ROOT_RESIDUAL_LIMIT = 1e-10
-
-# modes in a table above which it is refused before any root is computed.
+# modes in a table above which it is refused before any mode is built.
 # At the limit ``parsim modes`` takes about 0.8 s and 72 MB peak on an
-# axial table (7 us and 530 bytes per mode), and 1.7 s and 111 MB on a
-# radial one, whose roots scipy computes
+# axial table (7 us and 530 bytes per mode)
 MAX_MODES = 100_000
 
 # (alpha_mn, J_m(alpha_mn)) for m = 0..4, n = 1..4: repr of
 # scipy.special.jnp_zeros(m, 4) and of j0 (m = 0) or jv(m, .) at each root,
-# the values the scipy path below computes, so the caps in use need no
-# scipy or numpy; tests/test_acoustics.py checks them against scipy
+# the only source of the mode constants; tests/test_acoustics.py checks
+# them against scipy
 _RADIAL_TABLE = (
     ((3.8317059702075125, -0.402759395702553),
      (7.015586669815619, 0.3001157525261326),
@@ -73,10 +70,6 @@ _RADIAL_TABLE = (
 )
 
 
-class RootFindingFailure(RuntimeError):
-    """A Bessel-derivative root did not verify against the function itself."""
-
-
 @dataclass(frozen=True)
 class AcousticMode:
     """One normal mode of the rigid-walled cylinder.
@@ -97,27 +90,6 @@ class AcousticMode:
     @property
     def is_uniform(self) -> bool:
         return self.index == (0, 0, 0)
-
-
-def _radial_roots(m: int, count: int) -> list[tuple[float, float]]:
-    """First ``count`` (alpha_mn, J_m(alpha_mn)) pairs, alpha_mn > 0 a root of J_m'.
-
-    Caps inside ``_RADIAL_TABLE`` read it; beyond it scipy computes the
-    roots and verifies them against J_m'.
-    """
-    if m < len(_RADIAL_TABLE) and count <= len(_RADIAL_TABLE[m]):
-        return list(_RADIAL_TABLE[m][:count])
-    import numpy as np
-    from scipy import special
-
-    roots = special.jnp_zeros(m, count)
-    residual = np.abs(special.jvp(m, roots))
-    if np.any(residual > _ROOT_RESIDUAL_LIMIT):
-        worst = float(residual.max())
-        raise RootFindingFailure(
-            f"J_{m}' root residual {worst:.3e} exceeds {_ROOT_RESIDUAL_LIMIT:.0e}")
-    values = special.j0(roots) if m == 0 else special.jv(m, roots)
-    return list(zip(roots.tolist(), values.tolist()))
 
 
 def _norm_constant(q: int, m: int, alpha: float, j_m: float) -> float:
@@ -144,9 +116,10 @@ def cylinder_modes(cell: CellGeometry, gas: GasProperties,
     zero are off by default: axisymmetric heat sources cannot excite them.
     For m >= 1 the radial index starts at 1 (alpha = 0 would be a null
     profile there), so without radial modes only m = 0 has any.  A table
-    of more than MAX_MODES modes, or a sound speed or a mode frequency that
-    leaves the range of a double, raises ValueError, the latter saying
-    "arithmetic out of range".
+    of more than MAX_MODES modes, caps beyond the root table (a radial cap
+    above 4, or an azimuthal cap above 4 with radial modes), or a sound
+    speed or a mode frequency that leaves the range of a double, raises
+    ValueError, the last saying "arithmetic out of range".
     """
     if max_axial < 0 or max_radial < 0 or max_azimuthal < 0:
         raise ValueError("mode index cutoffs must be non-negative")
@@ -154,6 +127,11 @@ def cylinder_modes(cell: CellGeometry, gas: GasProperties,
     if count > MAX_MODES:
         raise ValueError(f"a table of {count} modes is above the limit of "
                          f"{MAX_MODES}")
+    if max_radial > 0 and (max_azimuthal >= len(_RADIAL_TABLE)
+                           or max_radial > len(_RADIAL_TABLE[0])):
+        raise ValueError(f"the root table holds azimuthal orders up to "
+                         f"{len(_RADIAL_TABLE) - 1} and radial indices up to "
+                         f"{len(_RADIAL_TABLE[0])}")
     c = sound_speed(gas)
     if not 0.0 < c < math.inf:
         raise ValueError(f"arithmetic out of range: sound speed is {c!r}")
@@ -162,8 +140,7 @@ def cylinder_modes(cell: CellGeometry, gas: GasProperties,
     modes: list[AcousticMode] = []
     for m in range(max_azimuthal + 1 if max_radial > 0 else 1):
         roots = [(0.0, 1.0)] if m == 0 else []   # the uniform profile, J_0(0) = 1
-        if max_radial > 0:
-            roots += _radial_roots(m, max_radial)
+        roots += _RADIAL_TABLE[m][:max_radial]
         n_start = 0 if m == 0 else 1
         for n_offset, (alpha, j_m) in enumerate(roots):
             n = n_start + n_offset

@@ -17,8 +17,8 @@ Every command writes its output to stdout and reads its scenario from
 ``--scenario FILE``, or computes the built-in anthrax_stp preset without it.
 
 Exit codes: 0 success, 1 a validation subcommand found a mismatch,
-2 bad usage, an invalid scenario, a scenario file that cannot be read or a
-run too large to start.
+2 bad usage, an invalid scenario, a scenario file that cannot be read, a
+run too large to start or mode caps beyond the built-in root table.
 """
 
 from __future__ import annotations

@@ -91,6 +91,13 @@ def test_sweeps_cover_every_warning_bit_and_the_eta_switch():
     assert etas == {True, False}
 
 
+def _env():
+    """The environment with this checkout's package first on PYTHONPATH."""
+    src = str(Path(parsim.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def _fresh_modules(prefix, *lines):
     """Modules under prefix loaded by a fresh interpreter running the lines.
 
@@ -101,10 +108,7 @@ def _fresh_modules(prefix, *lines):
         *lines,
         f"print(sorted(m for m in sys.modules if (m + '.').startswith({prefix + '.'!r})))",
     ])
-    src = str(Path(parsim.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    result = subprocess.run([sys.executable, "-c", script], env=env,
+    result = subprocess.run([sys.executable, "-c", script], env=_env(),
                             capture_output=True, text=True, check=True,
                             timeout=120)
     return result.stdout.strip()
@@ -191,13 +195,41 @@ def test_modes_within_the_root_table_import_no_numpy_or_scipy(prefix):
     ) == "[]"
 
 
-def test_modes_beyond_the_root_table_import_scipy_special():
-    loaded = _modules_after(
-        "scipy",
-        "with contextlib.redirect_stdout(io.StringIO()):",
-        "    assert main(['modes', '--max-modes', '2,6,6']) == 0",
-    )
-    assert "'scipy.special'" in loaded
+def _run_without_scipy(*argv):
+    """`parsim *argv` in a fresh interpreter in which scipy cannot be imported."""
+    script = "\n".join([
+        "import sys",
+        "sys.modules['scipy'] = None",
+        "from parsim.cli import main",
+        "sys.exit(main(sys.argv[1:]))",
+    ])
+    return subprocess.run([sys.executable, "-c", script, *argv], env=_env(),
+                          capture_output=True, text=True, timeout=120)
+
+
+SCIPY_FREE_COMMANDS = {
+    "report": ["report"],
+    "presets": ["presets"],
+    "sweep": ["sweep", "--vary", "gas.pressure=log:1e3:1e5:5"],
+    "modes": ["modes"],
+    "modes_whole_table": ["modes", "--max-modes", "4,4,4"],
+    "validate_noise": ["validate-noise", "--members", "4"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCIPY_FREE_COMMANDS))
+def test_commands_run_without_scipy(case):
+    result = _run_without_scipy(*SCIPY_FREE_COMMANDS[case])
+    assert result.returncode == 0, result.stderr
+    assert result.stdout
+
+
+@pytest.mark.parametrize("caps", ["2,6,6", "0,5,1", "0,0,5"])
+def test_modes_beyond_the_root_table_refused_without_scipy(caps):
+    result = _run_without_scipy("modes", "--max-modes", caps)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == ("error: the root table holds azimuthal orders up "
+                             "to 4 and radial indices up to 4\n")
 
 
 @pytest.mark.parametrize("module", ["parsim.oracle", "parsim.acoustics"])

@@ -32,7 +32,7 @@ import sys
 from . import __version__
 from .detection import BREAKDOWN_RISK, SPARSE_SUSPENSION, min_density
 from .noise import MODULATION_NOT_SMALL, thermal_variance
-from .presets import PRESETS, build_preset, preset_names
+from .presets import ANTHRAX_STP_SUMMARY, anthrax_stp
 from .quantities import (K_BOLTZMANN, Scenario, ScenarioValidationError, sound_speed,
                          validate_scenario)
 from .raman import LINEWIDTH_CONVENTIONS
@@ -65,7 +65,7 @@ def _add_scenario_arg(parser: argparse.ArgumentParser) -> None:
 def _load(args) -> tuple[Scenario, str]:
     if args.scenario is not None:
         return load_scenario(args.scenario).scenario, f"file:{args.scenario}"
-    return build_preset("anthrax_stp"), "preset:anthrax_stp"
+    return anthrax_stp(), "preset:anthrax_stp"
 
 
 # ---------------------------------------------------------------------------
@@ -386,12 +386,8 @@ def _cmd_validate_noise(args) -> int:
 # presets
 
 def _cmd_presets(args) -> int:
-    lines = []
-    for name in preset_names():
-        _, blurb = PRESETS[name]
-        digest = scenario_hash(build_preset(name))
-        lines.append(f"{name}: {blurb} (sha256 {digest[:12]})")
-    sys.stdout.write("\n".join(lines) + "\n")
+    digest = scenario_hash(anthrax_stp())
+    sys.stdout.write(f"anthrax_stp: {ANTHRAX_STP_SUMMARY} (sha256 {digest[:12]})\n")
     return 0
 
 

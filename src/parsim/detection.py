@@ -127,15 +127,18 @@ def _no_heating(particle: ParticleSpec, point: int) -> str:
     return "the Raman signal per particle underflows to 0: nothing to detect"
 
 
-def _first_non_finite(result, prefix: str = "") -> tuple[str, float] | None:
-    """(dotted field name, value) of the first Python float field not finite.
-
-    numpy scalars and arrays are left out: they raise under errstate.
-    """
+def _first_non_finite(result, prefix: str = "") -> str | None:
+    """"<dotted field name> is <value>" for the first float field, or the
+    first point of a sweep array field, that is not finite."""
     for name, value in vars(result).items():
-        if type(value) is float:
+        if isinstance(value, float):
             if not math.isfinite(value):
-                return prefix + name, value
+                return f"{prefix}{name} is {value!r}"
+        elif is_array(value):
+            point = first_failure(xp(value).isfinite(value))
+            if point is not None:
+                return (f"{prefix}{name} is {value_at(value, point)!r} "
+                        f"at sweep point {point}")
         elif hasattr(value, "__dataclass_fields__"):   # is_dataclass, faster
             found = _first_non_finite(value, f"{prefix}{name}.")
             if found is not None:
@@ -154,20 +157,19 @@ def min_density(scenario: Scenario, snr: float = 1.0,
     ValueError saying "arithmetic out of range", and so is a rho_min that
     underflows to 0.
     """
-    # numpy warns and goes on where math raises
+    # sweep arrays go on to inf or nan, as Python float products do
     try:
-        with errstate(over="raise", divide="raise", invalid="raise"):
+        with errstate(all="ignore"):
             report = _min_density(scenario, snr, linewidth_convention)
     except ArithmeticError as exc:
-        # FloatingPointError from numpy names the operation; math and Python
-        # floats raise OverflowError or ZeroDivisionError
+        # math and Python float powers raise OverflowError or ZeroDivisionError
         detail = "overflow" if isinstance(exc, OverflowError) else exc
         raise ValueError(f"arithmetic out of range: {detail}") from exc
-    # a Python float multiplication overflows to inf without raising
+    # an overflow to inf, or an invalid nan, raises nothing there
     found = _first_non_finite(report)
     if found is not None:
-        raise ValueError(f"arithmetic out of range: {found[0]} is {found[1]!r}")
-    # nor does one that underflows to 0
+        raise ValueError(f"arithmetic out of range: {found}")
+    # nor does a rho_min that underflows to 0
     point = first_failure(report.rho_min > 0.0)
     if point is not None:
         where = f" at sweep point {point}" if is_array(report.rho_min) else ""
@@ -181,7 +183,8 @@ def _min_density(scenario: Scenario, snr: float,
     if not (0.0 < snr < math.inf):
         raise ValueError(f"snr must be positive and finite, got {snr!r}")
     laser = scenario.laser
-    if first_failure(laser.pump_intensity * laser.stokes_intensity > 0.0) is not None:
+    if first_failure((laser.pump_intensity > 0.0)
+                     & (laser.stokes_intensity > 0.0)) is not None:
         raise ValueError("both beam intensities must be positive to detect anything")
 
     gain = raman.gain_coefficient(scenario, linewidth_convention)

@@ -30,55 +30,19 @@ from .quantities import (
     validate_scenario,
 )
 
-__all__ = [
-    "air_stp",
-    "condenser_microphone",
-    "anthrax_cell",
-    "anthrax_stp",
-    "PRESETS",
-    "preset_names",
-    "build_preset",
-]
+__all__ = ["ANTHRAX_STP_SUMMARY", "anthrax_stp", "build_preset"]
+
+# the one-line description `parsim presets` prints for anthrax_stp
+ANTHRAX_STP_SUMMARY = "airborne bacterial spores, air at STP, 10 cm cell"
 
 CELL_LENGTH = 0.1          # m
 CELL_VOLUME = 1.0e-8       # m^3
 
 
-def air_stp() -> GasProperties:
-    """Air at standard temperature and pressure, treated as diatomic."""
-    return GasProperties(
-        pressure=101325.0,
-        temperature=300.0,
-        density=1.3,
-        gamma=1.4,
-        molecule_mass=28.0 * ATOMIC_MASS,
-    )
-
-
-def condenser_microphone() -> DetectorNoiseSpec:
-    """Acoustic readout with a ~6 kHz fundamental and moderate damping.
-
-    The noise-mode damping (5e4 rad/s) reflects the heavily loaded
-    microphone resonance; the signal bandwidth (100 rad/s) is the
-    lock-in detection bandwidth around the modulation tone.
-    """
-    return DetectorNoiseSpec(
-        noise_mode_omega=4.0e4,
-        noise_damping=5.0e4,
-        signal_damping=100.0,
-    )
-
-
-def anthrax_cell() -> CellGeometry:
-    return CellGeometry(
-        length=CELL_LENGTH,
-        radius=math.sqrt(CELL_VOLUME / (math.pi * CELL_LENGTH)),
-        detector_coverage=1.0,
-    )
-
-
 def anthrax_stp() -> Scenario:
     """Spore detection in open air: the reference detection-limit scenario.
+
+    Gas: air at standard temperature and pressure, treated as diatomic.
 
     Laser: Stokes seed at 400 THz (near infrared), pump offset by the
     1e14 rad/s marker shift, both at 1e12 W/m^2 (a kW focused to ~30 um),
@@ -88,10 +52,25 @@ def anthrax_stp() -> Scenario:
     4e26 m^-3 with a 3.25e-33 m^2/sr differential cross-section and a
     64.5 GHz linewidth.  A tenth of the deposited quanta heat the spore;
     collisional de-excitation dominates radiative decay by nine orders.
+
+    Detector: acoustic readout with a ~6 kHz fundamental and moderate
+    damping.  The noise-mode damping (5e4 rad/s) reflects the heavily
+    loaded microphone resonance; the signal bandwidth (100 rad/s) is the
+    lock-in detection bandwidth around the modulation tone.
     """
     scenario = Scenario(
-        gas=air_stp(),
-        cell=anthrax_cell(),
+        gas=GasProperties(
+            pressure=101325.0,
+            temperature=300.0,
+            density=1.3,
+            gamma=1.4,
+            molecule_mass=28.0 * ATOMIC_MASS,
+        ),
+        cell=CellGeometry(
+            length=CELL_LENGTH,
+            radius=math.sqrt(CELL_VOLUME / (math.pi * CELL_LENGTH)),
+            detector_coverage=1.0,
+        ),
         laser=LaserDrive(
             pump_omega=2.0 * math.pi * 4.0e14 + 1.0e14,
             stokes_omega=2.0 * math.pi * 4.0e14,
@@ -111,25 +90,17 @@ def anthrax_stp() -> Scenario:
             radiative_rate=1.0e3,
             molar_heat=4.2,
         ),
-        detector=condenser_microphone(),
+        detector=DetectorNoiseSpec(
+            noise_mode_omega=4.0e4,
+            noise_damping=5.0e4,
+            signal_damping=100.0,
+        ),
     )
     return validate_scenario(scenario)
 
 
-PRESETS = {
-    "anthrax_stp": (anthrax_stp,
-                    "airborne bacterial spores, air at STP, 10 cm cell"),
-}
-
-
-def preset_names() -> list[str]:
-    return sorted(PRESETS)
-
-
 def build_preset(name: str) -> Scenario:
-    try:
-        factory, _ = PRESETS[name]
-    except KeyError:
-        known = ", ".join(preset_names())
-        raise ValueError(f"unknown preset {name!r}; available: {known}") from None
-    return factory()
+    """The built-in scenario of that name; anthrax_stp is the only one."""
+    if name != "anthrax_stp":
+        raise ValueError(f"unknown preset {name!r}; available: anthrax_stp")
+    return anthrax_stp()

@@ -42,7 +42,6 @@ from .quantities import (
     STEFAN_BOLTZMANN,
     GasProperties,
     Scenario,
-    errstate,
     first_failure,
     is_array,
     value_at,
@@ -77,10 +76,7 @@ def collision_rate(gas: GasProperties, radius: float) -> float:
     """
     u_g2 = 3.0 * K_BOLTZMANN * gas.temperature / gas.molecule_mass
     u_g = xp(u_g2).sqrt(u_g2)
-    # inf past the double range, as on floats, for collisional_timescale to
-    # refuse by name; numpy would raise under detection's errstate instead
-    with errstate(over="ignore"):
-        return gas.pressure * 4.0 * math.pi * radius**2 / (2.0 * gas.molecule_mass * u_g)
+    return gas.pressure * 4.0 * math.pi * radius**2 / (2.0 * gas.molecule_mass * u_g)
 
 
 def temperature_rise(particle_molar_heat: float, raman_fraction: float,
@@ -186,7 +182,12 @@ class ThermalReport:
 
 
 def thermal_report(scenario: Scenario) -> ThermalReport:
-    """Evaluate the whole heating/cooling chain for a scenario."""
+    """Evaluate the whole heating/cooling chain for a scenario.
+
+    A radiative power past the double range is refused with a ValueError
+    saying "arithmetic out of range", naming the first sweep point that
+    holds it.
+    """
     particle = scenario.particle
     gas = scenario.gas
 
@@ -197,6 +198,12 @@ def thermal_report(scenario: Scenario) -> ThermalReport:
                                   particle.molar_heat)
     peak_t = gas.temperature + d_t
     p_rad = radiative_power(peak_t, particle.equivalent_radius)
+    # past the double range tau_rad would come out 0; refuse by name instead
+    point = first_failure(p_rad < math.inf)
+    if point is not None:
+        where = f" at sweep point {point}" if is_array(p_rad) else ""
+        raise ValueError(f"arithmetic out of range: the radiative power is "
+                         f"{value_at(p_rad, point)!r}{where}")
     e_dep = particle.molecule_count * HBAR * scenario.laser.raman_shift
     tau_rad = e_dep / p_rad
     eff = transfer_efficiency(tau_c, tau_rad, scenario.laser.modulation_omega)

@@ -360,6 +360,9 @@ OUT_OF_RANGE = {
                     "laser.pump_intensity,laser.stokes_intensity=log:1e200:1e201:2"),
     "temperature": ({"gas": {"temperature": 1.0e300}},
                     "gas.temperature=lin:1e300:1e301:2"),
+    # 1/omega overflows to an inf modulation time
+    "modulation": ({"laser": {"modulation_omega": 1.0e-320}},
+                   "laser.modulation_omega=log:1e-320:1:3"),
     # the collision rate overflows to inf, which makes tau_c 0.0
     "collision_rate": ({"gas": {"pressure": 1.7e308}},
                        "gas.pressure=lin:1.7e308:1e5:2"),
@@ -407,6 +410,29 @@ def test_report_refuses_arithmetic_out_of_range(capsys, tmp_path, anthrax, case)
     assert (code, out) == (result.returncode, result.stdout)
     assert err.startswith("error: arithmetic out of range: ")
     assert err.count("\n") == 1
+    # the sweep names what the report names, at its point, not numpy's
+    # operation ("overflow encountered in multiply")
+    if case in ("intensities", "modulation"):
+        assert err == result.stderr.replace("\n", " at sweep point 0\n")
+    elif case == "temperature":
+        # the report's T^4 on a Python float raises a bare OverflowError
+        assert err == ("error: arithmetic out of range: the radiative power "
+                       "is inf at sweep point 0\n")
+
+
+def test_beam_product_that_underflows_is_named(capsys, tmp_path, anthrax):
+    # two positive beams of 1e-200 W/m^2 used to be refused as not positive
+    underflow = "error: the Raman signal per particle underflows to 0: nothing to detect\n"
+    path = tmp_path / "faint.yaml"
+    path.write_text(dumps_scenario(_with_fields(
+        anthrax, {"laser": {"pump_intensity": 1.0e-200, "stokes_intensity": 1.0e-200}})))
+    assert run(capsys, "report", "--scenario", str(path)) == (2, "", underflow)
+    assert run(capsys, "sweep", "--vary", "laser.pump_intensity,"
+               "laser.stokes_intensity=log:1e-200:1e10:3") == (2, "", underflow)
+    # a beam that is off is still refused as such
+    path.write_text(dumps_scenario(_with_fields(anthrax, {"laser": {"pump_intensity": 0.0}})))
+    assert run(capsys, "report", "--scenario", str(path)) == (
+        2, "", "error: both beam intensities must be positive to detect anything\n")
 
 
 def test_sweep_names_the_collision_rate_that_overflows(capsys):

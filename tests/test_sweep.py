@@ -4,11 +4,14 @@ The reference here is the per-point loop the command used to run: one
 scalar scenario per value, validated and passed through min_density.
 """
 
+import contextlib
 import dataclasses
 import importlib
+import io
 import math
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -247,6 +250,8 @@ def test_cli_import_loads_the_chain_modules():
 @pytest.mark.parametrize("prefix", ["numpy", "yaml"])
 def test_bare_package_import_loads_no_numpy_or_yaml(prefix):
     assert _fresh_modules(prefix, "import parsim") == "[]"
+    # the package defines no names beyond __version__, so loads no module
+    assert _fresh_modules("parsim", "import parsim") == "['parsim']"
 
 
 @pytest.mark.parametrize("command", ["report", "presets"])
@@ -274,23 +279,19 @@ def test_driven_oracle_loads_three_parsim_modules():
 
 
 def test_export_lists_match_their_modules():
-    # a name deleted from a module must leave its __all__, and a name the
-    # package exports lazily must be exported by its module too
-    modules = {info.name: importlib.import_module(f"parsim.{info.name}")
-               for info in pkgutil.iter_modules(parsim.__path__)}
-    for name, module in modules.items():
-        assert [n for n in module.__all__ if not hasattr(module, n)] == [], name
-    for name, module in parsim._LAZY.items():
-        assert name in modules[module].__all__, (module, name)
+    # a name deleted from a module must leave its __all__
+    for info in pkgutil.iter_modules(parsim.__path__):
+        module = importlib.import_module(f"parsim.{info.name}")
+        assert [n for n in module.__all__ if not hasattr(module, n)] == [], info.name
 
 
-def test_package_names_resolve():
-    for name in parsim.__all__:
-        assert getattr(parsim, name) is not None, name
+def test_readme_python_blocks_run():
+    # the library example runs in order, in one namespace, as a reader would
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
+    assert blocks
     namespace = {}
-    exec("from parsim import *", namespace)
-    assert set(parsim.__all__) <= set(namespace)
-    assert namespace["integrate_driven"] is parsim.oracle.integrate_driven
-    assert namespace["SpectrumSeries"] is parsim.noise.SpectrumSeries
-    with pytest.raises(AttributeError, match="no_such_name"):
-        parsim.no_such_name
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        for block in blocks:
+            exec(compile(block, "README.md", "exec"), namespace)
+    assert out.getvalue().startswith("764.62")

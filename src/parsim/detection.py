@@ -11,6 +11,13 @@ floor integrated over the detection bandwidth, gives the detection limit
 
     rho_min = snr * H_nep sqrt(Gamma_s) / (eta H_R V_S).
 
+rho_min is a continuum density, the suspension's mean heating held equal
+to the floor.  Below one particle per cell (rho_min V < 1) no single
+measurement sees that mean: the cell holds a particle with probability
+1 - exp(-rho V), and it is the count, not the thermal floor, that limits
+detection.  At the preset rho_min V = 7.65e-6, and rho_min V grows as
+sqrt(V), since H_nep falls as V^(-1/2).
+
 Guards: intensities at or above the cascade-breakdown threshold of the gas
 are flagged, as is a detection limit so low that fewer than a handful of
 particles would occupy the cell (the continuum-suspension picture breaks
@@ -48,6 +55,8 @@ __all__ = [
 ]
 
 BREAKDOWN_RISK = "cascade_breakdown_risk"
+# rho_min V < SPARSE_COUNT_LIMIT: rho_min is then a continuum figure that no
+# one cell resolves (module docstring); the preset's rho_min V is 7.65e-6
 SPARSE_SUSPENSION = "sparse_suspension_limit"
 NEP_CONVENTION_NOTE = "nep_two_sided_angular_convention"
 

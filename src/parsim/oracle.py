@@ -383,10 +383,14 @@ def integrate_langevin(config: SdeRunConfig, scenario: Scenario) -> TrajectorySt
     m = config.ensemble_size
 
     burn_in = 10.0 / config.damping if thermal else 0.0
-    member_steps = m * (burn_in + config.duration) / config.timestep
+    steps = (burn_in + config.duration) / config.timestep
+    try:
+        member_steps = m * steps
+    except OverflowError:   # an int member count beyond the double range
+        member_steps = math.inf
     if not member_steps <= MAX_MEMBER_STEPS:
         raise RunTooLong(
-            f"{m} members of {member_steps / m:.3g} steps each are "
+            f"{m} members of {steps:.3g} steps each are "
             f"{member_steps:.3g} member-steps, above the limit of "
             f"{MAX_MEMBER_STEPS:.3g}")
     n_burn = int(round(burn_in / config.timestep))

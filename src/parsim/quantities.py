@@ -17,6 +17,14 @@ that values parsed from external input can be assembled first and examined
 afterwards.  ``validate_scenario`` performs the checks and reports every
 violation at once instead of stopping at the first.
 
+Each value field states once, in its ``dataclasses.field`` metadata, its
+file key (unit as suffix), alias keys with their factor into its unit, and
+the name of its check: positive, nonnegative, fraction, at_least_one or
+above_one.  ``schema(cls)`` lists them for ``scenario_io``, and
+``validate_scenario`` applies each check by name.  Only the checks that
+relate two fields are written out: Stokes below pump, and the two decay
+rates not both zero.
+
 Broadcasting
 ------------
 Any float field may instead hold a 1-D numpy array, one entry per point of
@@ -31,9 +39,11 @@ runs without it (``is_array`` tells the two apart without importing it).
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
+from operator import ge, gt, le, lt
 
 __all__ = [
     "HBAR",
@@ -49,6 +59,8 @@ __all__ = [
     "ParticleSpec",
     "DetectorNoiseSpec",
     "Scenario",
+    "COMPONENTS",
+    "schema",
     "Violation",
     "ScenarioValidationError",
     "validate_scenario",
@@ -69,6 +81,24 @@ STEFAN_BOLTZMANN = 5.670374419e-8       # W/(m^2 K^4)
 SPEED_OF_LIGHT = 2.99792458e8           # m/s
 ATOMIC_MASS = 1.66053906660e-27         # kg
 
+_TWO_PI = 2.0 * math.pi
+
+
+def _field(key: str, check: str, default=MISSING, **aliases: float):
+    """A scenario value: its file key, the name of its check in
+    validate_scenario and alias keys, each with its factor into the unit."""
+    return field(default=default,
+                 metadata={"key": key, "check": check, "aliases": aliases})
+
+
+@functools.cache
+def schema(cls) -> tuple[tuple[str, str, str, dict[str, float]], ...]:
+    """(attribute, file key, check name, aliases) of each value field of a
+    scenario dataclass, in field order; built once per class."""
+    return tuple((f.name, f.metadata["key"], f.metadata["check"],
+                  f.metadata["aliases"])
+                 for f in fields(cls) if "key" in f.metadata)
+
 
 @dataclass(frozen=True)
 class GasProperties:
@@ -81,11 +111,12 @@ class GasProperties:
     molecule_mass   kg, mass of one gas molecule
     """
 
-    pressure: float
-    temperature: float
-    density: float
-    gamma: float
-    molecule_mass: float
+    pressure: float = _field("pressure_pa", "positive")
+    temperature: float = _field("temperature_k", "positive")
+    density: float = _field("density_kg_m3", "positive")
+    gamma: float = _field("adiabatic_index", "above_one")
+    molecule_mass: float = _field("molecule_mass_kg", "positive",
+                                  molecule_mass_amu=ATOMIC_MASS)
 
 
 @dataclass(frozen=True)
@@ -98,9 +129,10 @@ class CellGeometry:
                         in (0, 1]; 1 means ideal coupling
     """
 
-    length: float
-    radius: float
-    detector_coverage: float = 1.0
+    length: float = _field("length_m", "positive")
+    radius: float = _field("radius_m", "positive")
+    detector_coverage: float = _field("detector_coverage", "fraction",
+                                      default=1.0)
 
     @property
     def volume(self) -> float:
@@ -120,12 +152,16 @@ class LaserDrive:
     modulation_omega  rad/s, angular frequency of the intensity modulation
     """
 
-    pump_omega: float
-    stokes_omega: float
-    pump_intensity: float
-    stokes_intensity: float
-    refractive_index: float = 1.0
-    modulation_omega: float = 100.0
+    pump_omega: float = _field("pump_omega_rad_s", "positive",
+                               pump_hz=_TWO_PI)
+    stokes_omega: float = _field("stokes_omega_rad_s", "positive",
+                                 stokes_hz=_TWO_PI)
+    pump_intensity: float = _field("pump_intensity_w_m2", "nonnegative")
+    stokes_intensity: float = _field("stokes_intensity_w_m2", "nonnegative")
+    refractive_index: float = _field("refractive_index", "at_least_one",
+                                     default=1.0)
+    modulation_omega: float = _field("modulation_omega_rad_s", "positive",
+                                     default=100.0, modulation_hz=_TWO_PI)
 
     @property
     def raman_shift(self) -> float:
@@ -151,16 +187,18 @@ class ParticleSpec:
     radius_override     m, optional; replaces the volume-equivalent radius
     """
 
-    volume: float
-    molecule_count: float
-    raman_fraction: float
-    active_density: float
-    raman_cross_section: float
-    linewidth_hz: float
-    collisional_rate: float
-    radiative_rate: float
-    molar_heat: float
-    radius_override: float | None = None
+    volume: float = _field("volume_m3", "positive")
+    molecule_count: float = _field("molecule_count", "positive")
+    raman_fraction: float = _field("raman_fraction", "fraction")
+    active_density: float = _field("active_density_m3", "nonnegative")
+    raman_cross_section: float = _field("raman_cross_section_m2_sr",
+                                        "nonnegative")
+    linewidth_hz: float = _field("linewidth_hz", "positive")
+    collisional_rate: float = _field("collisional_rate_rad_s", "nonnegative")
+    radiative_rate: float = _field("radiative_rate_rad_s", "nonnegative")
+    molar_heat: float = _field("molar_heat_j_mol_k", "positive")
+    radius_override: float | None = _field("equivalent_radius_m", "positive",
+                                           default=None)
 
     @property
     def equivalent_radius(self) -> float:
@@ -180,21 +218,28 @@ class DetectorNoiseSpec:
     signal_damping    1/s, damping rate acting on the detected signal mode
     """
 
-    noise_mode_omega: float
-    noise_damping: float
-    signal_damping: float
+    noise_mode_omega: float = _field("noise_mode_omega_rad_s", "positive",
+                                     noise_mode_hz=_TWO_PI)
+    noise_damping: float = _field("noise_damping_rad_s", "positive")
+    signal_damping: float = _field("signal_damping_rad_s", "positive")
 
 
 @dataclass(frozen=True)
 class Scenario:
     """Complete description of one measurement configuration."""
 
-    gas: GasProperties
-    cell: CellGeometry
-    laser: LaserDrive
-    particle: ParticleSpec
-    detector: DetectorNoiseSpec
-    spore_density: float | None = None
+    gas: GasProperties = field(metadata={"component": GasProperties})
+    cell: CellGeometry = field(metadata={"component": CellGeometry})
+    laser: LaserDrive = field(metadata={"component": LaserDrive})
+    particle: ParticleSpec = field(metadata={"component": ParticleSpec})
+    detector: DetectorNoiseSpec = field(metadata={"component": DetectorNoiseSpec})
+    spore_density: float | None = _field("spore_density_m3", "nonnegative",
+                                         default=None)
+
+
+# section name -> component dataclass, in field order
+COMPONENTS = {f.name: f.metadata["component"] for f in fields(Scenario)
+              if "component" in f.metadata}
 
 
 # violation codes, stable strings used by tests and the CLI
@@ -289,84 +334,58 @@ def _require(out: list, ok, code: str, field: str, message: str,
     out.append((point, Violation(code, field, message)))
 
 
-def _check_positive(out: list, prefix: str, **values: float) -> None:
-    for name, value in values.items():
-        # a valid float passes the cheap test; arrays take the broadcast one
-        if (value > 0.0) is not True or not value < _INF:
-            _require(out, (value > 0.0) & (value < _INF), NEGATIVE_QUANTITY,
-                     f"{prefix}.{name}", "must be finite and > 0", value)
+# check name -> (lower test, upper test, violation code, message); a value
+# passes when both tests give True (on arrays, a bool array each)
+_CHECKS = {
+    "positive": ((gt, 0.0), (lt, _INF), NEGATIVE_QUANTITY,
+                 "must be finite and > 0"),
+    "nonnegative": ((ge, 0.0), (lt, _INF), NEGATIVE_QUANTITY,
+                    "must be finite and >= 0"),
+    "fraction": ((gt, 0.0), (le, 1.0), OUT_OF_RANGE, "must lie in (0, 1]"),
+    "at_least_one": ((ge, 1.0), (lt, _INF), OUT_OF_RANGE,
+                     "must be finite and >= 1"),
+    "above_one": ((gt, 1.0), (lt, _INF), GAMMA_NOT_ABOVE_ONE,
+                  "heat capacity ratio must be finite and exceed 1"),
+}
 
-
-def _check_nonnegative(out: list, prefix: str, **values: float) -> None:
-    for name, value in values.items():
-        if (value >= 0.0) is not True or not value < _INF:
-            _require(out, (value >= 0.0) & (value < _INF), NEGATIVE_QUANTITY,
-                     f"{prefix}.{name}", "must be finite and >= 0", value)
+# (section, or None for the scenario's own fields, and per checked field
+# (attribute, violation field, optional, *_CHECKS entry)), built once
+_CHECKED = tuple(
+    (section, tuple((f.name, f"{section or 'scenario'}.{f.name}",
+                     f.default is None, *_CHECKS[f.metadata["check"]])
+                    for f in fields(cls) if "check" in f.metadata))
+    for section, cls in (*COMPONENTS.items(), (None, Scenario)))
 
 
 def validate_scenario(scenario: Scenario) -> Scenario:
     """Check a scenario candidate, returning it if sound.
 
     Raises ScenarioValidationError carrying every violation found (of the
-    first invalid point, for a scenario holding arrays).  Derived
-    quantities (cell volume, particle equivalent radius, sound speed) are
-    implemented as recompute-on-read, so a validated scenario cannot drift
-    out of internal consistency afterwards.
+    first invalid point, for a scenario holding arrays), in field order
+    and then the two cross-field checks.  Derived quantities (cell volume,
+    particle equivalent radius, sound speed) are implemented as
+    recompute-on-read, so a validated scenario cannot drift out of
+    internal consistency afterwards.
     """
     v: list[tuple[int, Violation]] = []
-    gas, cell, laser, particle, det = (scenario.gas, scenario.cell,
-                                       scenario.laser, scenario.particle,
-                                       scenario.detector)
+    for section, checks in _CHECKED:
+        obj = scenario if section is None else getattr(scenario, section)
+        for attr, name, optional, (lo, a), (hi, b), code, message in checks:
+            value = getattr(obj, attr)
+            if optional and value is None:
+                continue
+            # a valid float passes the cheap test; arrays take the broadcast one
+            if lo(value, a) is not True or hi(value, b) is not True:
+                _require(v, lo(value, a) & hi(value, b), code, name, message,
+                         value)
 
-    _check_positive(v, "gas", pressure=gas.pressure, temperature=gas.temperature,
-                    density=gas.density, molecule_mass=gas.molecule_mass)
-    if (ok := gas.gamma > 1.0) is not True:
-        _require(v, ok, GAMMA_NOT_ABOVE_ONE, "gas.gamma",
-                 "heat capacity ratio must exceed 1", gas.gamma)
-
-    _check_positive(v, "cell", length=cell.length, radius=cell.radius)
-    coverage = cell.detector_coverage
-    if (ok := (0.0 < coverage) & (coverage <= 1.0)) is not True:
-        _require(v, ok, OUT_OF_RANGE, "cell.detector_coverage",
-                 "must lie in (0, 1]", coverage)
-
-    _check_positive(v, "laser", pump_omega=laser.pump_omega,
-                    stokes_omega=laser.stokes_omega,
-                    modulation_omega=laser.modulation_omega)
-    _check_nonnegative(v, "laser", pump_intensity=laser.pump_intensity,
-                       stokes_intensity=laser.stokes_intensity)
-    index = laser.refractive_index
-    if (ok := (index >= 1.0) & (index < _INF)) is not True:
-        _require(v, ok, OUT_OF_RANGE, "laser.refractive_index",
-                 "must be finite and >= 1", index)
+    laser, particle = scenario.laser, scenario.particle
     if (ok := laser.pump_omega > laser.stokes_omega) is not True:
         _require(v, ok, STOKES_NOT_BELOW_PUMP, "laser.stokes_omega",
                  "Stokes frequency must lie below the pump frequency")
-
-    _check_positive(v, "particle", volume=particle.volume,
-                    molecule_count=particle.molecule_count,
-                    linewidth_hz=particle.linewidth_hz,
-                    molar_heat=particle.molar_heat)
-    _check_nonnegative(v, "particle", active_density=particle.active_density,
-                       raman_cross_section=particle.raman_cross_section,
-                       collisional_rate=particle.collisional_rate,
-                       radiative_rate=particle.radiative_rate)
-    fraction = particle.raman_fraction
-    if (ok := (0.0 < fraction) & (fraction <= 1.0)) is not True:
-        _require(v, ok, OUT_OF_RANGE, "particle.raman_fraction",
-                 "must lie in (0, 1]", fraction)
     if (ok := particle.collisional_rate + particle.radiative_rate > 0.0) is not True:
         _require(v, ok, OUT_OF_RANGE, "particle.collisional_rate",
                  "collisional and radiative decay rates cannot both vanish")
-    if particle.radius_override is not None:
-        _check_positive(v, "particle", radius_override=particle.radius_override)
-
-    _check_positive(v, "detector", noise_mode_omega=det.noise_mode_omega,
-                    noise_damping=det.noise_damping,
-                    signal_damping=det.signal_damping)
-
-    if scenario.spore_density is not None:
-        _check_nonnegative(v, "scenario", spore_density=scenario.spore_density)
 
     if v:
         point = min(p for p, _ in v)

@@ -2,22 +2,24 @@
 
 File layout: a required integer ``format_version`` plus one mapping per
 component (gas, cell, laser, particle, detector) and an optional top-level
-``spore_density_m3``.  Keys carry their unit as a suffix so a file never
-needs out-of-band documentation; a few convenience aliases convert on load
-(``*_hz`` keys are multiplied by 2 pi into angular frequencies,
-``molecule_mass_amu`` converts to kilograms).
+``spore_density_m3``.  Each key, with its unit as a suffix, and its
+aliases live on the field of the ``quantities`` dataclass, which
+``quantities.schema`` lists; an alias converts on load (``*_hz`` keys are
+multiplied by 2 pi into angular frequencies, ``molecule_mass_amu``
+converts to kilograms).
 
 Loading is strict: unknown keys are an error, and every missing required
 key is reported in one message.  A key is required exactly when its field
-of the ``quantities`` dataclass has no default, and an omitted optional key
-takes that default (``detector_coverage`` 1, for one).  A key given twice
-in one mapping is an error, where PyYAML alone would keep the last value.
-Plain YAML loaders parse exponent literals like ``1.0e12`` as strings, so
-numeric fields are coerced from strings when needed.  PyYAML, imported
-only to parse or write, parses with libyaml's C parser when it was built
-with it, and in pure Python otherwise.  Both resolve scalars the same way;
-they word a syntax error differently and may place it on a different line
-(an unclosed ``{`` at the end of the text, for one).
+has no default, and an omitted optional key takes that default
+(``detector_coverage`` 1, for one).  A key given twice in one mapping is
+an error, where PyYAML alone would keep the last value, and so is an
+integer beyond the range of a double.  Plain YAML loaders parse exponent
+literals like ``1.0e12`` as strings, so numeric fields are coerced from
+strings when needed.  PyYAML, imported only to parse or write, parses
+with libyaml's C parser when it was built with it, and in pure Python
+otherwise.  Both resolve scalars the same way; they word a syntax error
+differently and may place it on a different line (an unclosed ``{`` at
+the end of the text, for one).
 
 Writing uses repr precision, which round-trips doubles exactly.
 ``scenario_hash`` digests the canonical flattened form, so any two equal
@@ -28,19 +30,9 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import math
 from pathlib import Path
 
-from .quantities import (
-    ATOMIC_MASS,
-    CellGeometry,
-    DetectorNoiseSpec,
-    GasProperties,
-    LaserDrive,
-    ParticleSpec,
-    Scenario,
-    validate_scenario,
-)
+from .quantities import COMPONENTS, Scenario, schema, validate_scenario
 
 __all__ = [
     "ParseError",
@@ -56,8 +48,6 @@ __all__ = [
 
 FORMAT_VERSION = 1
 
-_TWO_PI = 2.0 * math.pi
-
 
 class ParseError(ValueError):
     """YAML syntax failure, with source position when available."""
@@ -67,75 +57,7 @@ class SchemaError(ValueError):
     """Structurally valid YAML that does not describe a scenario."""
 
 
-@dataclasses.dataclass(frozen=True)
-class _Field:
-    attr: str
-    key: str
-    # alias key -> multiplicative conversion into the canonical unit
-    aliases: tuple[tuple[str, float], ...] = ()
-
-
-_GAS_FIELDS = (
-    _Field("pressure", "pressure_pa"),
-    _Field("temperature", "temperature_k"),
-    _Field("density", "density_kg_m3"),
-    _Field("gamma", "adiabatic_index"),
-    _Field("molecule_mass", "molecule_mass_kg",
-           aliases=(("molecule_mass_amu", ATOMIC_MASS),)),
-)
-
-_CELL_FIELDS = (
-    _Field("length", "length_m"),
-    _Field("radius", "radius_m"),
-    _Field("detector_coverage", "detector_coverage"),
-)
-
-_LASER_FIELDS = (
-    _Field("pump_omega", "pump_omega_rad_s",
-           aliases=(("pump_hz", _TWO_PI),)),
-    _Field("stokes_omega", "stokes_omega_rad_s",
-           aliases=(("stokes_hz", _TWO_PI),)),
-    _Field("pump_intensity", "pump_intensity_w_m2"),
-    _Field("stokes_intensity", "stokes_intensity_w_m2"),
-    _Field("refractive_index", "refractive_index"),
-    _Field("modulation_omega", "modulation_omega_rad_s",
-           aliases=(("modulation_hz", _TWO_PI),)),
-)
-
-_PARTICLE_FIELDS = (
-    _Field("volume", "volume_m3"),
-    _Field("molecule_count", "molecule_count"),
-    _Field("raman_fraction", "raman_fraction"),
-    _Field("active_density", "active_density_m3"),
-    _Field("raman_cross_section", "raman_cross_section_m2_sr"),
-    _Field("linewidth_hz", "linewidth_hz"),
-    _Field("collisional_rate", "collisional_rate_rad_s"),
-    _Field("radiative_rate", "radiative_rate_rad_s"),
-    _Field("molar_heat", "molar_heat_j_mol_k"),
-    _Field("radius_override", "equivalent_radius_m"),
-)
-
-_DETECTOR_FIELDS = (
-    _Field("noise_mode_omega", "noise_mode_omega_rad_s",
-           aliases=(("noise_mode_hz", _TWO_PI),)),
-    _Field("noise_damping", "noise_damping_rad_s"),
-    _Field("signal_damping", "signal_damping_rad_s"),
-)
-
-_SECTIONS = (
-    ("gas", GasProperties, _GAS_FIELDS),
-    ("cell", CellGeometry, _CELL_FIELDS),
-    ("laser", LaserDrive, _LASER_FIELDS),
-    ("particle", ParticleSpec, _PARTICLE_FIELDS),
-    ("detector", DetectorNoiseSpec, _DETECTOR_FIELDS),
-)
-
-SECTION_NAMES = tuple(name for name, _, _ in _SECTIONS)
-
-# the fields a file must give: those whose dataclass field has no default
-_REQUIRED = {cls: {f.name for f in dataclasses.fields(cls)
-                   if f.default is dataclasses.MISSING}
-             for _, cls, _ in _SECTIONS}
+SECTION_NAMES = tuple(COMPONENTS)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -146,13 +68,15 @@ class LoadResult:
 def _coerce_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise SchemaError(f"{where}: expected a number, got {value!r}")
-    if isinstance(value, str):
-        try:
-            return float(value)
-        except ValueError:
-            raise SchemaError(
-                f"{where}: expected a number, got {value!r}") from None
-    return float(value)
+    try:
+        return float(value)
+    except ValueError:
+        raise SchemaError(
+            f"{where}: expected a number, got {value!r}") from None
+    except OverflowError:
+        # an int past the double range; a string of it converts to inf
+        raise SchemaError(
+            f"{where}: an integer beyond the range of a double") from None
 
 
 def _loader():
@@ -214,23 +138,24 @@ def loads_scenario(text: str) -> LoadResult:
             f"format_version {version!r} not supported "
             f"(this reader handles {FORMAT_VERSION})")
 
-    known_top = {"format_version", "spore_density_m3", *SECTION_NAMES}
+    top = schema(Scenario)
+    known_top = {"format_version", *SECTION_NAMES, *(key for _, key, _, _ in top)}
     for key in doc:
         if key not in known_top:
             unknown.append(str(key))
 
     built = {}
-    for name, cls, fields in _SECTIONS:
+    for name, cls in COMPONENTS.items():
         section = doc.get(name)
         if section is None:
             section = {}
         elif not isinstance(section, dict):
             raise SchemaError(f"{name}: expected a mapping")
-        kwargs, sec_unknown = _read_section(name, section, fields)
-        unknown.extend(sec_unknown)
+        kwargs = _read_section(name, section, cls, unknown)
         # an omitted optional key takes its dataclass default
-        sec_missing = [f"{name}.{f.key}" for f in fields
-                       if f.attr in _REQUIRED[cls] and f.attr not in kwargs]
+        sec_missing = [f"{name}.{f.metadata['key']}"
+                       for f in dataclasses.fields(cls)
+                       if f.default is dataclasses.MISSING and f.name not in kwargs]
         missing.extend(sec_missing)
         if not sec_missing:
             built[name] = cls(**kwargs)
@@ -240,37 +165,33 @@ def loads_scenario(text: str) -> LoadResult:
     if missing:
         raise SchemaError("missing required keys: " + ", ".join(missing))
 
-    spore_density = doc.get("spore_density_m3")
-    if spore_density is not None:
-        spore_density = _coerce_number(spore_density, "spore_density_m3")
-
-    scenario = Scenario(gas=built["gas"], cell=built["cell"],
-                        laser=built["laser"], particle=built["particle"],
-                        detector=built["detector"],
-                        spore_density=spore_density)
+    for attr, key, _, _ in top:
+        if doc.get(key) is not None:
+            built[attr] = _coerce_number(doc[key], key)
+    scenario = Scenario(**built)
     validate_scenario(scenario)
     return LoadResult(scenario)
 
 
-def _read_section(name: str, section: dict, fields: tuple[_Field, ...]):
+def _read_section(name: str, section: dict, cls, unknown: list) -> dict:
+    """The fields that section sets, converted into cls's units; keys cls
+    does not know go on unknown."""
+    known = {k: (attr, factor) for attr, key, _, aliases in schema(cls)
+             for k, factor in ((key, 1.0), *aliases.items())}
     kwargs = {}
-    unknown = []
-    known = {key: (f, factor) for f in fields
-             for key, factor in ((f.key, 1.0), *f.aliases)}
-
     seen: dict[str, str] = {}
     for key, raw in section.items():
         hit = known.get(key)
         if hit is None:
             unknown.append(f"{name}.{key}")
             continue
-        f, factor = hit
-        if f.attr in seen:
+        attr, factor = hit
+        if attr in seen:
             raise SchemaError(
-                f"{name}: {key} and {seen[f.attr]} specify the same quantity")
-        seen[f.attr] = key
-        kwargs[f.attr] = _coerce_number(raw, f"{name}.{key}") * factor
-    return kwargs, unknown
+                f"{name}: {key} and {seen[attr]} specify the same quantity")
+        seen[attr] = key
+        kwargs[attr] = _coerce_number(raw, f"{name}.{key}") * factor
+    return kwargs
 
 
 def load_scenario(path) -> LoadResult:
@@ -279,18 +200,16 @@ def load_scenario(path) -> LoadResult:
 
 def _canonical_sections(scenario: Scenario) -> dict:
     doc: dict = {"format_version": FORMAT_VERSION}
-    for name, _cls, fields in _SECTIONS:
-        obj = getattr(scenario, name)
-        section = {}
-        for f in fields:
-            value = getattr(obj, f.attr)
-            if value is None:
-                continue
-            section[f.key] = float(value)
-        doc[name] = section
-    if scenario.spore_density is not None:
-        doc["spore_density_m3"] = float(scenario.spore_density)
+    for name, cls in COMPONENTS.items():
+        doc[name] = _values(getattr(scenario, name), cls)
+    doc.update(_values(scenario, Scenario))
     return doc
+
+
+def _values(obj, cls) -> dict:
+    """obj's fields under their file keys, the unset optional ones left out."""
+    return {key: float(value) for attr, key, _, _ in schema(cls)
+            if (value := getattr(obj, attr)) is not None}
 
 
 def dumps_scenario(scenario: Scenario) -> str:

@@ -650,14 +650,17 @@ def test_validate_noise_refuses_a_negative_seed(capsys):
 @pytest.mark.parametrize("argv", [("--duration-dampings", "1e12"),
                                   ("--duration-dampings", "1e300"),
                                   ("--duration-dampings", "1.7e308"),
-                                  ("--members", "100000000")])
+                                  ("--members", "100000000"),
+                                  ("--members", "1" + "0" * 400)])
 def test_validate_noise_refuses_runs_that_cannot_finish(argv):
     # these used to run silently for years (1e12), end in an
-    # _ArrayMemoryError traceback (1e8 members) or overflow the step count
+    # _ArrayMemoryError traceback (1e8 members), overflow the step count
+    # or raise OverflowError converting the member count (10^400)
     result = _cli("validate-noise", *argv)
     assert (result.returncode, result.stdout) == (2, "")
     assert result.stderr.startswith("error: ")
     assert result.stderr.count("\n") == 1
+    assert "Traceback" not in result.stderr
     assert "member-steps, above the limit of 1e+10" in result.stderr
 
 

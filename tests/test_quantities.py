@@ -84,6 +84,39 @@ def test_validate_collects_all_violations(anthrax):
     assert "gas.pressure" in str(err.value)
 
 
+def test_validate_lists_violations_in_field_order(anthrax):
+    # each section's fields in dataclass order, then the cross-field checks
+    bad = dataclasses.replace(
+        anthrax,
+        gas=dataclasses.replace(anthrax.gas, gamma=0.9, molecule_mass=-1.0),
+        laser=dataclasses.replace(anthrax.laser, modulation_omega=0.0,
+                                  pump_intensity=-1.0,
+                                  stokes_omega=anthrax.laser.pump_omega + 1.0),
+        particle=dataclasses.replace(anthrax.particle, radius_override=-1.0,
+                                     collisional_rate=0.0, radiative_rate=0.0))
+    with pytest.raises(q.ScenarioValidationError) as err:
+        q.validate_scenario(bad)
+    assert [(v.code, v.field) for v in err.value.violations] == [
+        (q.GAMMA_NOT_ABOVE_ONE, "gas.gamma"),
+        (q.NEGATIVE_QUANTITY, "gas.molecule_mass"),
+        (q.NEGATIVE_QUANTITY, "laser.pump_intensity"),
+        (q.NEGATIVE_QUANTITY, "laser.modulation_omega"),
+        (q.NEGATIVE_QUANTITY, "particle.radius_override"),
+        (q.STOKES_NOT_BELOW_PUMP, "laser.stokes_omega"),
+        (q.OUT_OF_RANGE, "particle.collisional_rate"),
+    ]
+
+
+def test_validate_gamma_must_be_finite(anthrax):
+    # an infinite gamma used to pass and give rho_min = nan
+    gas = dataclasses.replace(anthrax.gas, gamma=math.inf)
+    with pytest.raises(q.ScenarioValidationError) as err:
+        q.validate_scenario(dataclasses.replace(anthrax, gas=gas))
+    assert [str(v) for v in err.value.violations] == [
+        "gas.gamma: heat capacity ratio must be finite and exceed 1, got inf "
+        "[gamma_not_above_one]"]
+
+
 def test_validate_rejects_stokes_above_pump(anthrax):
     bad = _broken(anthrax, stokes_omega=anthrax.laser.pump_omega + 1.0)
     with pytest.raises(q.ScenarioValidationError) as err:

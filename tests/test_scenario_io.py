@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 import textwrap
@@ -5,9 +6,16 @@ import textwrap
 import pytest
 import yaml
 
-from parsim import scenario_io
-from parsim.quantities import ATOMIC_MASS, Scenario, ScenarioValidationError
+from parsim import quantities, scenario_io
+from parsim.quantities import (
+    ATOMIC_MASS,
+    COMPONENTS,
+    Scenario,
+    ScenarioValidationError,
+    schema,
+)
 from parsim.scenario_io import (
+    SECTION_NAMES,
     ParseError,
     SchemaError,
     dumps_scenario,
@@ -206,17 +214,45 @@ def test_validation_runs_by_default():
 
 def test_every_scenario_field_can_be_set_from_a_file():
     # a field that no file key reaches is a knob only code can turn
-    table = {name: (cls, fields) for name, cls, fields in scenario_io._SECTIONS}
-    for field in dataclasses.fields(Scenario):
-        if field.name == "spore_density":
-            text = MINIMAL + "spore_density_m3: 2.5e4\n"
-            assert loads_scenario(text).scenario.spore_density == 2.5e4
-            continue
-        assert field.name in table, f"no file section sets Scenario.{field.name}"
-        cls, keys = table[field.name]
-        assert field.type == cls.__name__
-        assert (sorted(f.name for f in dataclasses.fields(cls))
-                == sorted(key.attr for key in keys)), field.name
+    assert ([f.name for f in dataclasses.fields(Scenario)]
+            == [*SECTION_NAMES, *(attr for attr, *_ in schema(Scenario))])
+    for cls in COMPONENTS.values():
+        assert ([attr for attr, *_ in schema(cls)]
+                == [f.name for f in dataclasses.fields(cls)]), cls.__name__
+    # every optional field away from its default, so an unread key shows
+    base = loads_scenario(MINIMAL).scenario
+    base = dataclasses.replace(
+        base, spore_density=2.5e4,
+        cell=dataclasses.replace(base.cell, detector_coverage=0.7),
+        laser=dataclasses.replace(base.laser, refractive_index=1.5,
+                                  modulation_omega=250.0),
+        particle=dataclasses.replace(base.particle, radius_override=9.0e-7))
+    doc = yaml.safe_load(dumps_scenario(base))
+    for section, cls in (*COMPONENTS.items(), (None, Scenario)):
+        for attr, key, check, aliases in schema(cls):
+            assert check in quantities._CHECKS, (attr, check)
+            for spelling, factor in ((key, 1.0), *aliases.items()):
+                edited = copy.deepcopy(doc)
+                mapping = edited if section is None else edited[section]
+                value = mapping.pop(key)
+                mapping[spelling] = value / factor
+                loaded = loads_scenario(yaml.safe_dump(edited)).scenario
+                owner = loaded if section is None else getattr(loaded, section)
+                assert math.isclose(getattr(owner, attr), value,
+                                    rel_tol=1e-15), spelling
+                assert spelling != key or loaded == base
+
+
+@pytest.mark.parametrize("edit, key", [
+    (("  pressure_pa: 101325.0", "  pressure_pa: 1" + "0" * 400), "gas.pressure_pa"),
+    (("format_version: 1", "format_version: 1" + "0" * 400), "format_version"),
+    (("gas:\n", "spore_density_m3: 1" + "0" * 400 + "\ngas:\n"), "spore_density_m3"),
+])
+def test_integer_beyond_double_range_refused(edit, key):
+    # float() of such an int raises OverflowError, which used to escape
+    with pytest.raises(SchemaError, match=f"^{key}: an integer beyond the "
+                                          "range of a double$"):
+        loads_scenario(MINIMAL.replace(*edit))
 
 
 def test_hash_stable_and_alias_independent(anthrax):

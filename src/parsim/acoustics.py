@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .quantities import CellGeometry, GasProperties, sound_speed
+from .quantities import CellGeometry, GasProperties, in_range, sound_speed
 
 __all__ = [
     "AcousticMode",
@@ -119,7 +119,7 @@ def cylinder_modes(cell: CellGeometry, gas: GasProperties,
     of more than MAX_MODES modes, caps beyond the root table (a radial cap
     above 4, or an azimuthal cap above 4 with radial modes), or a sound
     speed or a mode frequency that leaves the range of a double, raises
-    ValueError, the last saying "arithmetic out of range".
+    ValueError, the last worded as quantities.in_range words it.
     """
     if max_axial < 0 or max_radial < 0 or max_azimuthal < 0:
         raise ValueError("mode index cutoffs must be non-negative")
@@ -132,9 +132,7 @@ def cylinder_modes(cell: CellGeometry, gas: GasProperties,
         raise ValueError(f"the root table holds azimuthal orders up to "
                          f"{len(_RADIAL_TABLE) - 1} and radial indices up to "
                          f"{len(_RADIAL_TABLE[0])}")
-    c = sound_speed(gas)
-    if not 0.0 < c < math.inf:
-        raise ValueError(f"arithmetic out of range: sound speed is {c!r}")
+    c = in_range("sound speed is", sound_speed(gas))
     a, l = cell.radius, cell.length
 
     modes: list[AcousticMode] = []

@@ -33,8 +33,8 @@ from . import __version__
 from .detection import BREAKDOWN_RISK, SPARSE_SUSPENSION, min_density
 from .noise import MODULATION_NOT_SMALL, thermal_variance
 from .presets import ANTHRAX_STP_SUMMARY, anthrax_stp
-from .quantities import (K_BOLTZMANN, Scenario, ScenarioValidationError, sound_speed,
-                         validate_scenario)
+from .quantities import (K_BOLTZMANN, Scenario, ScenarioValidationError, in_range,
+                         sound_speed, validate_scenario)
 from .raman import LINEWIDTH_CONVENTIONS
 from .scenario_io import SECTION_NAMES, SchemaError, load_scenario, scenario_hash
 from .thermal import TIMESCALES_NOT_SEPARATED
@@ -289,16 +289,14 @@ EQUIPARTITION_SIGMAS = 4.0
 PSD_VARIANCE_TOLERANCE = 0.15
 
 
-def _in_range(name: str, compute) -> float:
-    """compute(), refused as "arithmetic out of range" if it is not positive
-    and finite or raises ArithmeticError."""
+def _in_range(what: str, compute) -> float:
+    """in_range(what, compute()), with nan for a compute() that raises
+    ArithmeticError."""
     try:
         value = compute()
     except ArithmeticError:
         value = math.nan
-    if not 0.0 < value < math.inf:
-        raise ValueError(f"arithmetic out of range: {name} is {value!r}")
-    return value
+    return in_range(what, value)
 
 
 def _cmd_validate_noise(args) -> int:
@@ -313,13 +311,13 @@ def _cmd_validate_noise(args) -> int:
     # refused before integrating: the comparison divides by the analytic
     # variance, and the run's standard error squares deviations of the
     # mean u^2, whose scale is k T / (rho0 V)
-    analytic_var = _in_range("the analytic pressure variance",
+    analytic_var = _in_range("the analytic pressure variance is",
                              lambda: thermal_variance(scenario))
     gas = scenario.gas
-    u2 = _in_range("the velocity variance k T / (rho0 V)",
+    u2 = _in_range("the velocity variance k T / (rho0 V) is",
                    lambda: K_BOLTZMANN * gas.temperature
                    / (gas.density * scenario.cell.volume))
-    _in_range(f"the square of the velocity variance {u2!r}", lambda: u2 * u2)
+    in_range(f"the square of the velocity variance {u2!r} is", u2 * u2)
     det = scenario.detector
     fastest = max(det.noise_damping, det.noise_mode_omega)
     dt = STABILITY_LIMIT / fastest
@@ -358,9 +356,7 @@ def _cmd_validate_noise(args) -> int:
                         ("standard error of mean u^2", stats.mean_u2_stderr),
                         ("equipartition ratio", ratio),
                         ("Welch variance", welch_var)):
-        if not 0.0 < value < math.inf:
-            raise ValueError(f"arithmetic out of range: the run's {name} "
-                             f"is {value!r}")
+        in_range(f"the run's {name} is", value)
     sigma = ratio * stats.mean_u2_stderr / stats.mean_u2
     z = abs(ratio - 1.0) / sigma
     passed = z <= EQUIPARTITION_SIGMAS

@@ -35,8 +35,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import noise, raman, thermal
-from .quantities import (ParticleSpec, Scenario, errstate, first_failure, is_array,
-                         value_at, xp)
+from .quantities import (ParticleSpec, Scenario, errstate, first_failure, in_range,
+                         is_array, value_at, xp)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -136,23 +136,17 @@ def _no_heating(particle: ParticleSpec, point: int) -> str:
     return "the Raman signal per particle underflows to 0: nothing to detect"
 
 
-def _first_non_finite(result, prefix: str = "") -> str | None:
-    """"<dotted field name> is <value>" for the first float field, or the
-    first point of a sweep array field, that is not finite."""
+def _require_finite(result, prefix: str = "") -> None:
+    """Refuse through in_range, as "<dotted field name> is <value>", the
+    first float field, or point of a sweep array field, that is not finite."""
     for name, value in vars(result).items():
         if isinstance(value, float):
             if not math.isfinite(value):
-                return f"{prefix}{name} is {value!r}"
+                in_range(f"{prefix}{name} is", value, False)
         elif is_array(value):
-            point = first_failure(xp(value).isfinite(value))
-            if point is not None:
-                return (f"{prefix}{name} is {value_at(value, point)!r} "
-                        f"at sweep point {point}")
+            in_range(f"{prefix}{name} is", value, xp(value).isfinite(value))
         elif hasattr(value, "__dataclass_fields__"):   # is_dataclass, faster
-            found = _first_non_finite(value, f"{prefix}{name}.")
-            if found is not None:
-                return found
-    return None
+            _require_finite(value, f"{prefix}{name}.")
 
 
 def min_density(scenario: Scenario, snr: float = 1.0,
@@ -162,9 +156,8 @@ def min_density(scenario: Scenario, snr: float = 1.0,
     snr scales the required signal-to-noise ratio (1 means signal equal to
     the integrated noise floor).  Swept fields give a report of arrays, one
     entry per point; a refusal names the first point refused.  Arithmetic
-    that overflows, divides by zero or turns invalid is refused with a
-    ValueError saying "arithmetic out of range", and so is a rho_min that
-    underflows to 0.
+    that overflows, divides by zero or turns invalid is refused as out of
+    range (quantities.in_range), and so is a rho_min that underflows to 0.
     """
     # sweep arrays go on to inf or nan, as Python float products do
     try:
@@ -175,15 +168,9 @@ def min_density(scenario: Scenario, snr: float = 1.0,
         detail = "overflow" if isinstance(exc, OverflowError) else exc
         raise ValueError(f"arithmetic out of range: {detail}") from exc
     # an overflow to inf, or an invalid nan, raises nothing there
-    found = _first_non_finite(report)
-    if found is not None:
-        raise ValueError(f"arithmetic out of range: {found}")
+    _require_finite(report)
     # nor does a rho_min that underflows to 0
-    point = first_failure(report.rho_min > 0.0)
-    if point is not None:
-        where = f" at sweep point {point}" if is_array(report.rho_min) else ""
-        raise ValueError(f"arithmetic out of range: rho_min underflows to "
-                         f"{value_at(report.rho_min, point)!r}{where}")
+    in_range("rho_min underflows to", report.rho_min, report.rho_min > 0.0)
     return report
 
 

@@ -101,15 +101,6 @@ def thermal_variance(scenario: Scenario) -> float:
             * gas.temperature / scenario.cell.volume)
 
 
-def _thermal_psd(omega, mode_omega: float, scenario: Scenario):
-    import numpy as np
-
-    damping = scenario.detector.noise_damping
-    w = np.asarray(omega, dtype=float)
-    return (thermal_variance(scenario) * mode_omega**2 * damping
-            / ((mode_omega**2 - w**2) ** 2 + (w * damping) ** 2))
-
-
 def noise_spectrum(mode_omega: float, scenario: Scenario,
                    omega_grid) -> SpectrumSeries:
     """Thermal pressure-amplitude PSD of a detector mode at mode_omega.
@@ -122,8 +113,10 @@ def noise_spectrum(mode_omega: float, scenario: Scenario,
 
     if mode_omega < 0.0:
         raise ValueError("mode frequency cannot be negative")
-    grid = np.asarray(omega_grid, dtype=float)
-    return SpectrumSeries(grid, _thermal_psd(grid, mode_omega, scenario))
+    w = np.asarray(omega_grid, dtype=float)
+    damping = scenario.detector.noise_damping
+    return SpectrumSeries(w, thermal_variance(scenario) * mode_omega**2 * damping
+                          / ((mode_omega**2 - w**2) ** 2 + (w * damping) ** 2))
 
 
 @dataclass(frozen=True)

@@ -75,7 +75,7 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .quantities import K_BOLTZMANN, Scenario, sound_speed
+from .quantities import K_BOLTZMANN, Scenario, in_range, sound_speed
 
 if TYPE_CHECKING:
     import numpy as np
@@ -370,8 +370,8 @@ def integrate_langevin(config: SdeRunConfig, scenario: Scenario) -> TrajectorySt
     module docstring.  A run of more than MAX_MEMBER_STEPS member-steps
     raises RunTooLong before anything is allocated, and a thermal force
     strength or a pressure factor rho0 c w_j that leaves the range of a
-    double raises ValueError saying "arithmetic out of range", also before
-    the run.  metadata["wall_s"] is the wall time of the call.
+    double raises ValueError worded as quantities.in_range words it, also
+    before the run.  metadata["wall_s"] is the wall time of the call.
     """
     import numpy as np
 
@@ -425,12 +425,9 @@ def integrate_langevin(config: SdeRunConfig, scenario: Scenario) -> TrajectorySt
     welch = None
     if config.psd_nperseg is not None:
         # the mode's pressure amplitude; the velocity for mode_omega = 0
-        pressure_per_q = (gas.density * sound_speed(gas) * config.mode_omega
+        pressure_per_q = (in_range("the pressure per unit position rho0 c w_j is",
+                                   gas.density * sound_speed(gas) * config.mode_omega)
                           if config.mode_omega > 0.0 else None)
-        if pressure_per_q is not None and not 0.0 < pressure_per_q < math.inf:
-            raise ValueError(
-                f"arithmetic out of range: the pressure per unit position "
-                f"rho0 c w_j is {pressure_per_q!r}")
         welch = _Welch(config.psd_nperseg, n_keep, n_row)
     if config.keep_samples:
         q = np.empty((m, n_keep))

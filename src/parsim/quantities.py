@@ -70,6 +70,7 @@ __all__ = [
     "errstate",
     "first_failure",
     "value_at",
+    "in_range",
 ]
 
 # CODATA 2018, exact where the SI defines them so
@@ -316,7 +317,17 @@ def value_at(value, point: int):
     return float(value[point]) if is_array(value) else value
 
 
-_INF = math.inf
+def in_range(what: str, value, ok=None):
+    """value if ok holds (a bool, or a bool array over a sweep), by default
+    0 < value < inf.  Otherwise the one wording of arithmetic past the
+    double range: ValueError "arithmetic out of range: {what} {value!r}",
+    of the first failing point, with " at sweep point k" for an array."""
+    point = first_failure((value > 0.0) & (value < math.inf) if ok is None else ok)
+    if point is None:
+        return value
+    where = f" at sweep point {point}" if is_array(value) else ""
+    raise ValueError(f"arithmetic out of range: {what} "
+                     f"{value_at(value, point)!r}{where}")
 
 
 def _require(out: list, ok, code: str, field: str, message: str,
@@ -337,14 +348,14 @@ def _require(out: list, ok, code: str, field: str, message: str,
 # check name -> (lower test, upper test, violation code, message); a value
 # passes when both tests give True (on arrays, a bool array each)
 _CHECKS = {
-    "positive": ((gt, 0.0), (lt, _INF), NEGATIVE_QUANTITY,
+    "positive": ((gt, 0.0), (lt, math.inf), NEGATIVE_QUANTITY,
                  "must be finite and > 0"),
-    "nonnegative": ((ge, 0.0), (lt, _INF), NEGATIVE_QUANTITY,
+    "nonnegative": ((ge, 0.0), (lt, math.inf), NEGATIVE_QUANTITY,
                     "must be finite and >= 0"),
     "fraction": ((gt, 0.0), (le, 1.0), OUT_OF_RANGE, "must lie in (0, 1]"),
-    "at_least_one": ((ge, 1.0), (lt, _INF), OUT_OF_RANGE,
+    "at_least_one": ((ge, 1.0), (lt, math.inf), OUT_OF_RANGE,
                      "must be finite and >= 1"),
-    "above_one": ((gt, 1.0), (lt, _INF), GAMMA_NOT_ABOVE_ONE,
+    "above_one": ((gt, 1.0), (lt, math.inf), GAMMA_NOT_ABOVE_ONE,
                   "heat capacity ratio must be finite and exceed 1"),
 }
 

@@ -12,8 +12,9 @@ Loading is strict: unknown keys are an error, and every missing required
 key is reported in one message.  A key is required exactly when its field
 has no default, and an omitted optional key takes that default
 (``detector_coverage`` 1, for one).  A key given twice in one mapping is
-an error, where PyYAML alone would keep the last value, and so is an
-integer beyond the range of a double.  Plain YAML loaders parse exponent
+an error, where PyYAML alone would keep the last value, and so are an
+integer of any length beyond the range of a double and collections
+nested deeper than 100 levels.  Plain YAML loaders parse exponent
 literals like ``1.0e12`` as strings, so numeric fields are coerced from
 strings when needed.  PyYAML, imported only to parse or write, parses
 with libyaml's C parser when it was built with it, and in pure Python
@@ -28,6 +29,7 @@ scenarios hash identically regardless of which aliases the source file used.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 from pathlib import Path
@@ -47,6 +49,7 @@ __all__ = [
 ]
 
 FORMAT_VERSION = 1
+_MAX_NESTING = 100   # scenario files nest two deep; deeper ones are refused
 
 
 class ParseError(ValueError):
@@ -91,6 +94,14 @@ def _parse_yaml(text: str):
     class UniqueKeyLoader(_loader()):
         """Refuses a mapping key given twice, where PyYAML keeps the last."""
 
+        def construct_yaml_int(self, node):
+            # more digits than int() converts (sys.get_int_max_str_digits)
+            # are past a double too: _coerce_number refuses 2**1024 by key
+            try:
+                return super().construct_yaml_int(node)
+            except ValueError:
+                return 2 ** 1024
+
         def construct_mapping(self, node, deep=False):
             # a merge key ("<<") has no constructor: the flattening replaces
             # it by the merged pairs, which the mapping's own keys override
@@ -106,6 +117,19 @@ def _parse_yaml(text: str):
                 seen.add(key)
             return mapping
 
+    UniqueKeyLoader.add_constructor("tag:yaml.org,2002:int",
+                                    UniqueKeyLoader.construct_yaml_int)
+    # composing recurses once per level: too deep, libyaml overruns the C
+    # stack (a crash) and pure Python the recursion limit
+    depth = 0
+    with contextlib.suppress(yaml.YAMLError):   # yaml.load reports those
+        for event in yaml.parse(text, Loader=UniqueKeyLoader):
+            depth += (isinstance(event, yaml.CollectionStartEvent)
+                      - isinstance(event, yaml.CollectionEndEvent))
+            if depth > _MAX_NESTING:
+                mark = event.start_mark
+                raise ParseError(f"line {mark.line + 1}, column {mark.column + 1}: "
+                                 f"collections nested deeper than {_MAX_NESTING}")
     try:
         return yaml.load(text, Loader=UniqueKeyLoader)
     except yaml.YAMLError as exc:

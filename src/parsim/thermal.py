@@ -43,6 +43,7 @@ from .quantities import (
     GasProperties,
     Scenario,
     first_failure,
+    in_range,
     is_array,
     value_at,
     xp,
@@ -95,18 +96,14 @@ def collisional_timescale(molecule_count: float, collisions_per_second: float,
     """Cooling time constant tau = (c_v/R)(N_S/N_c), s.
 
     A collision rate that overflowed to inf (or turned nan) is refused
-    with a ValueError saying "arithmetic out of range", naming the first
-    sweep point that holds it; one at or below 0 is refused as such.
+    by in_range at the first sweep point that holds it; one at or below 0
+    is refused as such.
     """
-    point = first_failure((collisions_per_second > 0.0)
-                          & (collisions_per_second < math.inf))
-    if point is not None:
-        rate = value_at(collisions_per_second, point)
-        if rate <= 0.0:
-            raise ValueError("collision rate must be positive")
-        where = f" at sweep point {point}" if is_array(collisions_per_second) else ""
-        raise ValueError(f"arithmetic out of range: the collision rate is "
-                         f"{rate!r}{where}")
+    ok = (collisions_per_second > 0.0) & (collisions_per_second < math.inf)
+    point = first_failure(ok)
+    if point is not None and value_at(collisions_per_second, point) <= 0.0:
+        raise ValueError("collision rate must be positive")
+    in_range("the collision rate is", collisions_per_second, ok)
     return (molar_heat / GAS_CONSTANT) * (molecule_count / collisions_per_second)
 
 
@@ -184,9 +181,8 @@ class ThermalReport:
 def thermal_report(scenario: Scenario) -> ThermalReport:
     """Evaluate the whole heating/cooling chain for a scenario.
 
-    A radiative power past the double range is refused with a ValueError
-    saying "arithmetic out of range", naming the first sweep point that
-    holds it.
+    A radiative power past the double range is refused by in_range at
+    the first sweep point that holds it.
     """
     particle = scenario.particle
     gas = scenario.gas
@@ -199,11 +195,7 @@ def thermal_report(scenario: Scenario) -> ThermalReport:
     peak_t = gas.temperature + d_t
     p_rad = radiative_power(peak_t, particle.equivalent_radius)
     # past the double range tau_rad would come out 0; refuse by name instead
-    point = first_failure(p_rad < math.inf)
-    if point is not None:
-        where = f" at sweep point {point}" if is_array(p_rad) else ""
-        raise ValueError(f"arithmetic out of range: the radiative power is "
-                         f"{value_at(p_rad, point)!r}{where}")
+    in_range("the radiative power is", p_rad, p_rad < math.inf)
     e_dep = particle.molecule_count * HBAR * scenario.laser.raman_shift
     tau_rad = e_dep / p_rad
     eff = transfer_efficiency(tau_c, tau_rad, scenario.laser.modulation_omega)

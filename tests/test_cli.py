@@ -444,6 +444,31 @@ def test_sweep_names_the_collision_rate_that_overflows(capsys):
                              "rate is inf at sweep point 1\n")
 
 
+@pytest.mark.parametrize("command, opening, closing", [
+    pytest.param(("report",), "[", "]", id="report-sequences"),
+    pytest.param(("sweep", "--vary", "gas.pressure=lin:1e5:2e5:2"), "{a: ", "}",
+                 id="sweep-mappings")])
+def test_deeply_nested_scenario_file_refused(tmp_path, command, opening, closing):
+    # 25,000 nested [ or { in a scenario file took libyaml past the C
+    # stack: the process died of SIGSEGV (exit 139)
+    path = tmp_path / "deep.yaml"
+    path.write_text("format_version: 1\ngas: " + opening * 30000 + closing * 30000 + "\n")
+    result = _cli(*command, "--scenario", str(path))
+    assert (result.returncode, result.stdout) == (2, "")
+    assert re.fullmatch(r"error: line 2, column \d+: collections nested deeper "
+                        r"than 100\n", result.stderr)
+
+
+def test_integer_past_the_digit_limit_names_its_key(capsys, tmp_path):
+    # an integer of 5000 digits printed Python's advice on int() limits
+    spore = Path(__file__).parent / "golden" / "spore.yaml"
+    path = tmp_path / "huge.yaml"
+    path.write_text(re.sub(r"(?m)^  pressure_pa: .*$", "  pressure_pa: 1" + "0" * 5000,
+                           spore.read_text()))
+    assert run(capsys, "report", "--scenario", str(path)) == (
+        2, "", "error: gas.pressure_pa: an integer beyond the range of a double\n")
+
+
 # scenarios that validate_scenario accepts but whose noise or mode
 # arithmetic leaves the range of a double
 NOISE_AND_MODES_OUT_OF_RANGE = [

@@ -278,6 +278,52 @@ def test_dumps_uses_canonical_keys(anthrax):
     assert "_hz:" not in text.replace("linewidth_hz:", "")
 
 
+@pytest.mark.parametrize("loader", LOADERS)
+@pytest.mark.parametrize("digits", [400, 5000])
+@pytest.mark.parametrize("edit, key", [
+    (("  pressure_pa: 101325.0", "  pressure_pa: 1"), "gas.pressure_pa"),
+    (("format_version: 1", "format_version: 1"), "format_version"),
+])
+def test_integer_of_any_length_beyond_double_range_refused(monkeypatch, loader,
+                                                           digits, edit, key):
+    # past int()'s 4300 digits PyYAML raised Python's own advice, naming no key
+    monkeypatch.setattr(scenario_io, "_loader", lambda: getattr(yaml, loader))
+    old, new = edit
+    with pytest.raises(SchemaError, match=f"^{key}: an integer beyond the "
+                                          "range of a double$"):
+        loads_scenario(MINIMAL.replace(old, new + "0" * digits))
+
+
+def _nested_gas(levels: int, opening: str, closing: str) -> str:
+    """MINIMAL with gas: flow collections, levels deep counting the document."""
+    gas_block = MINIMAL[MINIMAL.index("gas:\n"):MINIMAL.index("cell:\n")]
+    inner = opening * (levels - 1) + closing * (levels - 1)
+    return MINIMAL.replace(gas_block, f"gas: {inner}\n")
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+@pytest.mark.parametrize("opening, closing, at_limit", [
+    pytest.param("[", "]", "gas: expected a mapping", id="sequences"),
+    pytest.param("{a: ", "}", "unknown keys: gas.a", id="mappings")])
+def test_nesting_deeper_than_the_limit_refused(monkeypatch, loader, opening, closing,
+                                               at_limit):
+    # 600 levels raised RecursionError in pure Python; the C loader's
+    # crash at 25,000 is in test_cli, in a child process
+    monkeypatch.setattr(scenario_io, "_loader", lambda: getattr(yaml, loader))
+    limit = scenario_io._MAX_NESTING
+    with pytest.raises(SchemaError, match=f"^{at_limit}$"):
+        loads_scenario(_nested_gas(limit, opening, closing))
+    # the first collection past the limit, after "gas: " on line 2
+    column = 6 + len(opening) * (limit - 1)
+    for levels in (limit + 1, 1000):
+        with pytest.raises(ParseError, match=f"^line 2, column {column}: collections "
+                                             f"nested deeper than {limit}$"):
+            loads_scenario(_nested_gas(levels, opening, closing))
+    # shallow misuse reads as it did
+    with pytest.raises(SchemaError, match="^gas: expected a mapping$"):
+        loads_scenario(_nested_gas(2, "[1", "]"))
+
+
 def _loader_inputs(anthrax):
     """The YAML texts the tests above load, valid and broken."""
     gas_block = MINIMAL[MINIMAL.index("gas:\n"):MINIMAL.index("cell:\n")]

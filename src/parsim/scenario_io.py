@@ -14,13 +14,13 @@ has no default, and an omitted optional key takes that default
 (``detector_coverage`` 1, for one).  A key given twice in one mapping is
 an error, where PyYAML alone would keep the last value, and so are an
 integer of any length beyond the range of a double and collections
-nested deeper than 100 levels.  Plain YAML loaders parse exponent
-literals like ``1.0e12`` as strings, so numeric fields are coerced from
-strings when needed.  PyYAML, imported only to parse or write, parses
-with libyaml's C parser when it was built with it, and in pure Python
-otherwise.  Both resolve scalars the same way; they word a syntax error
-differently and may place it on a different line (an unclosed ``{`` at
-the end of the text, for one).
+nested deeper than 100 levels, which the loader counts while it composes
+and refuses at the first collection past the limit.  Plain YAML loaders
+parse exponent literals like ``1.0e12`` as strings, so numeric fields are
+coerced from strings when needed.  PyYAML, imported only to parse or
+write, parses with one pure-Python loader, built once, in one pass, so a
+syntax error reads the same on every machine, whether or not PyYAML was
+built with libyaml.
 
 Writing uses repr precision, which round-trips doubles exactly.
 ``scenario_hash`` digests the canonical flattened form, so any two equal
@@ -29,8 +29,8 @@ scenarios hash identically regardless of which aliases the source file used.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
+import functools
 import hashlib
 from pathlib import Path
 
@@ -82,25 +82,46 @@ def _coerce_number(value, where: str) -> float:
             f"{where}: an integer beyond the range of a double") from None
 
 
+class _HugeInt(str):
+    """An integer literal past int()'s digit limit, kept as written: a key
+    prints its own digits, and float() of a value overflows."""
+
+    def __float__(self):
+        raise OverflowError
+
+
+@functools.cache
 def _loader():
+    """The one loader class, carrying parsim's YAML dialect."""
     import yaml
 
-    return yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+    class UniqueKeyLoader(yaml.SafeLoader):
+        """Refuses a mapping key given twice, where PyYAML keeps the last,
+        and collections nested deeper than _MAX_NESTING."""
 
+        depth = 0
 
-def _parse_yaml(text: str):
-    import yaml
-
-    class UniqueKeyLoader(_loader()):
-        """Refuses a mapping key given twice, where PyYAML keeps the last."""
+        def compose_node(self, parent, index):
+            # composing recurses once per level: too deep, it would reach
+            # the recursion limit
+            event = self.peek_event()
+            opens = isinstance(event, yaml.CollectionStartEvent)
+            self.depth += opens
+            if self.depth > _MAX_NESTING:
+                raise yaml.composer.ComposerError(
+                    None, None, f"collections nested deeper than {_MAX_NESTING}",
+                    event.start_mark)
+            node = super().compose_node(parent, index)
+            self.depth -= opens
+            return node
 
         def construct_yaml_int(self, node):
             # more digits than int() converts (sys.get_int_max_str_digits)
-            # are past a double too: _coerce_number refuses 2**1024 by key
+            # are past a double too: _coerce_number refuses it by key
             try:
                 return super().construct_yaml_int(node)
             except ValueError:
-                return 2 ** 1024
+                return _HugeInt(node.value)
 
         def construct_mapping(self, node, deep=False):
             # a merge key ("<<") has no constructor: the flattening replaces
@@ -119,19 +140,14 @@ def _parse_yaml(text: str):
 
     UniqueKeyLoader.add_constructor("tag:yaml.org,2002:int",
                                     UniqueKeyLoader.construct_yaml_int)
-    # composing recurses once per level: too deep, libyaml overruns the C
-    # stack (a crash) and pure Python the recursion limit
-    depth = 0
-    with contextlib.suppress(yaml.YAMLError):   # yaml.load reports those
-        for event in yaml.parse(text, Loader=UniqueKeyLoader):
-            depth += (isinstance(event, yaml.CollectionStartEvent)
-                      - isinstance(event, yaml.CollectionEndEvent))
-            if depth > _MAX_NESTING:
-                mark = event.start_mark
-                raise ParseError(f"line {mark.line + 1}, column {mark.column + 1}: "
-                                 f"collections nested deeper than {_MAX_NESTING}")
+    return UniqueKeyLoader
+
+
+def _parse_yaml(text: str):
+    import yaml
+
     try:
-        return yaml.load(text, Loader=UniqueKeyLoader)
+        return yaml.load(text, Loader=_loader())
     except yaml.YAMLError as exc:
         # a MarkedYAMLError carries a position, which may be None
         mark = getattr(exc, "problem_mark", None)

@@ -449,8 +449,8 @@ def test_sweep_names_the_collision_rate_that_overflows(capsys):
     pytest.param(("sweep", "--vary", "gas.pressure=lin:1e5:2e5:2"), "{a: ", "}",
                  id="sweep-mappings")])
 def test_deeply_nested_scenario_file_refused(tmp_path, command, opening, closing):
-    # 25,000 nested [ or { in a scenario file took libyaml past the C
-    # stack: the process died of SIGSEGV (exit 139)
+    # 25,000 nested [ or { took libyaml's composer past the C stack (the
+    # process died of SIGSEGV); the one loader counts them while composing
     path = tmp_path / "deep.yaml"
     path.write_text("format_version: 1\ngas: " + opening * 30000 + closing * 30000 + "\n")
     result = _cli(*command, "--scenario", str(path))
@@ -460,13 +460,20 @@ def test_deeply_nested_scenario_file_refused(tmp_path, command, opening, closing
 
 
 def test_integer_past_the_digit_limit_names_its_key(capsys, tmp_path):
-    # an integer of 5000 digits printed Python's advice on int() limits
+    # an integer of 5000 digits printed Python's advice on int() limits; as
+    # a key it printed the digits of 2**1024, and two such keys were one key
+    huge = "0" * 5000
     spore = Path(__file__).parent / "golden" / "spore.yaml"
     path = tmp_path / "huge.yaml"
-    path.write_text(re.sub(r"(?m)^  pressure_pa: .*$", "  pressure_pa: 1" + "0" * 5000,
-                           spore.read_text()))
-    assert run(capsys, "report", "--scenario", str(path)) == (
-        2, "", "error: gas.pressure_pa: an integer beyond the range of a double\n")
+    for lines, error in [
+            (f"  pressure_pa: 1{huge}\n",
+             "gas.pressure_pa: an integer beyond the range of a double"),
+            (f"  ? 1{huge}\n  : 1\n", f"unknown keys: gas.1{huge}"),
+            (f"  ? 1{huge}\n  : 1\n  ? 2{huge}\n  : 1\n",
+             f"unknown keys: gas.1{huge}, gas.2{huge}")]:
+        path.write_text(spore.read_text().replace("  pressure_pa: 101325.0\n", lines))
+        assert run(capsys, "report", "--scenario", str(path)) == (
+            2, "", f"error: {error}\n")
 
 
 # scenarios that validate_scenario accepts but whose noise or mode

@@ -118,15 +118,8 @@ def test_alias_conflict_rejected():
         loads_scenario(text)
 
 
-LOADERS = [pytest.param("CSafeLoader", marks=pytest.mark.skipif(
-               not yaml.__with_libyaml__, reason="PyYAML built without libyaml")),
-           "SafeLoader"]
-
-
-@pytest.mark.parametrize("loader", LOADERS)
-def test_key_given_twice_rejected(monkeypatch, loader):
+def test_key_given_twice_rejected():
     # PyYAML alone keeps the last of two equal keys
-    monkeypatch.setattr(scenario_io, "_loader", lambda: getattr(yaml, loader))
     twice = MINIMAL.replace("  temperature_k: 300.0",
                             "  pressure_pa: 5.0e4\n  temperature_k: 300.0")
     with pytest.raises(ParseError, match="^line 4, column 3: found "
@@ -180,9 +173,25 @@ def test_format_version_required_and_checked():
 
 
 def test_parse_error_carries_position():
-    broken = "format_version: 1\ngas: [unclosed\n"
-    with pytest.raises(ParseError, match=r"line \d+"):
-        loads_scenario(broken)
+    # one pure-Python loader: the same text whether or not PyYAML has libyaml
+    for text, message in [
+            ("format_version: 1\ngas: [unclosed\n",
+             "line 3, column 1: expected ',' or ']', but got '<stream end>'"),
+            ("{a: 1", "line 1, column 6: expected ',' or '}', but got '<stream end>'")]:
+        with pytest.raises(ParseError) as caught:
+            loads_scenario(text)
+        assert str(caught.value) == message
+
+
+def test_one_loader_class_parses_in_one_pass(monkeypatch):
+    assert scenario_io._loader() is scenario_io._loader()
+    assert issubclass(scenario_io._loader(), yaml.SafeLoader)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a second pass over the events")
+
+    monkeypatch.setattr(yaml, "parse", refuse)
+    assert loads_scenario(MINIMAL).scenario.gas.pressure == 101325.0
 
 
 def test_empty_and_non_mapping_documents():
@@ -278,16 +287,13 @@ def test_dumps_uses_canonical_keys(anthrax):
     assert "_hz:" not in text.replace("linewidth_hz:", "")
 
 
-@pytest.mark.parametrize("loader", LOADERS)
 @pytest.mark.parametrize("digits", [400, 5000])
 @pytest.mark.parametrize("edit, key", [
     (("  pressure_pa: 101325.0", "  pressure_pa: 1"), "gas.pressure_pa"),
     (("format_version: 1", "format_version: 1"), "format_version"),
 ])
-def test_integer_of_any_length_beyond_double_range_refused(monkeypatch, loader,
-                                                           digits, edit, key):
+def test_integer_of_any_length_beyond_double_range_refused(digits, edit, key):
     # past int()'s 4300 digits PyYAML raised Python's own advice, naming no key
-    monkeypatch.setattr(scenario_io, "_loader", lambda: getattr(yaml, loader))
     old, new = edit
     with pytest.raises(SchemaError, match=f"^{key}: an integer beyond the "
                                           "range of a double$"):
@@ -301,15 +307,11 @@ def _nested_gas(levels: int, opening: str, closing: str) -> str:
     return MINIMAL.replace(gas_block, f"gas: {inner}\n")
 
 
-@pytest.mark.parametrize("loader", LOADERS)
 @pytest.mark.parametrize("opening, closing, at_limit", [
     pytest.param("[", "]", "gas: expected a mapping", id="sequences"),
     pytest.param("{a: ", "}", "unknown keys: gas.a", id="mappings")])
-def test_nesting_deeper_than_the_limit_refused(monkeypatch, loader, opening, closing,
-                                               at_limit):
-    # 600 levels raised RecursionError in pure Python; the C loader's
-    # crash at 25,000 is in test_cli, in a child process
-    monkeypatch.setattr(scenario_io, "_loader", lambda: getattr(yaml, loader))
+def test_nesting_deeper_than_the_limit_refused(opening, closing, at_limit):
+    # 600 levels raised RecursionError: the composer counts them instead
     limit = scenario_io._MAX_NESTING
     with pytest.raises(SchemaError, match=f"^{at_limit}$"):
         loads_scenario(_nested_gas(limit, opening, closing))
@@ -322,56 +324,3 @@ def test_nesting_deeper_than_the_limit_refused(monkeypatch, loader, opening, clo
     # shallow misuse reads as it did
     with pytest.raises(SchemaError, match="^gas: expected a mapping$"):
         loads_scenario(_nested_gas(2, "[1", "]"))
-
-
-def _loader_inputs(anthrax):
-    """The YAML texts the tests above load, valid and broken."""
-    gas_block = MINIMAL[MINIMAL.index("gas:\n"):MINIMAL.index("cell:\n")]
-    optionals = dataclasses.replace(
-        anthrax, spore_density=2.5e4,
-        cell=dataclasses.replace(anthrax.cell, detector_coverage=0.7),
-        particle=dataclasses.replace(anthrax.particle, radius_override=9.0e-7))
-    return [
-        MINIMAL,
-        dumps_scenario(anthrax),
-        dumps_scenario(optionals),
-        MINIMAL.replace("  noise_mode_omega_rad_s: 4.0e4", "  noise_mode_hz: 2.0e3"),
-        MINIMAL.replace("  molecule_mass_kg: 4.649509386e-26",
-                        "  molecule_mass_amu: 28.0"),
-        MINIMAL.replace("  noise_mode_omega_rad_s: 4.0e4",
-                        "  noise_mode_omega_rad_s: 4.0e4\n  noise_mode_hz: 2.0e3"),
-        MINIMAL + "orientation: vertical\n",
-        MINIMAL.replace("  length_m: 0.1", "  length_m: 0.1\n  color: red"),
-        MINIMAL.replace("  pressure_pa: 101325.0\n", "").replace("  length_m: 0.1\n", ""),
-        MINIMAL.replace("detector:\n", "detector_typo:\n"),
-        MINIMAL.replace("format_version: 1\n", ""),
-        MINIMAL.replace("format_version: 1", "format_version: 99"),
-        "format_version: 1\ngas: [unclosed\n",
-        "",
-        "- 1\n- 2\n",
-        MINIMAL.replace(gas_block, "gas: 17\n"),
-        MINIMAL.replace("  temperature_k: 300.0", "  temperature_k: warm"),
-        MINIMAL.replace("  adiabatic_index: 1.4", "  adiabatic_index: 0.9"),
-    ]
-
-
-def _outcome(text):
-    try:
-        return loads_scenario(text).scenario
-    except ParseError as exc:
-        # libyaml words the problem differently; the position must agree
-        return "ParseError", str(exc).split(":")[0]
-    except ValueError as exc:
-        return type(exc).__name__, str(exc)
-
-
-@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
-def test_c_and_python_loaders_agree(anthrax, monkeypatch):
-    assert scenario_io._loader() is yaml.CSafeLoader
-    texts = _loader_inputs(anthrax)
-    fast = [_outcome(text) for text in texts]
-    monkeypatch.setattr(scenario_io, "_loader", lambda: yaml.SafeLoader)
-    slow = [_outcome(text) for text in texts]
-    assert fast == slow
-    assert fast[0] == loads_scenario(MINIMAL).scenario
-    assert fast[12] == ("ParseError", "line 3, column 1")

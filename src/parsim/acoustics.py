@@ -107,13 +107,12 @@ def _norm_constant(q: int, m: int, alpha: float, j_m: float) -> float:
     return math.sqrt(eps_q / radial_mean)
 
 
-def cylinder_modes(cell: CellGeometry, gas: GasProperties,
-                   max_axial: int = 4, max_radial: int = 2,
-                   max_azimuthal: int = 0) -> list[AcousticMode]:
+def cylinder_modes(cell: CellGeometry, gas: GasProperties, max_axial: int,
+                   max_radial: int, max_azimuthal: int) -> list[AcousticMode]:
     """Modes up to the given per-axis index cutoffs, sorted by frequency.
 
-    Ties are broken lexicographically on (q, m, n).  Azimuthal orders above
-    zero are off by default: axisymmetric heat sources cannot excite them.
+    Ties are broken lexicographically on (q, m, n).  The cutoffs have no
+    defaults here; ``parsim modes --max-modes`` holds the only ones.
     For m >= 1 the radial index starts at 1 (alpha = 0 would be a null
     profile there), so without radial modes only m = 0 has any.  A table
     of more than MAX_MODES modes, caps beyond the root table (a radial cap

@@ -21,6 +21,10 @@ that the variance is the two-sided integral with measure dw / pi:
 
     <x^2> = integral_{-inf}^{inf} PSD_x(w) dw / pi.
 
+The detector reads the pressure of acoustic modes of the gas in the cell;
+a detector mode is one such gas mode, and w_1 is the angular frequency of
+the lowest one it reads, the scenario's ``detector.noise_mode_omega``.  w_1
+is an input: the package does not derive it from the cell's geometry.
 Under that convention the thermal pressure-amplitude noise of a detector
 mode at w_j is
 

@@ -19,9 +19,7 @@ well resolved.  Steps are taken in blocks, one ensemble member at a time:
 one matrix product maps every block's draws to the noise it accumulates,
 the blocks' start states follow from that noise by recursive doubling, and
 one product against the stacked powers of Phi lifts every start state to
-its block's states.  Decay runs take the same path: their transition
-covariance is exactly zero, and so are its factor and the noise it maps
-their draws to.
+its block's states.
 
 The reductions are streamed.  Runs go one member at a time, and each
 member a chunk of steps at a time: its states are reduced as soon as they
@@ -83,7 +81,6 @@ if TYPE_CHECKING:
     from .noise import SpectrumSeries
 
 __all__ = [
-    "FreeDecay",
     "SdeRunConfig",
     "TrajectoryStats",
     "DrivenModeResult",
@@ -144,24 +141,13 @@ class NotConverged(RuntimeError):
 
 
 @dataclass(frozen=True)
-class FreeDecay:
-    """No forcing: deterministic relaxation from an initial condition."""
-
-    initial_position: float = 0.0
-    initial_velocity: float = 0.0
-
-
-@dataclass(frozen=True)
 class SdeRunConfig:
-    """One stochastic (or decay) integration run.
+    """One stochastic integration run.
 
-    forcing None (the default) drives the mode with the thermal Langevin
-    force of diffusion D = rho0 V Gamma k T from rest; a FreeDecay instead
-    lets it relax deterministically from its initial condition.
-    mode_omega may be zero, in which case the velocity is an
+    The thermal Langevin force of diffusion D = rho0 V Gamma k T drives the
+    mode from rest, and the run burns in for 10/damping before the kept
+    samples.  mode_omega may be zero, in which case the velocity is an
     Ornstein-Uhlenbeck process and the position a free integral of it.
-    Thermal runs burn in for 10/damping before the kept samples; decay
-    runs keep every step.
     psd_nperseg enables a Welch PSD of the run (pressure amplitude for
     mode_omega > 0, velocity otherwise).
     """
@@ -172,7 +158,6 @@ class SdeRunConfig:
     ensemble_size: int
     mode_omega: float
     damping: float
-    forcing: FreeDecay | None = None
     psd_nperseg: int | None = None
     keep_samples: bool = False
 
@@ -186,17 +171,14 @@ class SdeRunConfig:
             raise StabilityGuardViolated(
                 f"timestep {self.timestep:g} times fastest rate {rate:g} "
                 f"exceeds the stability limit {STABILITY_LIMIT}")
-        if self.forcing is None:
-            if self.ensemble_size < 2:
-                raise InsufficientStatistics(
-                    "need at least 2 ensemble members to estimate errors")
-            if self.duration * self.damping < MIN_STATIONARY_DURATIONS:
-                raise InsufficientStatistics(
-                    f"duration {self.duration:g} s is below "
-                    f"{MIN_STATIONARY_DURATIONS:g}/damping; stationary "
-                    "statistics would not be trustworthy")
-        elif self.ensemble_size < 1:
-            raise ValueError("ensemble_size must be at least 1")
+        if self.ensemble_size < 2:
+            raise InsufficientStatistics(
+                "need at least 2 ensemble members to estimate errors")
+        if self.duration * self.damping < MIN_STATIONARY_DURATIONS:
+            raise InsufficientStatistics(
+                f"duration {self.duration:g} s is below "
+                f"{MIN_STATIONARY_DURATIONS:g}/damping; stationary "
+                "statistics would not be trustworthy")
 
 
 def transition(mode_omega: float, damping: float, sigma2: float,
@@ -379,10 +361,9 @@ def integrate_langevin(config: SdeRunConfig, scenario: Scenario) -> TrajectorySt
     config.validate()
     gas = scenario.gas
     kt = K_BOLTZMANN * gas.temperature
-    thermal = config.forcing is None
     m = config.ensemble_size
 
-    burn_in = 10.0 / config.damping if thermal else 0.0
+    burn_in = 10.0 / config.damping
     steps = (burn_in + config.duration) / config.timestep
     try:
         member_steps = m * steps
@@ -395,30 +376,22 @@ def integrate_langevin(config: SdeRunConfig, scenario: Scenario) -> TrajectorySt
             f"{MAX_MEMBER_STEPS:.3g}")
     n_burn = int(round(burn_in / config.timestep))
     n_keep = int(round(config.duration / config.timestep))
-    if n_keep < 2:
-        raise ValueError("duration must cover at least two timesteps")
 
-    if thermal:
-        # 2 D / (rho0 V)^2 with D = rho0 V Gamma k T.  The cell volume and
-        # the square raise OverflowError past the double range (rho0 V
-        # stays inf when the volume does), the division ZeroDivisionError
-        # when the square underflows to 0
-        rho_v = math.inf
-        try:
-            rho_v = gas.density * scenario.cell.volume
-            sigma2 = 2.0 * (rho_v * config.damping * kt) / rho_v**2
-        except ArithmeticError:
-            sigma2 = math.nan
-        if not 0.0 < sigma2 < math.inf:
-            raise ValueError(
-                f"arithmetic out of range: the thermal force strength "
-                f"2 D / (rho0 V)^2 is {sigma2!r} for rho0 V = {rho_v!r} and "
-                f"k T = {kt!r}")
-        start = (0.0, 0.0)
-    else:
+    # 2 D / (rho0 V)^2 with D = rho0 V Gamma k T.  The cell volume and the
+    # square raise OverflowError past the double range (rho0 V stays inf
+    # when the volume does), the division ZeroDivisionError when the square
+    # underflows to 0
+    rho_v = math.inf
+    try:
         rho_v = gas.density * scenario.cell.volume
-        sigma2 = 0.0
-        start = (config.forcing.initial_position, config.forcing.initial_velocity)
+        sigma2 = 2.0 * (rho_v * config.damping * kt) / rho_v**2
+    except ArithmeticError:
+        sigma2 = math.nan
+    if not 0.0 < sigma2 < math.inf:
+        raise ValueError(
+            f"arithmetic out of range: the thermal force strength "
+            f"2 D / (rho0 V)^2 is {sigma2!r} for rho0 V = {rho_v!r} and "
+            f"k T = {kt!r}")
 
     u2_sums = np.zeros(m)
     n_row = min(_CHUNK_STEPS, n_keep)
@@ -444,7 +417,7 @@ def integrate_langevin(config: SdeRunConfig, scenario: Scenario) -> TrajectorySt
     seeds = np.random.SeedSequence(config.seed)
     for member in range(m):
         gen = np.random.Generator(np.random.Philox(seeds.spawn(1)[0]))
-        x[:] = start
+        x[:] = 0.0
         done = 0
         while done < total:
             span = min(_CHUNK_STEPS, total - done)
@@ -470,8 +443,7 @@ def integrate_langevin(config: SdeRunConfig, scenario: Scenario) -> TrajectorySt
 
     member_mean_u2 = u2_sums / n_keep
     mean_u2 = math.fsum(member_mean_u2.tolist()) / m
-    stderr = (float(np.std(member_mean_u2, ddof=1)) / math.sqrt(m) if m > 1
-              else math.nan)
+    stderr = float(np.std(member_mean_u2, ddof=1)) / math.sqrt(m)
 
     return TrajectoryStats(
         mean_u2=mean_u2,
@@ -498,9 +470,9 @@ class _Stepper:
     """One member's states a chunk at a time, through buffers allocated once.
 
     A step maps a state row x to x Phi^T + z L^T, with z the step's draws
-    and noise_l the factor L (zero for a decay run).  lift = [Phi^T,
-    (Phi^2)^T, ..., (Phi^block)^T], (d, block d), carries a block's start
-    row to its stacked rows: row k is x (Phi^(k+1))^T.  noise_map is the
+    and noise_l the factor L.  lift = [Phi^T, (Phi^2)^T, ...,
+    (Phi^block)^T], (d, block d), carries a block's start row to its
+    stacked rows: row k is x (Phi^(k+1))^T.  noise_map is the
     lower-block-triangular (block d, block d) matrix whose (k, j) block is
     Phi^(k-j) L for j <= k: applied to the block's stacked draws z_0 ..
     z_(block-1) it gives the noise each row has accumulated, sum_(j<=k)

@@ -53,10 +53,12 @@ def anthrax_stp() -> Scenario:
     64.5 GHz linewidth.  A tenth of the deposited quanta heat the spore;
     collisional de-excitation dominates radiative decay by nine orders.
 
-    Detector: acoustic readout with a ~6 kHz fundamental and moderate
-    damping.  The noise-mode damping (5e4 rad/s) reflects the heavily
-    loaded microphone resonance; the signal bandwidth (100 rad/s) is the
-    lock-in detection bandwidth around the modulation tone.
+    Detector: acoustic readout of a gas mode of the cell at
+    w_1 = 4e4 rad/s (~6 kHz), the noise mode whose pressure variance is
+    rho0 c^2 k T / V.  Its damping (5e4 rad/s) reflects the heavy loading
+    of that mode by the microphone; the signal bandwidth (100 rad/s) is
+    the lock-in detection bandwidth around the modulation tone.  w_1 is an
+    input: this cell's own first axial mode lies at 1.04e4 rad/s.
     """
     scenario = Scenario(
         gas=GasProperties(

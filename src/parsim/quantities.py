@@ -213,8 +213,11 @@ class ParticleSpec:
 class DetectorNoiseSpec:
     """Resonant pressure detector (microphone) parameters.
 
-    noise_mode_omega  rad/s, angular frequency of the detector's lowest
-                      resonant mode, the one that dominates thermal noise
+    noise_mode_omega  rad/s, angular frequency w_1 of the lowest gas mode
+                      of the cell that the detector reads, the one that
+                      dominates thermal noise; its pressure variance is
+                      the gas mode's rho0 c^2 k T / V (see ``noise``).  An
+                      input, not derived from the cell
     noise_damping     1/s, damping rate of that noise mode
     signal_damping    1/s, damping rate acting on the detected signal mode
     """

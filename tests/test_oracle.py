@@ -1,3 +1,50 @@
+"""Tests of the time-domain oracles in ``parsim.oracle``.
+
+Stochastic checks
+-----------------
+Five tests bound a statistic of random draws.  Each runs one fixed seed, so
+it passes or fails for good; its false-alarm probability is the chance
+that another seed fails it while the code is right.  The counts k/N below
+rerun the same configuration at seeds 0-1999 (0-999 for the white noise).
+The margin is the bound over the statistic at the test's seed.  z is
+|ratio - 1| / (stderr / mean) over 64 members, close to |t| at 63 degrees
+of freedom, whose two-sided tail is 3.9e-3 beyond 3 and 1.7e-4 beyond 4.
+
+- test_equipartition: seed 2026; 64 members of 8 ms at w_j 4e4 rad/s,
+  Gamma 5e4 1/s (the thermal_run fixture).
+  - z < 3: z = 2.88, margin 1.04; 9/2000 seeds, t tail 3.9e-3.
+  - mean u^2 within 4 sigma of k T / (rho0 V): 2.81 sigma, margin 1.42;
+    1/2000 seeds, t tail 1.7e-4.
+- test_psd_matches_analytic_pointwise: the same run, 25 bins from w_j/4
+  to 4 w_j.
+  - max |ratio - 1| < 0.12: 0.092, margin 1.31; 76/2000 seeds (3.8%).
+  - |median ratio - 1| < 0.04: 0.033, margin 1.20; 6/2000 seeds.
+  - either: 82/2000 seeds (4.1%).
+- test_psd_variance_parseval: the same run.
+  - |Welch variance / (rho0 c^2 k T / V) - 1| < 0.10: 0.031, margin 3.3;
+    0/2000 seeds, largest 0.053; a normal of the seeds' rms, 0.015, puts
+    the tail at 5e-11.
+- test_ou_velocity_psd_width_and_equipartition: seed 77; 64 members of
+  8 ms at w_j = 0, 30 bins from Gamma/4 to 4 Gamma.
+  - |width / Gamma - 1| < 0.05: 0.032, margin 1.54; 1/2000 seeds.
+  - max |ratio - 1| < 0.12: 0.085, margin 1.42; 39/2000 seeds (2.0%).
+  - |median ratio - 1| < 0.04: 0.0071, margin 5.7; 0/2000 seeds, largest
+    0.036.
+  - z < 3: z = 2.97, margin 1.01 (a FOUND line of CHANGES.md); 10/2000
+    seeds, t tail 3.9e-3.
+  - any of the four: 50/2000 seeds (2.5%).
+- test_estimate_psd_white_noise_parseval: Philox(314), 8 x 65536 normals.
+  - |variance - 1| < 0.02: 7.2e-4, margin 28; 0/1000 seeds, rms 2.0e-3,
+    normal tail 1e-23.
+  - |mid-band mean / flat level - 1| < 0.05: 2.0e-3, margin 25; 0/1000
+    seeds, rms 3.5e-3, normal tail 3e-46.
+
+The other tests that draw bound no statistic.  They push the same draws
+through two code paths (blocked stepper, streamed reductions, kept
+samples, ensemble size, Welch against scipy) and compare to rounding, or
+require two seeds to differ (test_determinism_and_seed_sensitivity).
+"""
+
 import dataclasses
 import math
 import os
@@ -16,7 +63,6 @@ from parsim.oracle import (
     _BLOCK_STEPS,
     _CHUNK_STEPS,
     _SAMPLES_PER_PERIOD,
-    FreeDecay,
     InsufficientStatistics,
     NotConverged,
     RunTooLong,
@@ -26,6 +72,7 @@ from parsim.oracle import (
     StabilityGuardViolated,
     _expm,
     _noise_factor,
+    _Stepper,
     estimate_psd,
     integrate_driven,
     integrate_langevin,
@@ -209,10 +256,6 @@ def test_duration_guard():
         SdeRunConfig(timestep=1.0e-6, duration=1.0e-2, seed=1,
                      ensemble_size=1, mode_omega=MODE_OMEGA,
                      damping=DAMPING).validate()
-    # decay runs have no stationary-statistics requirement
-    SdeRunConfig(timestep=1.0e-6, duration=10.0 / DAMPING, seed=1,
-                 ensemble_size=1, mode_omega=MODE_OMEGA, damping=DAMPING,
-                 forcing=FreeDecay(1.0e-9, 0.0)).validate()
 
 
 def test_basic_config_guards():
@@ -240,108 +283,119 @@ def test_basic_config_guards():
 # ---------------------------------------------------------------------------
 # free decay against the closed-form damped oscillator
 
-def _check_free_decay(scenario, timestep, duration, tolerance):
+def _decay(mode_omega, damping, timestep, start, n):
+    """The n states (q, u) after each step of a decay from start, from the
+    stepper integrate_langevin runs, one chunk at a time.  The zero force
+    strength gives an exactly zero transition covariance, so its factor and
+    the noise it maps the draws to are zero too."""
+    phi, sig = transition(mode_omega, damping, 0.0, timestep)
+    stepper = _Stepper(phi, _noise_factor(sig), min(_CHUNK_STEPS, n))
+    gen = np.random.Generator(np.random.Philox(5))
+    x = np.array(start, dtype=float)
+    states = np.empty((n, 2))
+    for done in range(0, n, _CHUNK_STEPS):
+        span = min(_CHUNK_STEPS, n - done)
+        states[done:done + span] = stepper.advance(x, gen, span)
+        x[:] = states[done + span - 1]
+    return states
+
+
+def _check_free_decay(timestep, duration, tolerance):
     q0 = 1.0e-9
-    config = SdeRunConfig(timestep=timestep, duration=duration, seed=5,
-                          ensemble_size=1, mode_omega=MODE_OMEGA,
-                          damping=DAMPING, forcing=FreeDecay(q0, 0.0),
-                          keep_samples=True)
-    stats = integrate_langevin(config, scenario)
-    t = (1.0 + np.arange(stats.n_samples)) * config.timestep
+    n = round(duration / timestep)
+    position = _decay(MODE_OMEGA, DAMPING, timestep, (q0, 0.0), n)[:, 0]
+    t = (1.0 + np.arange(n)) * timestep
     half = DAMPING / 2.0
     wd = math.sqrt(MODE_OMEGA**2 - half**2)
     expected = q0 * np.exp(-half * t) * (np.cos(wd * t)
                                          + half / wd * np.sin(wd * t))
-    assert np.max(np.abs(stats.position[0] - expected)) < tolerance * q0
+    assert np.max(np.abs(position - expected)) < tolerance * q0
 
 
-def test_free_decay_matches_closed_form(anthrax):
-    _check_free_decay(anthrax, timestep=1.0e-6, duration=2.0e-3,
-                      tolerance=1.0e-10)
+def test_free_decay_matches_closed_form():
+    _check_free_decay(timestep=1.0e-6, duration=2.0e-3, tolerance=1.0e-10)
 
 
-def test_free_decay_fine_timestep(anthrax):
+def test_free_decay_fine_timestep():
     # at dt = 1e-9 s a direct-form second-order recursion drifts by ~1e-8 q0;
     # stepping the state with powers of the exact transition does not
-    _check_free_decay(anthrax, timestep=1.0e-9, duration=2.0e-4,
-                      tolerance=1.0e-11)
+    _check_free_decay(timestep=1.0e-9, duration=2.0e-4, tolerance=1.0e-11)
 
 
-def test_free_decay_overdamped(anthrax):
+def test_free_decay_overdamped():
     # damping far above the mode frequency: biexponential relaxation
     u0 = 1.0e-6
-    config = SdeRunConfig(timestep=1.0e-6, duration=1.0e-3, seed=5,
-                          ensemble_size=1, mode_omega=100.0, damping=5.0e4,
-                          forcing=FreeDecay(0.0, u0), keep_samples=True)
-    stats = integrate_langevin(config, anthrax)
-    t = (1.0 + np.arange(stats.n_samples)) * config.timestep
+    n = 1000
+    position = _decay(100.0, 5.0e4, 1.0e-6, (0.0, u0), n)[:, 0]
+    t = (1.0 + np.arange(n)) * 1.0e-6
     root = math.sqrt((5.0e4 / 2.0) ** 2 - 100.0**2)
     slow, fast = -5.0e4 / 2.0 + root, -5.0e4 / 2.0 - root
     expected = u0 * (np.exp(slow * t) - np.exp(fast * t)) / (slow - fast)
     scale = float(np.max(np.abs(expected)))
-    assert np.max(np.abs(stats.position[0] - expected)) < 1.0e-8 * scale
+    assert np.max(np.abs(position - expected)) < 1.0e-8 * scale
 
 
 # ---------------------------------------------------------------------------
 # blocked stepper against the per-step loop
 
 def _reference_trajectory(config, scenario):
-    """Per-step loop x <- Phi x + L z over the engine's own draws.
-
-    Thermal forcing uses the default diffusion and burns in for 10/damping;
-    free decay keeps every step.
-    """
+    """Per-step loop x <- Phi x + L z over the engine's own draws, from rest
+    with the thermal force, burned in for 10/damping."""
     rho_v = scenario.gas.density * scenario.cell.volume
     kt = quantities.K_BOLTZMANN * scenario.gas.temperature
     m = config.ensemble_size
-    if isinstance(config.forcing, FreeDecay):
-        sigma2 = 0.0
-        x = np.tile([[config.forcing.initial_position],
-                     [config.forcing.initial_velocity]], (1, m))
-        n_burn = 0
-    else:
-        sigma2 = 2.0 * config.damping * kt / rho_v
-        x = np.zeros((2, m))
-        n_burn = int(round(10.0 / config.damping / config.timestep))
+    sigma2 = 2.0 * config.damping * kt / rho_v
+    x = np.zeros((2, m))
+    n_burn = int(round(10.0 / config.damping / config.timestep))
     total = n_burn + int(round(config.duration / config.timestep))
     phi, sig = transition(config.mode_omega, config.damping, sigma2,
                           config.timestep)
-    noise_l = _noise_factor(sig) if sigma2 > 0.0 else None
+    noise_l = _noise_factor(sig)
     gens = [np.random.Generator(np.random.Philox(child))
             for child in np.random.SeedSequence(config.seed).spawn(m)]
     states = np.empty((total, 2, m))
     for done in range(0, total, _CHUNK_STEPS):
         span = min(_CHUNK_STEPS, total - done)
-        if noise_l is not None:
-            z = np.stack([g.standard_normal((span, 2)) for g in gens], axis=2)
+        z = np.stack([g.standard_normal((span, 2)) for g in gens], axis=2)
         for i in range(span):
-            x = phi @ x
-            if noise_l is not None:
-                x = x + noise_l @ z[i]
+            x = phi @ x + noise_l @ z[i]
             states[done + i] = x
     return n_burn, states[n_burn:, 0, :].T, states[n_burn:, 1, :].T
 
 
-# forcing holds SdeRunConfig keywords: none for the default thermal forcing
+# forcing: {} for the thermal force, or the start of a deterministic decay
 @pytest.mark.parametrize("mode_omega,forcing", [
     (MODE_OMEGA, {}),        # underdamped
     (DAMPING / 2.0, {}),     # critically damped
     (1.0e4, {}),             # overdamped
     (0.0, {}),               # free Ornstein-Uhlenbeck velocity
-    (MODE_OMEGA, {"forcing": FreeDecay(1.0e-9, 2.0e-5)}),
+    (MODE_OMEGA, {"start": (1.0e-9, 2.0e-5)}),
 ])
 def test_blocked_stepper_matches_per_step_loop(anthrax, mode_omega, forcing):
     config = SdeRunConfig(timestep=1.0e-6, duration=1.7e-2, seed=11,
                           ensemble_size=3, mode_omega=mode_omega,
-                          damping=DAMPING, keep_samples=True, **forcing)
-    n_burn, q_ref, u_ref = _reference_trajectory(config, anthrax)
-    # a thermal burn-in of 200 steps ends 8 steps into a block
-    assert n_burn == (0 if forcing else 200)
-    assert n_burn + q_ref.shape[1] > _CHUNK_STEPS
-    stats = integrate_langevin(config, anthrax)
-    assert stats.metadata["n_steps"] == n_burn + stats.n_samples
-    assert stats.metadata["timestep"] == config.timestep
-    for got, want in ((stats.position, q_ref), (stats.velocity, u_ref)):
+                          damping=DAMPING, keep_samples=True)
+    if forcing:
+        # the stepper without noise against x <- Phi x, over 1.7e4 steps
+        n = round(config.duration / config.timestep)
+        phi, _ = transition(mode_omega, DAMPING, 0.0, config.timestep)
+        x = np.array(forcing["start"])
+        want = np.empty((n, 2))
+        for i in range(n):
+            x = phi @ x
+            want[i] = x
+        got = _decay(mode_omega, DAMPING, config.timestep, forcing["start"], n)
+        pairs = zip(got.T, want.T)
+    else:
+        n_burn, q_ref, u_ref = _reference_trajectory(config, anthrax)
+        # the burn-in of 200 steps ends 8 steps into a block
+        assert n_burn == 200
+        stats = integrate_langevin(config, anthrax)
+        assert stats.metadata["n_steps"] == n_burn + stats.n_samples
+        assert stats.metadata["timestep"] == config.timestep
+        pairs = ((stats.position, q_ref), (stats.velocity, u_ref))
+    assert config.duration / config.timestep > _CHUNK_STEPS
+    for got, want in pairs:
         scale = float(np.max(np.abs(want)))
         assert np.max(np.abs(got - want)) <= 1.0e-12 * scale
 
@@ -461,8 +515,6 @@ STREAM_CASES = {
                                  duration=8.0e-2, psd_nperseg=32768),
     "zero_frequency_velocity": dict(ensemble_size=3, mode_omega=0.0,
                                     duration=4.0e-2, psd_nperseg=2048),
-    "free_decay": dict(ensemble_size=1, mode_omega=MODE_OMEGA, duration=3.5e-2,
-                       forcing=FreeDecay(1.0e-9, 2.0e-5), psd_nperseg=4096),
 }
 
 
@@ -507,7 +559,7 @@ def test_kept_samples_do_not_change_statistics(kept_run):
                               scenario)
     assert bare.velocity is None and bare.position is None
     assert bare.mean_u2 == kept.mean_u2
-    assert np.array_equal(bare.mean_u2_stderr, kept.mean_u2_stderr, equal_nan=True)
+    assert bare.mean_u2_stderr == kept.mean_u2_stderr
     assert np.array_equal(bare.member_mean_u2, kept.member_mean_u2)
     assert np.array_equal(bare.psd.omega, kept.psd.omega)
     assert np.array_equal(bare.psd.values, kept.psd.values)

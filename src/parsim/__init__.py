@@ -15,8 +15,7 @@ unless a name says otherwise (``linewidth_hz``).
 Import each name from the module that defines it
 (``from parsim.detection import min_density``).  ``import parsim`` loads
 none of its modules, so a caller loads only what it touches: the scalar
-detection chain runs without numpy, and the driven oracle without numpy
-or yaml.
+detection chain and the driven oracle run without numpy.
 """
 
 __version__ = "0.1.0"

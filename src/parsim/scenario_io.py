@@ -1,6 +1,6 @@
-"""YAML persistence for scenarios.
+"""Scenario files: a strict two-level reader and its writer.
 
-File layout: a required integer ``format_version`` plus one mapping per
+File layout: a required integer ``format_version`` plus one section per
 component (gas, cell, laser, particle, detector) and an optional top-level
 ``spore_density_m3``.  Each key, with its unit as a suffix, and its
 aliases live on the field of the ``quantities`` dataclass, which
@@ -8,21 +8,34 @@ aliases live on the field of the ``quantities`` dataclass, which
 multiplied by 2 pi into angular frequencies, ``molecule_mass_amu``
 converts to kilograms).
 
+The grammar:
+
+- the text is lines of UTF-8; blank lines and ``#`` comment lines are
+  skipped, and a tab anywhere is refused;
+- at top level a line is ``key: value``, or ``key:`` to open a section;
+- the lines of a section are indented by one consistent run of spaces and
+  read ``key: value``: sections do not nest;
+- a key starts with a letter or an underscore and runs to the colon;
+- a value is one plain decimal number (``101325.0``, ``1e-05``,
+  ``4.0e+26``; an integer part has no leading zero), or ``.inf``,
+  ``-.inf`` or ``.nan`` (also as ``.Inf``, ``.INF``, ``.NaN``, ``.NAN``),
+  and may be followed by `` # comment``.
+
+Any other line is a ``ParseError`` reading ``line L, column C: ...``: flow
+collections, quotes, anchors, aliases, tags, block scalars, ``? `` keys,
+merge keys and document markers among them, and a key given twice in one
+section.  A value that is one plain word but not a number (``warm``,
+``true``, ``inf``, ``1_000``, ``010``, ``0x1F``) is a ``SchemaError``
+naming its key, and so is an integer whose value is beyond the range of a
+double.
+
 Loading is strict: unknown keys are an error, and every missing required
 key is reported in one message.  A key is required exactly when its field
 has no default, and an omitted optional key takes that default
-(``detector_coverage`` 1, for one).  A key given twice in one mapping is
-an error, where PyYAML alone would keep the last value, and so are an
-integer of any length beyond the range of a double and collections
-nested deeper than 100 levels, which the loader counts while it composes
-and refuses at the first collection past the limit.  Plain YAML loaders
-parse exponent literals like ``1.0e12`` as strings, so numeric fields are
-coerced from strings when needed.  PyYAML, imported only to parse or
-write, parses with one pure-Python loader, built once, in one pass, so a
-syntax error reads the same on every machine, whether or not PyYAML was
-built with libyaml.
+(``detector_coverage`` 1, for one).
 
-Writing uses repr precision, which round-trips doubles exactly.
+Writing uses repr precision, which round-trips doubles exactly, and the
+same bytes as earlier versions.
 ``scenario_hash`` digests the canonical flattened form, so any two equal
 scenarios hash identically regardless of which aliases the source file used.
 """
@@ -30,8 +43,9 @@ scenarios hash identically regardless of which aliases the source file used.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import hashlib
+import math
+import re
 from pathlib import Path
 
 from .quantities import COMPONENTS, Scenario, schema, validate_scenario
@@ -49,15 +63,21 @@ __all__ = [
 ]
 
 FORMAT_VERSION = 1
-_MAX_NESTING = 100   # scenario files nest two deep; deeper ones are refused
+
+_KEY = re.compile(r"[A-Za-z_][^ :]*")
+_NUMBER = re.compile(r"[-+]?(?:(?:0|[1-9][0-9]*)(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][-+]?[0-9]+)?"
+                     r"|[-+]?\.(?:inf|Inf|INF)|\.(?:nan|NaN|NAN)")
+# characters that open syntax a scenario file does not use when they
+# start a value: collections, quotes, anchors, aliases, tags, block scalars
+_NOT_PLAIN = "[]{}'\"&*!|>%@`,"
 
 
 class ParseError(ValueError):
-    """YAML syntax failure, with source position when available."""
+    """Text outside the scenario grammar, with its line and column."""
 
 
 class SchemaError(ValueError):
-    """Structurally valid YAML that does not describe a scenario."""
+    """Text in the grammar that does not describe a scenario."""
 
 
 SECTION_NAMES = tuple(COMPONENTS)
@@ -69,120 +89,83 @@ class LoadResult:
 
 
 def _coerce_number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+    if not isinstance(value, str) or not _NUMBER.fullmatch(value):
         raise SchemaError(f"{where}: expected a number, got {value!r}")
-    try:
-        return float(value)
-    except ValueError:
-        raise SchemaError(
-            f"{where}: expected a number, got {value!r}") from None
-    except OverflowError:
-        # an int past the double range; a string of it converts to inf
-        raise SchemaError(
-            f"{where}: an integer beyond the range of a double") from None
+    if value[-1].isalpha():   # .inf, -.inf, .nan
+        return float(value.replace(".", ""))
+    number = float(value)
+    if value.lstrip("+-").isdigit():
+        if math.isinf(number):
+            raise SchemaError(f"{where}: an integer beyond the range of a double")
+        return number or 0.0   # an integer has no sign of zero: -0 is 0
+    return number
 
 
-class _HugeInt(str):
-    """An integer literal past int()'s digit limit, kept as written: a key
-    prints its own digits, and float() of a value overflows."""
-
-    def __float__(self):
-        raise OverflowError
+def _error(row: int, index: int, problem: str) -> ParseError:
+    return ParseError(f"line {row}, column {index + 1}: {problem}")
 
 
-@functools.cache
-def _loader():
-    """The one loader class, carrying parsim's YAML dialect."""
-    import yaml
-
-    class UniqueKeyLoader(yaml.SafeLoader):
-        """Refuses a mapping key given twice, where PyYAML keeps the last,
-        and collections nested deeper than _MAX_NESTING."""
-
-        depth = 0
-
-        def compose_node(self, parent, index):
-            # composing recurses once per level: too deep, it would reach
-            # the recursion limit
-            event = self.peek_event()
-            opens = isinstance(event, yaml.CollectionStartEvent)
-            self.depth += opens
-            if self.depth > _MAX_NESTING:
-                raise yaml.composer.ComposerError(
-                    None, None, f"collections nested deeper than {_MAX_NESTING}",
-                    event.start_mark)
-            node = super().compose_node(parent, index)
-            self.depth -= opens
-            return node
-
-        def construct_yaml_int(self, node):
-            # more digits than int() converts (sys.get_int_max_str_digits)
-            # are past a double too: _coerce_number refuses it by key
-            try:
-                return super().construct_yaml_int(node)
-            except ValueError:
-                return _HugeInt(node.value)
-
-        def construct_mapping(self, node, deep=False):
-            # a merge key ("<<") has no constructor: the flattening replaces
-            # it by the merged pairs, which the mapping's own keys override
-            keys = [k for k, _ in node.value if k.tag != "tag:yaml.org,2002:merge"]
-            mapping = super().construct_mapping(node, deep=deep)
-            seen = set()
-            for key_node in keys:
-                key = self.construct_object(key_node, deep=deep)
-                if key in seen:
-                    raise yaml.constructor.ConstructorError(
-                        None, None, f"found duplicate key {key!r}",
-                        key_node.start_mark)
-                seen.add(key)
-            return mapping
-
-    UniqueKeyLoader.add_constructor("tag:yaml.org,2002:int",
-                                    UniqueKeyLoader.construct_yaml_int)
-    return UniqueKeyLoader
-
-
-def _parse_yaml(text: str):
-    import yaml
-
-    try:
-        return yaml.load(text, Loader=_loader())
-    except yaml.YAMLError as exc:
-        # a MarkedYAMLError carries a position, which may be None
-        mark = getattr(exc, "problem_mark", None)
-        if mark is not None:
-            raise ParseError(
-                f"line {mark.line + 1}, column {mark.column + 1}: "
-                f"{exc.problem}") from exc
-        raise ParseError(str(exc)) from exc
+def _parse(text: str) -> dict:
+    """The file's top-level keys, each mapped to its value's text or, for a
+    section, to a dict of its keys and values' texts."""
+    doc: dict = {}
+    section = indent = None   # the open section and its lines' indentation
+    for row, line in enumerate(text.split("\n"), 1):
+        line = line.removesuffix("\r")
+        if "\t" in line:
+            raise _error(row, line.index("\t"), "found a tab")
+        at = len(line) - len(line.lstrip(" "))
+        if at == len(line) or line[at] == "#":
+            continue
+        match = _KEY.match(line, at)
+        if match is None:
+            raise _error(row, at, f"expected a key, found {line[at]!r}")
+        key, end = match[0], match.end()
+        if line[end:end + 1] != ":":
+            raise _error(row, end, "expected ':' after the key")
+        rest = line[end + 1:]
+        if rest[:1] not in ("", " "):
+            raise _error(row, end + 1, "expected a space after ':'")
+        value = rest.partition(" #")[0].strip(" ")
+        if at == 0:
+            mapping, section, indent = doc, None, None
+        elif section is None or at != (indent or at):
+            raise _error(row, at, "unexpected indentation")
+        else:
+            mapping, indent = section, at
+        if key in mapping:
+            raise _error(row, at, f"found duplicate key {key!r}")
+        if not value:
+            if mapping is not doc:
+                raise _error(row, end + 1, "expected a value: sections do not nest")
+            mapping[key] = section = {}
+        elif value[0] in _NOT_PLAIN:
+            raise _error(row, len(line) - len(rest.lstrip(" ")),
+                         f"found {value[0]!r}: a value is a plain number")
+        else:
+            mapping[key] = value
+    return doc
 
 
 def loads_scenario(text: str) -> LoadResult:
-    """Parse and validate a scenario from YAML text.  See module docstring
-    for rules."""
-    doc = _parse_yaml(text)
-    if doc is None:
+    """Parse and validate a scenario from the text of a scenario file.  See
+    module docstring for rules."""
+    doc = _parse(text)
+    if not doc:
         raise SchemaError("empty document")
-    if not isinstance(doc, dict):
-        raise SchemaError("top level must be a mapping")
 
     missing: list[str] = []
-    unknown: list[str] = []
-
     version = doc.get("format_version")
     if version is None:
         missing.append("format_version")
     elif _coerce_number(version, "format_version") != FORMAT_VERSION:
         raise SchemaError(
-            f"format_version {version!r} not supported "
+            f"format_version {version} not supported "
             f"(this reader handles {FORMAT_VERSION})")
 
     top = schema(Scenario)
     known_top = {"format_version", *SECTION_NAMES, *(key for _, key, _, _ in top)}
-    for key in doc:
-        if key not in known_top:
-            unknown.append(str(key))
+    unknown = [key for key in doc if key not in known_top]
 
     built = {}
     for name, cls in COMPONENTS.items():
@@ -252,11 +235,22 @@ def _values(obj, cls) -> dict:
             if (value := getattr(obj, attr)) is not None}
 
 
-def dumps_scenario(scenario: Scenario) -> str:
-    import yaml
+def _number(value) -> str:
+    """repr, spelled as the grammar reads it and as earlier versions wrote
+    it: .inf, -.inf, .nan, and a fraction before an exponent (2.0e-18)."""
+    text = repr(value).replace("inf", ".inf").replace("nan", ".nan")
+    return text if "." in text else text.replace("e", ".0e")
 
-    return yaml.safe_dump(_canonical_sections(scenario), sort_keys=False,
-                          default_flow_style=False)
+
+def dumps_scenario(scenario: Scenario) -> str:
+    lines = []
+    for key, content in _canonical_sections(scenario).items():
+        if isinstance(content, dict):
+            lines.append(f"{key}:")
+            lines.extend(f"  {k}: {_number(v)}" for k, v in content.items())
+        else:
+            lines.append(f"{key}: {_number(content)}")
+    return "\n".join(lines) + "\n"
 
 
 def scenario_hash(scenario: Scenario) -> str:

@@ -254,13 +254,25 @@ def test_bare_package_import_loads_no_numpy_or_yaml(prefix):
     assert _fresh_modules("parsim", "import parsim") == "['parsim']"
 
 
-@pytest.mark.parametrize("command", ["report", "presets"])
-def test_preset_commands_load_no_yaml(command):
-    # PyYAML is imported only where a scenario file is parsed or written
+NO_YAML_COMMANDS = {
+    "report": ["report"],
+    "presets": ["presets"],
+    "report_scenario": ["report", "--scenario", str(GOLDEN_SPORE)],
+    "sweep_scenario": ["sweep", "--scenario", str(GOLDEN_SPORE),
+                       "--vary", "gas.pressure=log:1e3:1e5:5"],
+    "modes_scenario": ["modes", "--scenario", str(GOLDEN_SPORE)],
+    "validate_noise_scenario": ["validate-noise", "--scenario", str(GOLDEN_SPORE),
+                                "--members", "4", "--duration-dampings", "50"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(NO_YAML_COMMANDS))
+def test_preset_commands_load_no_yaml(case):
+    # no command imports PyYAML, those reading a scenario file included
     assert _modules_after(
         "yaml",
         "with contextlib.redirect_stdout(io.StringIO()):",
-        f"    assert main([{command!r}]) == 0",
+        f"    assert main({NO_YAML_COMMANDS[case]!r}) == 0",
     ) == "[]"
 
 

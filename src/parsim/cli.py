@@ -30,30 +30,15 @@ import os
 import sys
 
 from . import __version__
-from .detection import BREAKDOWN_RISK, SPARSE_SUSPENSION, min_density
-from .noise import MODULATION_NOT_SMALL, thermal_variance
+from .detection import min_density
+from .noise import thermal_variance
 from .presets import ANTHRAX_STP_SUMMARY, anthrax_stp
 from .quantities import (K_BOLTZMANN, Scenario, ScenarioValidationError, in_range,
                          sound_speed, validate_scenario)
 from .raman import LINEWIDTH_CONVENTIONS
 from .scenario_io import SECTION_NAMES, SchemaError, load_scenario, scenario_hash
-from .thermal import TIMESCALES_NOT_SEPARATED
 
-__all__ = ["main", "WARNING_BITS", "warning_bits"]
-
-# stable bit assignments for machine-readable warnings
-WARNING_BITS = {
-    BREAKDOWN_RISK: 1,
-    TIMESCALES_NOT_SEPARATED: 2,
-    SPARSE_SUSPENSION: 4,
-    MODULATION_NOT_SMALL: 8,
-}
-
-
-def warning_bits(flags):
-    """Bitmask of DetectionReport.warning_flags: an int, or an int array
-    for flags that hold sweep arrays.  Codes without a bit add nothing."""
-    return sum(bit * flags[code] for code, bit in WARNING_BITS.items())
+__all__ = ["main"]
 
 
 def _add_scenario_arg(parser: argparse.ArgumentParser) -> None:
@@ -125,12 +110,10 @@ def _report_text(scenario: Scenario, origin: str, snr: float,
     if report.h_available is not None:
         lines.append(f"h_available_w_m3 = {report.h_available!r}")
         lines.append(f"spore_density_m3 = {scenario.spore_density!r}")
-    flagged = [c for c in report.warnings if c in WARNING_BITS]
-    notes = [c for c in report.warnings if c not in WARNING_BITS]
-    lines.append(f"warning_bits = {warning_bits(report.warning_flags)}")
-    lines.append("warnings = " + (",".join(flagged) if flagged else "(none)"))
-    if notes:
-        lines.append("notes = " + ",".join(notes))
+    lines.append(f"warning_bits = {report.warning_bits}")
+    lines.append("warnings = " + (",".join(report.warnings) or "(none)"))
+    # h_nep rests on two-sided spectra in angular frequency (noise docstring)
+    lines.append("notes = nep_two_sided_angular_convention")
     return "\n".join(lines) + "\n"
 
 
@@ -224,11 +207,10 @@ def _cmd_sweep(args) -> int:
             f"{float(values[exc.point])!r} invalid: {exc}") from exc
     report = min_density(points, snr=args.snr,
                          linewidth_convention=args.linewidth_convention)
-    bits = warning_bits(report.warning_flags)
     n = len(values)
     columns = [_cells(values, n)] * len(paths)
     columns += [_cells(c, n) for c in (report.rho_min, report.h_r, report.eta,
-                                       report.h_nep, bits)]
+                                       report.h_nep, report.warning_bits)]
 
     lines = [
         f"# parsim sweep (version {__version__})",

@@ -18,11 +18,12 @@ measurement sees that mean: the cell holds a particle with probability
 detection.  At the preset rho_min V = 7.65e-6, and rho_min V grows as
 sqrt(V), since H_nep falls as V^(-1/2).
 
-Guards: intensities at or above the cascade-breakdown threshold of the gas
-are flagged, as is a detection limit so low that fewer than a handful of
-particles would occupy the cell (the continuum-suspension picture breaks
-down there).  A scenario without Raman heating (no active molecules, no
-cross section or no collisional decay) is refused: nothing is detectable.
+Warnings (WARNING_BITS) flag where rho_min leaves its regime: a beam at or
+above the cascade-breakdown threshold of the gas, timescales not separated
+(eta < 1), a modulation not small against the detector mode, and fewer than
+a handful of particles in the cell (the continuum picture breaks down).  A
+scenario without Raman heating (a dark beam, no active molecules, no cross
+section or no collisional decay) is refused: nothing is detectable.
 So is one whose arithmetic leaves the range of a double (say, a product of
 intensities above 1.8e308 W^2/m^4, or a gas pressure of 1e-300 Pa that
 takes rho_min to 0): its numbers would be inf, nan or 0.
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import noise, raman, thermal
-from .quantities import (ParticleSpec, Scenario, errstate, first_failure, in_range,
+from .quantities import (Scenario, errstate, first_failure, in_range,
                          is_array, value_at, xp)
 
 if TYPE_CHECKING:
@@ -44,21 +45,28 @@ if TYPE_CHECKING:
 __all__ = [
     "DetectionReport",
     "BREAKDOWN_RISK",
+    "TIMESCALES_NOT_SEPARATED",
+    "MODULATION_NOT_SMALL",
     "SPARSE_SUSPENSION",
-    "NEP_CONVENTION_NOTE",
+    "WARNING_BITS",
     "BREAKDOWN_INTENSITY",
     "SPARSE_COUNT_LIMIT",
     "available_power_density",
-    "breakdown_guard",
-    "sparse_regime_flag",
     "min_density",
 ]
 
 BREAKDOWN_RISK = "cascade_breakdown_risk"
-# rho_min V < SPARSE_COUNT_LIMIT: rho_min is then a continuum figure that no
-# one cell resolves (module docstring); the preset's rho_min V is 7.65e-6
+TIMESCALES_NOT_SEPARATED = "timescales_not_separated"
+MODULATION_NOT_SMALL = "modulation_not_small"
 SPARSE_SUSPENSION = "sparse_suspension_limit"
-NEP_CONVENTION_NOTE = "nep_two_sided_angular_convention"
+
+# the codes in report order, each with its stable bit in warning_bits
+WARNING_BITS = {
+    BREAKDOWN_RISK: 1,
+    TIMESCALES_NOT_SEPARATED: 2,
+    MODULATION_NOT_SMALL: 8,
+    SPARSE_SUSPENSION: 4,
+}
 
 # laser cascade breakdown of air sets in around this intensity, W/m^2
 BREAKDOWN_INTENSITY = 1e16
@@ -73,22 +81,11 @@ def available_power_density(spore_density: float, eta: float, h_r: float,
     return spore_density * eta * h_r * particle_volume
 
 
-def breakdown_guard(pump_intensity: float, stokes_intensity: float) -> bool:
-    """True when either beam risks cascade breakdown of the buffer gas."""
-    return ((pump_intensity >= BREAKDOWN_INTENSITY)
-            | (stokes_intensity >= BREAKDOWN_INTENSITY))
-
-
-def sparse_regime_flag(density: float, cell_volume: float) -> bool:
-    """True when the cell would hold too few particles for a continuum model."""
-    return density * cell_volume < SPARSE_COUNT_LIMIT
-
-
 @dataclass(frozen=True)
 class DetectionReport:
     """Detection limit with its full intermediate trace.
 
-    warning_flags maps each warning code, in report order, to where it
+    warning_flags maps each code of WARNING_BITS, in its order, to where it
     holds: a bool, or a bool array for a scenario holding sweep arrays.
     h_r (W/m^3 inside the particle), eta and h_nep (W m^-3 s^(1/2)) read
     the nested results.
@@ -123,16 +120,23 @@ class DetectionReport:
         return tuple(code for code, flag in self.warning_flags.items()
                      if (flag.any() if is_array(flag) else flag))
 
+    @property
+    def warning_bits(self) -> int | np.ndarray:
+        """Sum of the bits of the warnings that hold (an int array over a sweep)."""
+        return sum(bit * self.warning_flags[code] for code, bit in WARNING_BITS.items())
+
 
 def _negate(flag):
     return ~flag if is_array(flag) else not flag
 
 
-def _no_heating(particle: ParticleSpec, point: int) -> str:
-    for name in ("active_density", "raman_cross_section", "collisional_rate"):
-        value = value_at(getattr(particle, name), point)
+def _no_heating(scenario: Scenario, point: int) -> str:
+    for section, name in (("laser", "pump_intensity"), ("laser", "stokes_intensity"),
+                          ("particle", "active_density"), ("particle", "raman_cross_section"),
+                          ("particle", "collisional_rate")):
+        value = value_at(getattr(getattr(scenario, section), name), point)
         if not (value > 0.0):
-            return f"particle.{name} is {value!r}: no Raman heating, nothing to detect"
+            return f"{section}.{name} is {value!r}: no Raman heating, nothing to detect"
     return "the Raman signal per particle underflows to 0: nothing to detect"
 
 
@@ -179,10 +183,6 @@ def _min_density(scenario: Scenario, snr: float,
     if not (0.0 < snr < math.inf):
         raise ValueError(f"snr must be positive and finite, got {snr!r}")
     laser = scenario.laser
-    if first_failure((laser.pump_intensity > 0.0)
-                     & (laser.stokes_intensity > 0.0)) is not None:
-        raise ValueError("both beam intensities must be positive to detect anything")
-
     gain = raman.gain_coefficient(scenario, linewidth_convention)
     deposition = raman.heat_source_density(scenario, gain)
     therm = thermal.thermal_report(scenario)
@@ -194,17 +194,16 @@ def _min_density(scenario: Scenario, snr: float,
                           * scenario.cell.detector_coverage)
     point = first_failure(signal_per_density > 0.0)
     if point is not None:
-        raise ValueError(_no_heating(scenario.particle, point))
+        raise ValueError(_no_heating(scenario, point))
     rho_min = snr * floor.h_nep * root_bw / signal_per_density
 
     # the one place where each warning code meets its condition
     flags = {
-        BREAKDOWN_RISK: breakdown_guard(laser.pump_intensity,
-                                        laser.stokes_intensity),
-        thermal.TIMESCALES_NOT_SEPARATED: _negate(therm.efficiency.separated),
-        noise.MODULATION_NOT_SMALL: _negate(floor.small_modulation),
-        SPARSE_SUSPENSION: sparse_regime_flag(rho_min, scenario.cell.volume),
-        NEP_CONVENTION_NOTE: True,
+        BREAKDOWN_RISK: ((laser.pump_intensity >= BREAKDOWN_INTENSITY)
+                         | (laser.stokes_intensity >= BREAKDOWN_INTENSITY)),
+        TIMESCALES_NOT_SEPARATED: _negate(therm.efficiency.separated),
+        MODULATION_NOT_SMALL: _negate(floor.small_modulation),
+        SPARSE_SUSPENSION: rho_min * scenario.cell.volume < SPARSE_COUNT_LIMIT,
     }
 
     h_avail = None

@@ -62,13 +62,10 @@ if TYPE_CHECKING:
 __all__ = [
     "SpectrumSeries",
     "NepResult",
-    "MODULATION_NOT_SMALL",
     "thermal_variance",
     "noise_spectrum",
     "nep",
 ]
-
-MODULATION_NOT_SMALL = "modulation_not_small"
 
 # w above this fraction of the detector mode frequency is not small
 _SMALL_MODULATION_FRACTION = 0.1

@@ -32,7 +32,8 @@ double.
 Loading is strict: unknown keys are an error, and every missing required
 key is reported in one message.  A key is required exactly when its field
 has no default, and an omitted optional key takes that default
-(``detector_coverage`` 1, for one).
+(``detector_coverage`` 1, for one).  ``load_scenario`` refuses a file
+longer than MAX_SCENARIO_CHARS (2^20) characters, reading no further.
 
 Writing uses repr precision, which round-trips doubles exactly, and the
 same bytes as earlier versions.
@@ -46,7 +47,6 @@ import dataclasses
 import hashlib
 import math
 import re
-from pathlib import Path
 
 from .quantities import COMPONENTS, Scenario, schema, validate_scenario
 
@@ -59,10 +59,14 @@ __all__ = [
     "dumps_scenario",
     "scenario_hash",
     "FORMAT_VERSION",
+    "MAX_SCENARIO_CHARS",
     "SECTION_NAMES",
 ]
 
 FORMAT_VERSION = 1
+
+# a scenario file is about a kilobyte (tests/golden/spore.yaml is 872 bytes)
+MAX_SCENARIO_CHARS = 1 << 20
 
 _KEY = re.compile(r"[A-Za-z_][^ :]*")
 _NUMBER = re.compile(r"[-+]?(?:(?:0|[1-9][0-9]*)(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][-+]?[0-9]+)?"
@@ -218,7 +222,13 @@ def _read_section(name: str, section: dict, cls, unknown: list) -> dict:
 
 
 def load_scenario(path) -> LoadResult:
-    return loads_scenario(Path(path).read_text(encoding="utf-8"))
+    # one character past the limit tells a longer file, or /dev/zero, apart
+    with open(path, encoding="utf-8") as file:
+        text = file.read(MAX_SCENARIO_CHARS + 1)
+    if len(text) > MAX_SCENARIO_CHARS:
+        raise ValueError(f"scenario file {str(path)!r} is longer than "
+                         f"{MAX_SCENARIO_CHARS} characters")
+    return loads_scenario(text)
 
 
 def _canonical_sections(scenario: Scenario) -> dict:

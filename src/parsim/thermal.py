@@ -55,7 +55,6 @@ if TYPE_CHECKING:
 __all__ = [
     "EfficiencyResult",
     "ThermalReport",
-    "TIMESCALES_NOT_SEPARATED",
     "collision_rate",
     "temperature_rise",
     "collisional_timescale",
@@ -63,8 +62,6 @@ __all__ = [
     "transfer_efficiency",
     "thermal_report",
 ]
-
-TIMESCALES_NOT_SEPARATED = "timescales_not_separated"
 
 DEFAULT_DOMINANCE_RATIO = 10.0
 

@@ -12,11 +12,11 @@ import pytest
 
 import parsim
 from parsim import cli
-from parsim.cli import WARNING_BITS, main, warning_bits
+from parsim.cli import main
 from parsim.detection import (
     BREAKDOWN_RISK,
-    NEP_CONVENTION_NOTE,
     SPARSE_SUSPENSION,
+    WARNING_BITS,
     min_density,
 )
 from parsim.presets import build_preset
@@ -37,18 +37,28 @@ def csv_rows(text):
     return header, rows
 
 
-def test_warning_bits_mapping():
+def test_warning_bits_mapping(anthrax):
     import numpy as np
 
-    # commentary codes carry no bit
-    quiet = dict.fromkeys(WARNING_BITS, False) | {NEP_CONVENTION_NOTE: True}
-    assert warning_bits(quiet) == 0
-    assert warning_bits(quiet | {BREAKDOWN_RISK: True}) == 1
-    assert warning_bits(dict.fromkeys(WARNING_BITS, True)) == sum(WARNING_BITS.values())
+    # the stable bits, in report order
+    assert list(WARNING_BITS.items()) == [
+        ("cascade_breakdown_risk", 1), ("timescales_not_separated", 2),
+        ("modulation_not_small", 8), ("sparse_suspension_limit", 4)]
+    # DetectionReport.warning_bits is what report and sweep print
+    report = min_density(anthrax)
+    assert report.warning_bits == 4 and type(report.warning_bits) is int
+
+    def bits(flags):
+        return dataclasses.replace(report, warning_flags=flags).warning_bits
+
+    quiet = dict.fromkeys(WARNING_BITS, False)
+    assert bits(quiet) == 0
+    assert bits(quiet | {BREAKDOWN_RISK: True}) == 1
+    assert bits(dict.fromkeys(WARNING_BITS, True)) == 15
     # a sweep's array flags give one mask per point
     swept = quiet | {BREAKDOWN_RISK: np.array([False, True, True]),
                      SPARSE_SUSPENSION: np.array([True, False, True])}
-    assert warning_bits(swept).tolist() == [4, 1, 5]
+    assert bits(swept).tolist() == [4, 1, 5]
 
 
 def test_report_deterministic(capsys):
@@ -337,15 +347,15 @@ def test_report_refuses_scenarios_without_signal(tmp_path, anthrax, line):
     ("particle.raman_cross_section", "lin:1e-33:0:3"),
     ("particle.active_density", "lin:0:4e26:3"),
     ("particle.collisional_rate", "lin:1e12:0:5"),
+    ("laser.pump_intensity", "lin:0:1e12:3"),
+    ("laser.stokes_intensity", "lin:1e12:0:3"),
 ])
 def test_sweep_refuses_a_dark_point_like_report(capsys, tmp_path, anthrax,
                                                 path, spec):
     swept = run(capsys, "sweep", "--vary", f"{path}={spec}")
-    attr = path.split(".")[1]
-    particle = dataclasses.replace(anthrax.particle, **{attr: 0.0})
+    section, attr = path.split(".")
     file = tmp_path / "point.yaml"
-    file.write_text(dumps_scenario(dataclasses.replace(anthrax,
-                                                       particle=particle)))
+    file.write_text(dumps_scenario(_with_fields(anthrax, {section: {attr: 0.0}})))
     single = run(capsys, "report", "--scenario", str(file))
     assert swept == single
     assert swept[0] == 2 and swept[1] == ""
@@ -429,10 +439,10 @@ def test_beam_product_that_underflows_is_named(capsys, tmp_path, anthrax):
     assert run(capsys, "report", "--scenario", str(path)) == (2, "", underflow)
     assert run(capsys, "sweep", "--vary", "laser.pump_intensity,"
                "laser.stokes_intensity=log:1e-200:1e10:3") == (2, "", underflow)
-    # a beam that is off is still refused as such
+    # a beam that is off is named, as a dark particle input is
     path.write_text(dumps_scenario(_with_fields(anthrax, {"laser": {"pump_intensity": 0.0}})))
     assert run(capsys, "report", "--scenario", str(path)) == (
-        2, "", "error: both beam intensities must be positive to detect anything\n")
+        2, "", "error: laser.pump_intensity is 0.0: no Raman heating, nothing to detect\n")
 
 
 def test_sweep_names_the_collision_rate_that_overflows(capsys):

@@ -7,19 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parsim import cli, noise, thermal
+from parsim import cli, thermal
 from parsim.presets import anthrax_stp
 from parsim.quantities import ScenarioValidationError, validate_scenario
 from parsim.detection import (
     BREAKDOWN_INTENSITY,
     BREAKDOWN_RISK,
-    NEP_CONVENTION_NOTE,
+    MODULATION_NOT_SMALL,
     SPARSE_COUNT_LIMIT,
     SPARSE_SUSPENSION,
+    TIMESCALES_NOT_SEPARATED,
+    WARNING_BITS,
     available_power_density,
-    breakdown_guard,
     min_density,
-    sparse_regime_flag,
 )
 
 
@@ -57,9 +57,11 @@ def test_min_density_snr_linear(anthrax):
 
 
 def test_min_density_needs_light(anthrax):
-    laser = dataclasses.replace(anthrax.laser, pump_intensity=0.0)
-    with pytest.raises(ValueError):
-        min_density(dataclasses.replace(anthrax, laser=laser))
+    for name in ("pump_intensity", "stokes_intensity"):
+        laser = dataclasses.replace(anthrax.laser, **{name: 0.0})
+        with pytest.raises(ValueError, match=f"^laser.{name} is 0.0: no Raman "
+                                             "heating, nothing to detect$"):
+            min_density(dataclasses.replace(anthrax, laser=laser))
 
 
 @pytest.mark.parametrize("name", ["active_density", "raman_cross_section",
@@ -86,8 +88,7 @@ def test_min_density_broadcasts_over_a_sweep(anthrax):
                  for code, flag in swept.warning_flags.items()}
         assert flags == point.warning_flags
     # codes that hold at any point, in report order
-    assert swept.warnings == (BREAKDOWN_RISK, SPARSE_SUSPENSION,
-                              NEP_CONVENTION_NOTE)
+    assert swept.warnings == (BREAKDOWN_RISK, SPARSE_SUSPENSION)
 
 
 def test_min_density_intensity_scaling(anthrax):
@@ -150,10 +151,17 @@ def test_min_density_convention_choice(anthrax):
                         rel_tol=1e-12)
 
 
-def test_breakdown_guard():
-    assert breakdown_guard(1.0e16, 1.0)
-    assert breakdown_guard(1.0, 1.0e16)
-    assert not breakdown_guard(9.9e15, 9.9e15)
+def test_breakdown_guard(anthrax):
+    def breakdown(pump, stokes):
+        laser = dataclasses.replace(anthrax.laser, pump_intensity=pump,
+                                    stokes_intensity=stokes)
+        report = min_density(dataclasses.replace(anthrax, laser=laser))
+        return report.warning_flags[BREAKDOWN_RISK]
+
+    assert BREAKDOWN_INTENSITY == 1.0e16
+    assert breakdown(1.0e16, 1.0) is True
+    assert breakdown(1.0, 1.0e16) is True
+    assert breakdown(9.9e15, 9.9e15) is False
 
 
 def test_breakdown_warning_emitted(anthrax):
@@ -165,23 +173,35 @@ def test_breakdown_warning_emitted(anthrax):
 
 
 def test_sparse_flag(anthrax):
-    assert sparse_regime_flag(764.0, anthrax.cell.volume)
-    assert not sparse_regime_flag(1.0e10, anthrax.cell.volume)
+    # rho_min grows with snr: scale it to either side of the limit
+    count = min_density(anthrax).rho_min * anthrax.cell.volume
+    for scale, sparse in ((0.99, True), (1.01, False)):
+        report = min_density(anthrax, snr=scale * SPARSE_COUNT_LIMIT / count)
+        implied = report.rho_min * anthrax.cell.volume
+        assert (implied < SPARSE_COUNT_LIMIT) is sparse
+        assert report.warning_flags[SPARSE_SUSPENSION] is sparse
     report = min_density(anthrax)
     assert SPARSE_SUSPENSION in report.warnings
     # rho_min V ~ 7.6e-6 spores in the cell: far into the sparse regime
     assert report.rho_min * anthrax.cell.volume < 1.0e-4
 
 
-def test_convention_note_always_attached(anthrax):
-    assert NEP_CONVENTION_NOTE in min_density(anthrax).warnings
+def test_convention_note_always_attached(anthrax, capsys):
+    # the note is a fixed line of the report, not a warning with a bit
+    assert tuple(min_density(anthrax).warning_flags) == tuple(WARNING_BITS)
+    for argv, warnings in ((["report"], "sparse_suspension_limit"),
+                           (["report", "--snr", "1e12"], "(none)")):
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.endswith(f"warnings = {warnings}\n"
+                            "notes = nep_two_sided_angular_convention\n")
 
 
 def test_timescale_warning_propagates(anthrax):
     laser = dataclasses.replace(anthrax.laser, modulation_omega=1.0e6)
     fast = dataclasses.replace(anthrax, laser=laser)
     report = min_density(fast)
-    assert thermal.TIMESCALES_NOT_SEPARATED in report.warnings
+    assert TIMESCALES_NOT_SEPARATED in report.warnings
     assert report.eta < 1.0
 
 
@@ -189,7 +209,7 @@ def test_modulation_warning_propagates(anthrax):
     det = dataclasses.replace(anthrax.detector, noise_mode_omega=500.0)
     slow_detector = dataclasses.replace(anthrax, detector=det)
     report = min_density(slow_detector)
-    assert noise.MODULATION_NOT_SMALL in report.warnings
+    assert MODULATION_NOT_SMALL in report.warnings
 
 
 def test_available_power_density(anthrax):
@@ -267,12 +287,10 @@ def test_accepted_scenarios_give_a_positive_finite_rho_min_or_a_refusal(changes)
     assert flags == {
         BREAKDOWN_RISK: max(laser.pump_intensity,
                             laser.stokes_intensity) >= BREAKDOWN_INTENSITY,
-        thermal.TIMESCALES_NOT_SEPARATED: (eff.drive_separation < ratio
+        TIMESCALES_NOT_SEPARATED: (eff.drive_separation < ratio
                                            or eff.radiative_separation < ratio),
-        noise.MODULATION_NOT_SMALL: (report.nep.modulation_omega
+        MODULATION_NOT_SMALL: (report.nep.modulation_omega
                                      > 0.1 * scenario.detector.noise_mode_omega),
         SPARSE_SUSPENSION: rho_min * scenario.cell.volume < SPARSE_COUNT_LIMIT,
-        NEP_CONVENTION_NOTE: True,
     }, changes
-    assert cli.warning_bits(flags) == sum(
-        cli.WARNING_BITS.get(code, 0) for code in report.warnings)
+    assert report.warning_bits == sum(WARNING_BITS[code] for code in report.warnings)

@@ -7,9 +7,8 @@ import pytest
 from scipy import integrate
 
 from parsim import quantities
-from parsim.detection import min_density
+from parsim.detection import MODULATION_NOT_SMALL, min_density
 from parsim.noise import (
-    MODULATION_NOT_SMALL,
     SpectrumSeries,
     nep,
     noise_spectrum,

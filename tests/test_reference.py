@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parsim.cli import main, warning_bits
+from parsim.cli import main
 from parsim.detection import min_density
 from parsim.presets import anthrax_stp
 from parsim.quantities import validate_scenario
@@ -140,7 +140,7 @@ def test_chain_matches_reference(exponents, radius, zeroed, snr, angular):
         "h_r": report.h_r, "h_nep": report.h_nep, "eta": report.eta,
         "rho_min": report.rho_min,
         "implied_count": report.rho_min * scenario.cell.volume,
-        "warning_bits": warning_bits(report.warning_flags),
+        "warning_bits": report.warning_bits,
     })
 
 

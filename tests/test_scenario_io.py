@@ -20,6 +20,7 @@ from parsim.quantities import (
     validate_scenario,
 )
 from parsim.scenario_io import (
+    MAX_SCENARIO_CHARS,
     SECTION_NAMES,
     ParseError,
     SchemaError,
@@ -96,6 +97,20 @@ def test_file_round_trip(anthrax, tmp_path):
     path.write_text(dumps_scenario(anthrax), encoding="utf-8")
     result = load_scenario(path)
     assert result.scenario == anthrax
+
+
+def test_file_size_limit_counts_characters(anthrax, tmp_path):
+    # a comment of two-byte characters pads the file to exactly the limit
+    text = dumps_scenario(anthrax)
+    padded = text + "# " + "\u03c1" * (MAX_SCENARIO_CHARS - len(text) - 3) + "\n"
+    assert len(padded) == MAX_SCENARIO_CHARS
+    path = tmp_path / "padded.yaml"
+    path.write_text(padded, encoding="utf-8")
+    assert load_scenario(path).scenario == anthrax
+    path.write_text(padded + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^scenario file '{re.escape(str(path))}' "
+                                         f"is longer than {MAX_SCENARIO_CHARS} characters$"):
+        load_scenario(path)
 
 
 def test_hz_aliases_convert():

@@ -20,7 +20,7 @@ import pytest
 
 import parsim
 from parsim import cli
-from parsim.detection import min_density
+from parsim.detection import WARNING_BITS, min_density
 from parsim.presets import anthrax_stp
 from parsim.quantities import validate_scenario
 from parsim.scenario_io import dumps_scenario
@@ -51,7 +51,7 @@ def _scalar_rows(spec):
             part = dataclasses.replace(getattr(point, section), **{attr: value})
             point = dataclasses.replace(point, **{section: part})
         report = min_density(validate_scenario(point))
-        bits = sum(bit for code, bit in cli.WARNING_BITS.items()
+        bits = sum(bit for code, bit in WARNING_BITS.items()
                    if code in report.warnings)
         rows.append((value, report.rho_min, report.h_r, report.eta,
                      report.h_nep, bits))
@@ -87,7 +87,7 @@ def test_array_sweep_matches_scalar_loop(capsys, spec):
 def test_sweeps_cover_every_warning_bit_and_the_eta_switch():
     rows = [row for spec in SPECS for row in _scalar_rows(spec)]
     bits = {row[-1] for row in rows}
-    for bit in cli.WARNING_BITS.values():
+    for bit in WARNING_BITS.values():
         assert any(b & bit for b in bits), bit
         assert any(not b & bit for b in bits), bit
     etas = {row[3] == 1.0 for row in rows}

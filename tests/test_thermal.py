@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from parsim import thermal
-from parsim.detection import min_density
+from parsim.detection import TIMESCALES_NOT_SEPARATED, min_density
 
 
 def test_collision_rate_reference_micron(anthrax):
@@ -182,7 +182,7 @@ def test_thermal_report_degrades_when_modulated_fast(anthrax):
     fast = dataclasses.replace(anthrax, laser=laser)
     report = thermal.thermal_report(fast)
     assert report.efficiency.separated is False
-    assert min_density(fast).warning_flags[thermal.TIMESCALES_NOT_SEPARATED] is True
+    assert min_density(fast).warning_flags[TIMESCALES_NOT_SEPARATED] is True
     tau_c, tau_r = report.collisional_timescale, report.radiative_timescale
     assert math.isclose(report.eta, tau_r / (tau_r + tau_c), rel_tol=1e-14)
     assert 0.0 < report.eta < 1.0

@@ -118,7 +118,7 @@ def cylinder_modes(cell: CellGeometry, gas: GasProperties, max_axial: int,
     of more than MAX_MODES modes, caps beyond the root table (a radial cap
     above 4, or an azimuthal cap above 4 with radial modes), or a sound
     speed or a mode frequency that leaves the range of a double, raises
-    ValueError, the last worded as quantities.in_range words it.
+    ValueError, the last two through quantities.in_range.
     """
     if max_axial < 0 or max_radial < 0 or max_azimuthal < 0:
         raise ValueError("mode index cutoffs must be non-negative")
@@ -145,8 +145,7 @@ def cylinder_modes(cell: CellGeometry, gas: GasProperties, max_axial: int,
             for q in range(max_axial + 1):
                 omega = c * math.hypot(q * math.pi / l, kr)
                 if not omega < math.inf:
-                    raise ValueError(f"arithmetic out of range: mode "
-                                     f"{q},{m},{n} has omega {omega!r}")
+                    in_range(f"mode {q},{m},{n} has omega", omega, False)
                 modes.append(AcousticMode(
                     index=(q, m, n),
                     omega=omega,

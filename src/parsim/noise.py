@@ -54,7 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .quantities import K_BOLTZMANN, Scenario, first_failure, sound_speed, xp
+from .quantities import K_BOLTZMANN, Scenario, sound_speed, xp
 
 if TYPE_CHECKING:
     import numpy as np
@@ -140,8 +140,6 @@ def nep(scenario: Scenario) -> NepResult:
     frequency, evaluated against the lowest detector mode's thermal noise
     floor."""
     modulation_omega = scenario.laser.modulation_omega
-    if first_failure(modulation_omega >= 0.0) is not None:
-        raise ValueError("modulation frequency cannot be negative")
     gas = scenario.gas
     det = scenario.detector
     c = sound_speed(gas)

@@ -352,8 +352,8 @@ def integrate_langevin(config: SdeRunConfig, scenario: Scenario) -> TrajectorySt
     module docstring.  A run of more than MAX_MEMBER_STEPS member-steps
     raises RunTooLong before anything is allocated, and a thermal force
     strength or a pressure factor rho0 c w_j that leaves the range of a
-    double raises ValueError worded as quantities.in_range words it, also
-    before the run.  metadata["wall_s"] is the wall time of the call.
+    double is refused by quantities.in_range, also before the run.
+    metadata["wall_s"] is the wall time of the call.
     """
     import numpy as np
 
@@ -387,11 +387,8 @@ def integrate_langevin(config: SdeRunConfig, scenario: Scenario) -> TrajectorySt
         sigma2 = 2.0 * (rho_v * config.damping * kt) / rho_v**2
     except ArithmeticError:
         sigma2 = math.nan
-    if not 0.0 < sigma2 < math.inf:
-        raise ValueError(
-            f"arithmetic out of range: the thermal force strength "
-            f"2 D / (rho0 V)^2 is {sigma2!r} for rho0 V = {rho_v!r} and "
-            f"k T = {kt!r}")
+    in_range(f"the thermal force strength 2 D / (rho0 V)^2 for rho0 V = "
+             f"{rho_v!r} and k T = {kt!r} is", sigma2)
 
     u2_sums = np.zeros(m)
     n_row = min(_CHUNK_STEPS, n_keep)

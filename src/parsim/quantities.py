@@ -25,6 +25,11 @@ above_one.  ``schema(cls)`` lists them for ``scenario_io``, and
 relate two fields are written out: Stokes below pump, and the two decay
 rates not both zero.
 
+That is the one check of a scenario's domain: the stages of the chain
+take a validated scenario (every command validates first, in
+``scenario_io.loads_scenario``, ``presets.anthrax_stp`` or ``sweep``) and
+refuse only the values they derive, through ``in_range``.
+
 Broadcasting
 ------------
 Any float field may instead hold a 1-D numpy array, one entry per point of

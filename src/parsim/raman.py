@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .quantities import HBAR, K_BOLTZMANN, SPEED_OF_LIGHT, Scenario, first_failure, xp
+from .quantities import HBAR, K_BOLTZMANN, SPEED_OF_LIGHT, Scenario, xp
 
 __all__ = [
     "RamanGainResult",
@@ -120,10 +120,8 @@ def heat_source_density(scenario: Scenario,
     """
     laser = scenario.laser
     particle = scenario.particle
-    total_rate = particle.collisional_rate + particle.radiative_rate
-    if first_failure(total_rate > 0.0) is not None:
-        raise ValueError("collisional and radiative decay rates cannot both vanish")
-    branching = particle.collisional_rate / total_rate
+    branching = particle.collisional_rate / (particle.collisional_rate
+                                             + particle.radiative_rate)
 
     deposition_rate = (laser.raman_shift / laser.stokes_omega
                        * gain.gain_factor

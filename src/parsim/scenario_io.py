@@ -10,8 +10,8 @@ converts to kilograms).
 
 The grammar:
 
-- the text is lines of UTF-8; blank lines and ``#`` comment lines are
-  skipped, and a tab anywhere is refused;
+- the text is lines of UTF-8, after one optional byte-order mark; blank
+  and ``#`` comment lines are skipped, and a tab anywhere is refused;
 - at top level a line is ``key: value``, or ``key:`` to open a section;
 - the lines of a section are indented by one consistent run of spaces and
   read ``key: value``: sections do not nest;
@@ -154,7 +154,7 @@ def _parse(text: str) -> dict:
 def loads_scenario(text: str) -> LoadResult:
     """Parse and validate a scenario from the text of a scenario file.  See
     module docstring for rules."""
-    doc = _parse(text)
+    doc = _parse(text.removeprefix("\ufeff"))
     if not doc:
         raise SchemaError("empty document")
 
@@ -240,8 +240,8 @@ def _canonical_sections(scenario: Scenario) -> dict:
 
 
 def _values(obj, cls) -> dict:
-    """obj's fields under their file keys, the unset optional ones left out."""
-    return {key: float(value) for attr, key, _, _ in schema(cls)
+    """obj's fields under their file keys (-0.0 as 0.0), unset optional ones left out."""
+    return {key: float(value) + 0.0 for attr, key, _, _ in schema(cls)
             if (value := getattr(obj, attr)) is not None}
 
 

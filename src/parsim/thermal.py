@@ -42,10 +42,8 @@ from .quantities import (
     STEFAN_BOLTZMANN,
     GasProperties,
     Scenario,
-    first_failure,
     in_range,
     is_array,
-    value_at,
     xp,
 )
 
@@ -92,15 +90,10 @@ def collisional_timescale(molecule_count: float, collisions_per_second: float,
                           molar_heat: float) -> float:
     """Cooling time constant tau = (c_v/R)(N_S/N_c), s.
 
-    A collision rate that overflowed to inf (or turned nan) is refused
-    by in_range at the first sweep point that holds it; one at or below 0
-    is refused as such.
+    A collision rate at 0 or inf is refused by in_range at the first
+    sweep point that holds it.
     """
-    ok = (collisions_per_second > 0.0) & (collisions_per_second < math.inf)
-    point = first_failure(ok)
-    if point is not None and value_at(collisions_per_second, point) <= 0.0:
-        raise ValueError("collision rate must be positive")
-    in_range("the collision rate is", collisions_per_second, ok)
+    in_range("the collision rate is", collisions_per_second)
     return (molar_heat / GAS_CONSTANT) * (molecule_count / collisions_per_second)
 
 
@@ -136,12 +129,9 @@ def transfer_efficiency(tau_collisional: float, tau_radiative: float,
     eta = 1 when collisions dominate: tau_coll shorter than the modulation
     timescale AND shorter than the radiative timescale, both by at least
     DEFAULT_DOMINANCE_RATIO.  Otherwise the collisional branching fraction is
-    returned, with separated False.
+    returned, with separated False.  The inputs are positive, as
+    thermal_report and validation leave them.
     """
-    if first_failure((tau_collisional > 0.0) & (tau_radiative > 0.0)) is not None:
-        raise ValueError("timescales must be positive")
-    if first_failure(modulation_omega > 0.0) is not None:
-        raise ValueError("modulation frequency must be positive")
     t_mod = 1.0 / modulation_omega
     drive_sep = t_mod / tau_collisional
     rad_sep = tau_radiative / tau_collisional
@@ -178,8 +168,8 @@ class ThermalReport:
 def thermal_report(scenario: Scenario) -> ThermalReport:
     """Evaluate the whole heating/cooling chain for a scenario.
 
-    A radiative power past the double range is refused by in_range at
-    the first sweep point that holds it.
+    A collision rate, timescale or radiative power at 0 or inf is refused
+    by in_range at the first sweep point that holds it.
     """
     particle = scenario.particle
     gas = scenario.gas
@@ -187,14 +177,14 @@ def thermal_report(scenario: Scenario) -> ThermalReport:
     n_c = collision_rate(gas, particle.equivalent_radius)
     d_t = temperature_rise(particle.molar_heat, particle.raman_fraction,
                            scenario.laser.raman_shift)
-    tau_c = collisional_timescale(particle.molecule_count, n_c,
-                                  particle.molar_heat)
+    tau_c = in_range("the collisional timescale is",
+                     collisional_timescale(particle.molecule_count, n_c,
+                                           particle.molar_heat))
     peak_t = gas.temperature + d_t
-    p_rad = radiative_power(peak_t, particle.equivalent_radius)
-    # past the double range tau_rad would come out 0; refuse by name instead
-    in_range("the radiative power is", p_rad, p_rad < math.inf)
+    p_rad = in_range("the radiative power is",
+                     radiative_power(peak_t, particle.equivalent_radius))
     e_dep = particle.molecule_count * HBAR * scenario.laser.raman_shift
-    tau_rad = e_dep / p_rad
+    tau_rad = in_range("the radiative timescale is", e_dep / p_rad)
     eff = transfer_efficiency(tau_c, tau_rad, scenario.laser.modulation_omega)
     return ThermalReport(
         collision_rate=n_c,

@@ -21,7 +21,7 @@ from parsim.detection import (
 )
 from parsim.presets import build_preset
 from parsim.quantities import validate_scenario
-from parsim.scenario_io import dumps_scenario
+from parsim.scenario_io import dumps_scenario, load_scenario
 
 
 def run(capsys, *argv):
@@ -452,6 +452,37 @@ def test_sweep_names_the_collision_rate_that_overflows(capsys):
                  "--vary", "gas.pressure=lin:1e5:1.7e308:3")
     assert result == (2, "", "error: arithmetic out of range: the collision "
                              "rate is inf at sweep point 1\n")
+
+
+@pytest.mark.parametrize("path, value, spec, point, refusal", [
+    pytest.param("gas.pressure", 1.0e-320, "lin:1e5:1e-320:3", 2,
+                 "the collision rate is 0.0", id="pressure"),
+    pytest.param("particle.molecule_count", 1.0e-320, "lin:1e12:1e-320:3", 2,
+                 "the collisional timescale is 0.0", id="molecule_count"),
+    pytest.param("laser.modulation_omega", 1.0e-320, "log:1e-320:1:3", 0,
+                 "thermal.efficiency.modulation_time is inf", id="modulation")])
+def test_report_and_sweep_refuse_an_underflow_alike(capsys, tmp_path, path, value,
+                                                    spec, point, refusal):
+    # one wording for both commands; the sweep adds the point it refuses
+    spore = Path(__file__).parent / "golden" / "spore.yaml"
+    scenario = cli._with_value(load_scenario(spore).scenario, path, value)
+    single = tmp_path / "underflow.yaml"
+    single.write_text(dumps_scenario(validate_scenario(scenario)))
+    error = f"error: arithmetic out of range: {refusal}"
+    assert run(capsys, "report", "--scenario", str(single)) == (2, "", error + "\n")
+    assert run(capsys, "sweep", "--scenario", str(spore), "--vary",
+               f"{path}={spec}") == (2, "", f"{error} at sweep point {point}\n")
+
+
+def test_byte_order_mark_changes_no_output(capsys, tmp_path):
+    spore = Path(__file__).parent / "golden" / "spore.yaml"
+    marked = tmp_path / "spore.yaml"
+    marked.write_bytes(b"\xef\xbb\xbf" + spore.read_bytes())
+    plain = run(capsys, "report", "--scenario", str(spore))
+    assert plain[0] == 0
+    # the scenario: line names the file, and no other line moves
+    assert run(capsys, "report", "--scenario", str(marked)) == (
+        0, plain[1].replace(str(spore), str(marked)), "")
 
 
 @pytest.mark.parametrize("command, opening, closing", [

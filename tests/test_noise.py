@@ -144,8 +144,16 @@ def test_nep_flags_fast_modulation(anthrax):
     laser = dataclasses.replace(anthrax.laser, modulation_omega=0.2 * wj)
     flags = min_density(dataclasses.replace(anthrax, laser=laser)).warning_flags
     assert flags[MODULATION_NOT_SMALL] is True
-    with pytest.raises(ValueError):
-        _nep_at(anthrax, -1.0)
+    # a negative modulation frequency is refused by validation, at the
+    # first such sweep point; nep computes with whatever it is given
+    for omega, point in ((-1.0, 0), (np.array([1.0, 1.0, -1.0]), 2)):
+        laser = dataclasses.replace(anthrax.laser, modulation_omega=omega)
+        with pytest.raises(quantities.ScenarioValidationError) as err:
+            quantities.validate_scenario(dataclasses.replace(anthrax, laser=laser))
+        assert err.value.point == point
+        assert [str(v) for v in err.value.violations] == [
+            "laser.modulation_omega: must be finite and > 0, got -1.0 "
+            "[negative_quantity]"]
 
 
 def test_spectrum_series_validation():

@@ -177,7 +177,7 @@ def test_validate_refractive_index_must_be_finite(anthrax):
 
 
 def test_validate_modulation_must_be_positive(anthrax):
-    # thermal.transfer_efficiency refuses w = 0, so validation must too
+    # thermal.transfer_efficiency divides by w and leaves w = 0 to validation
     with pytest.raises(q.ScenarioValidationError) as err:
         q.validate_scenario(_broken(anthrax, modulation_omega=0.0))
     assert [(v.code, v.field) for v in err.value.violations] == [

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import random
 
+import numpy as np
 import pytest
 
 from parsim import quantities as q
@@ -129,11 +130,17 @@ def test_heat_branching_limits(anthrax):
     assert heat.branching == 0.0
     assert heat.h_r == 0.0
 
-    dead = dataclasses.replace(anthrax.particle, collisional_rate=0.0,
-                               radiative_rate=0.0)
-    with pytest.raises(ValueError):
-        raman.heat_source_density(dataclasses.replace(anthrax, particle=dead),
-                                  gain)
+    # two vanishing decay rates are refused by validation, at the first
+    # such sweep point; heat_source_density divides by their sum unchecked
+    for collisional, point in ((0.0, 0), (np.array([1.0e3, 0.0, 0.0]), 1)):
+        dead = dataclasses.replace(anthrax.particle, collisional_rate=collisional,
+                                   radiative_rate=0.0)
+        with pytest.raises(q.ScenarioValidationError) as err:
+            q.validate_scenario(dataclasses.replace(anthrax, particle=dead))
+        assert err.value.point == point
+        assert [str(v) for v in err.value.violations] == [
+            "particle.collisional_rate: collisional and radiative decay rates "
+            "cannot both vanish [out_of_range]"]
 
 
 def test_heat_uses_frequency_ratio(anthrax):

@@ -292,6 +292,33 @@ def test_hash_stable_and_alias_independent(anthrax):
     assert scenario_hash(changed) != h1
 
 
+def test_negative_zero_hashes_and_writes_as_zero():
+    # -0.0 == 0.0, so the two scenarios are equal and must hash equal
+    zero = loads_scenario(MINIMAL.replace("radiative_rate_rad_s: 1.0e3",
+                                          "radiative_rate_rad_s: 0.0")).scenario
+    negative = loads_scenario(MINIMAL.replace("radiative_rate_rad_s: 1.0e3",
+                                              "radiative_rate_rad_s: -0.0")).scenario
+    assert math.copysign(1.0, negative.particle.radiative_rate) == -1.0
+    assert negative == zero
+    assert scenario_hash(negative) == scenario_hash(zero)
+    assert dumps_scenario(negative) == dumps_scenario(zero)
+    assert "radiative_rate_rad_s: 0.0\n" in dumps_scenario(negative)
+    assert loads_scenario(dumps_scenario(negative)).scenario == negative
+
+
+def test_byte_order_mark_is_skipped(tmp_path):
+    # Windows editors start a UTF-8 file with one; PyYAML skipped it too
+    plain = loads_scenario(MINIMAL).scenario
+    assert loads_scenario("\ufeff" + MINIMAL).scenario == plain
+    path = tmp_path / "bom.yaml"
+    path.write_bytes(b"\xef\xbb\xbf" + MINIMAL.encode("utf-8"))
+    assert load_scenario(path).scenario == plain
+    # one mark, not a run of them
+    with pytest.raises(ParseError, match=r"^line 1, column 1: expected a key, "
+                                         r"found '\\ufeff'$"):
+        loads_scenario("\ufeff\ufeff" + MINIMAL)
+
+
 def test_dumps_uses_canonical_keys(anthrax):
     text = dumps_scenario(anthrax)
     assert "format_version: 1" in text

@@ -1,12 +1,14 @@
 import dataclasses
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 
 from parsim import thermal
 from parsim.detection import TIMESCALES_NOT_SEPARATED, min_density
+from parsim.quantities import ScenarioValidationError, validate_scenario
 
 
 def test_collision_rate_reference_micron(anthrax):
@@ -113,23 +115,27 @@ def test_transfer_efficiency_boundary_inclusive():
     assert result.eta == 1.0
 
 
-def test_transfer_efficiency_guards():
-    with pytest.raises(ValueError):
-        thermal.transfer_efficiency(0.0, 1.0, 100.0)
-    with pytest.raises(ValueError):
-        thermal.transfer_efficiency(1.0e-5, -1.0, 100.0)
-    with pytest.raises(ValueError):
-        thermal.transfer_efficiency(1.0e-5, 1.0, 0.0)
+def test_transfer_efficiency_guards(anthrax):
+    # transfer_efficiency divides unchecked: validation refuses a modulation
+    # frequency of 0, at the first such sweep point, and thermal_report the
+    # timescales it derives (test_thermal_report_refuses_derived_values...)
+    for omega, point in ((0.0, 0), (np.array([100.0, 0.0, 0.0]), 1)):
+        laser = dataclasses.replace(anthrax.laser, modulation_omega=omega)
+        with pytest.raises(ScenarioValidationError) as err:
+            validate_scenario(dataclasses.replace(anthrax, laser=laser))
+        assert err.value.point == point
+        assert [str(v) for v in err.value.violations] == [
+            "laser.modulation_omega: must be finite and > 0, got 0.0 "
+            "[negative_quantity]"]
 
 
 def test_collisional_timescale_refuses_a_rate_out_of_range(anthrax):
-    # refused here, before tau_c = 0 reaches transfer_efficiency's check
-    # on the timescales
-    with pytest.raises(ValueError, match="^arithmetic out of range: "
-                                         "the collision rate is inf$"):
-        thermal.collisional_timescale(1.0e12, math.inf, 30.0)
-    with pytest.raises(ValueError, match="^collision rate must be positive$"):
-        thermal.collisional_timescale(1.0e12, np.array([1.0e16, 0.0]), 30.0)
+    # one in_range check, at 0 as at inf, for a float or a sweep's first point
+    for rate, refused in ((math.inf, "inf"), (0.0, "0.0"),
+                          (np.array([1.0e16, 0.0]), "0.0 at sweep point 1")):
+        with pytest.raises(ValueError, match="^arithmetic out of range: the "
+                                             f"collision rate is {refused}$"):
+            thermal.collisional_timescale(1.0e12, rate, 30.0)
     gas = dataclasses.replace(anthrax.gas,
                               pressure=np.array([1.0e5, 1.0e6, 1.7e308]))
     with np.errstate(over="ignore"):
@@ -137,6 +143,42 @@ def test_collisional_timescale_refuses_a_rate_out_of_range(anthrax):
                                              "collision rate is inf at sweep "
                                              "point 2$"):
             thermal.thermal_report(dataclasses.replace(anthrax, gas=gas))
+
+
+# a derived value of the thermal stage that leaves the range of a double,
+# and the fields, each valid, that take it there
+DERIVED_OUT_OF_RANGE = {
+    "the collision rate is 0.0": {"gas": {"pressure": 1.0e-320}},
+    "the collisional timescale is 0.0": {"particle": {"molecule_count": 1.0e-320}},
+    # T^4 underflows at a gas of 1e-80 K, and the shift adds no heat to it
+    "the radiative power is 0.0": {"gas": {"temperature": 1.0e-80},
+                                   "laser": {"pump_omega": 2.0e-70,
+                                             "stokes_omega": 1.0e-70}},
+    # N_S hbar underflows before the shift multiplies it
+    "the radiative timescale is 0.0": {"particle": {"molecule_count": 1.0e-300}},
+}
+
+
+@pytest.mark.parametrize("refusal", sorted(DERIVED_OUT_OF_RANGE))
+def test_thermal_report_refuses_derived_values_out_of_range(anthrax, refusal):
+    # the stage words each refusal through in_range, with the first sweep
+    # point that holds it, and min_density passes it on unchanged
+    fields = DERIVED_OUT_OF_RANGE[refusal]
+    swept = {section: {name: np.array([getattr(getattr(anthrax, section), name)] * 2
+                                      + [value])
+                       for name, value in values.items()}
+             for section, values in fields.items()}
+    for values, where in ((fields, ""), (swept, " at sweep point 2")):
+        scenario = anthrax
+        for section, changed in values.items():
+            part = dataclasses.replace(getattr(scenario, section), **changed)
+            scenario = dataclasses.replace(scenario, **{section: part})
+        validate_scenario(scenario)
+        expected = f"^arithmetic out of range: {re.escape(refusal)}{where}$"
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match=expected):
+            thermal.thermal_report(scenario)
+        with pytest.raises(ValueError, match=expected):
+            min_density(scenario)
 
 
 def test_min_density_names_a_swept_collision_rate_that_overflows(anthrax):

@@ -350,10 +350,12 @@ def integrate_langevin(config: SdeRunConfig, scenario: Scenario) -> TrajectorySt
 
     Every chunk of kept states is reduced as soon as it is produced; see the
     module docstring.  A run of more than MAX_MEMBER_STEPS member-steps
-    raises RunTooLong before anything is allocated, and a thermal force
-    strength or a pressure factor rho0 c w_j that leaves the range of a
-    double is refused by quantities.in_range, also before the run.
-    metadata["wall_s"] is the wall time of the call.
+    raises RunTooLong before anything is allocated.  quantities.in_range
+    refuses, before the run, a thermal force strength 2 D / (rho0 V)^2, a
+    velocity variance k T / (rho0 V) or its square, and with a PSD a
+    sample rate 1/dt or a pressure factor rho0 c w_j outside (0, inf);
+    after it, a mean u^2, its standard error or an equipartition ratio
+    outside (0, inf).  metadata["wall_s"] is the wall time of the call.
     """
     import numpy as np
 
@@ -389,11 +391,16 @@ def integrate_langevin(config: SdeRunConfig, scenario: Scenario) -> TrajectorySt
         sigma2 = math.nan
     in_range(f"the thermal force strength 2 D / (rho0 V)^2 for rho0 V = "
              f"{rho_v!r} and k T = {kt!r} is", sigma2)
+    # the run's statistics have the scale k T / (rho0 V), and its standard
+    # error squares deviations of the mean u^2
+    u2 = in_range("the velocity variance k T / (rho0 V) is", kt / rho_v)
+    in_range(f"the square of the velocity variance {u2!r} is", u2 * u2)
 
     u2_sums = np.zeros(m)
     n_row = min(_CHUNK_STEPS, n_keep)
     welch = None
     if config.psd_nperseg is not None:
+        sample_rate = in_range("the sample rate 1/dt is", 1.0 / config.timestep)
         # the mode's pressure amplitude; the velocity for mode_omega = 0
         pressure_per_q = (in_range("the pressure per unit position rho0 c w_j is",
                                    gas.density * sound_speed(gas) * config.mode_omega)
@@ -439,15 +446,18 @@ def integrate_langevin(config: SdeRunConfig, scenario: Scenario) -> TrajectorySt
             welch.end_row()
 
     member_mean_u2 = u2_sums / n_keep
-    mean_u2 = math.fsum(member_mean_u2.tolist()) / m
-    stderr = float(np.std(member_mean_u2, ddof=1)) / math.sqrt(m)
+    mean_u2 = in_range("the run's mean u^2 is",
+                       math.fsum(member_mean_u2.tolist()) / m)
+    stderr = in_range("the run's standard error of mean u^2 is",
+                      float(np.std(member_mean_u2, ddof=1)) / math.sqrt(m))
 
     return TrajectoryStats(
         mean_u2=mean_u2,
         mean_u2_stderr=stderr,
-        equipartition_ratio=rho_v * mean_u2 / kt,
+        equipartition_ratio=in_range("the run's equipartition ratio is",
+                                     rho_v * mean_u2 / kt),
         member_mean_u2=member_mean_u2,
-        psd=welch.density(1.0 / config.timestep) if welch is not None else None,
+        psd=welch.density(sample_rate) if welch is not None else None,
         n_members=m,
         n_samples=n_keep,
         metadata={

@@ -60,7 +60,6 @@ __all__ = [
     "scenario_hash",
     "FORMAT_VERSION",
     "MAX_SCENARIO_CHARS",
-    "SECTION_NAMES",
 ]
 
 FORMAT_VERSION = 1
@@ -82,9 +81,6 @@ class ParseError(ValueError):
 
 class SchemaError(ValueError):
     """Text in the grammar that does not describe a scenario."""
-
-
-SECTION_NAMES = tuple(COMPONENTS)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -168,7 +164,7 @@ def loads_scenario(text: str) -> LoadResult:
             f"(this reader handles {FORMAT_VERSION})")
 
     top = schema(Scenario)
-    known_top = {"format_version", *SECTION_NAMES, *(key for _, key, _, _ in top)}
+    known_top = {"format_version", *COMPONENTS, *(key for _, key, _, _ in top)}
     unknown = [key for key in doc if key not in known_top]
 
     built = {}

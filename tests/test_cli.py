@@ -328,6 +328,32 @@ def test_sweep_refuses_a_grid_that_does_not_fit_in_memory():
                              "not fit in memory\n")
 
 
+@pytest.mark.parametrize("count", [2**60 - 1, 2**60, 2**62, 2**63, 2**64 - 1, 10**30])
+def test_sweep_refuses_a_point_count_beyond_numpy_in_one_line(capsys, count):
+    # numpy raised IndexError from 2^63 and named its own limits below and
+    # above; past sys.maxsize // 16 nothing is allocated
+    code, out, err = run(capsys, "sweep", "--vary", f"gas.pressure=lin:1:2:{count}")
+    assert (code, out) == (2, "")
+    assert err == f"error: sweep of {count} points does not fit in memory\n"
+
+
+def test_sweep_refuses_a_range_wider_than_a_double():
+    # hi - lo overflowed: numpy warned twice and named point 0 as nan
+    result = _cli("sweep", "--vary", "gas.pressure=lin:-1e308:1e308:3")
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == ("error: sweep range from -1e+308 to 1e+308 is "
+                             "wider than the range of a double\n")
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("=lin:1:2:3", "sweep spec names no scenario path"),
+    # no printed column depends on it: every row repeated
+    ("spore_density=lin:1:2:3", "unknown sweep path 'spore_density'; use "
+     "section.attribute with section one of gas, cell, laser, particle, detector")])
+def test_sweep_refuses_a_path_outside_the_sections(capsys, spec, message):
+    assert run(capsys, "sweep", "--vary", spec) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("line", sorted(ZERO_HEATING))
 def test_report_refuses_scenarios_without_signal(tmp_path, anthrax, line):
     text = dumps_scenario(anthrax)
@@ -536,6 +562,8 @@ NOISE_AND_MODES_OUT_OF_RANGE = [
     ("modes", {"cell": {"radius": 1.0e-310}}),
     # (k T / (rho0 V))^2 underflows to 0: the run's standard error did
     ("validate-noise", {"gas": {"temperature": 2.45e-235}}),
+    # the sample rate 1/dt overflows: numpy's Welch frequencies divided by 0
+    ("validate-noise", {"detector": {"noise_damping": 1.7e308}}),
 ]
 
 

@@ -515,6 +515,9 @@ STREAM_CASES = {
                                  duration=8.0e-2, psd_nperseg=32768),
     "zero_frequency_velocity": dict(ensemble_size=3, mode_omega=0.0,
                                     duration=4.0e-2, psd_nperseg=2048),
+    # a burn-in of 20,000 steps: the first chunk keeps no state
+    "burn_in_beyond_chunk": dict(ensemble_size=2, mode_omega=MODE_OMEGA,
+                                 damping=500.0, duration=0.1, psd_nperseg=1024),
 }
 
 
@@ -522,8 +525,8 @@ STREAM_CASES = {
 def kept_run(request):
     from parsim.presets import anthrax_stp
     scenario = anthrax_stp()
-    config = SdeRunConfig(timestep=1.0e-6, seed=19, damping=DAMPING,
-                          keep_samples=True, **STREAM_CASES[request.param])
+    config = SdeRunConfig(**{"timestep": 1.0e-6, "seed": 19, "damping": DAMPING,
+                             "keep_samples": True, **STREAM_CASES[request.param]})
     return scenario, config, integrate_langevin(config, scenario)
 
 
@@ -545,12 +548,15 @@ def test_streamed_reductions_match_whole_arrays(kept_run):
 
 def test_streamed_segments_cover_the_cases():
     # the cases above reach a segment longer than one chunk, segment
-    # starts that chunk boundaries do not line up with, and a thermal
-    # burn-in (10/damping at dt 1e-6 s) that ends inside a block
+    # starts that chunk boundaries do not line up with, a thermal burn-in
+    # (10/damping at dt 1e-6 s) that ends inside a block, and one longer
+    # than a chunk
     assert STREAM_CASES["segment_beyond_chunk"]["psd_nperseg"] > _CHUNK_STEPS
     assert _CHUNK_STEPS % (STREAM_CASES["unaligned_segments"]["psd_nperseg"] // 2)
     n_burn = round(10.0 / DAMPING / 1.0e-6)
     assert n_burn == 200 and n_burn % _BLOCK_STEPS == 8
+    damping = STREAM_CASES["burn_in_beyond_chunk"]["damping"]
+    assert round(10.0 / damping / 1.0e-6) > _CHUNK_STEPS
 
 
 def test_kept_samples_do_not_change_statistics(kept_run):
@@ -641,6 +647,28 @@ def test_langevin_refuses_a_cell_volume_that_overflows(anthrax):
     with pytest.raises(ValueError, match=r"^arithmetic out of range: .* "
                                          r"for rho0 V = inf and k T = "):
         integrate_langevin(config, dataclasses.replace(anthrax, cell=cell))
+
+
+def test_langevin_refuses_a_sample_rate_that_overflows(anthrax):
+    # 1/dt past the double range left numpy's Welch frequencies dividing by 0
+    config = SdeRunConfig(timestep=1.0e-310, duration=5.0e-307, seed=1,
+                          ensemble_size=2, mode_omega=MODE_OMEGA,
+                          damping=1.0e308, psd_nperseg=1024)
+    with pytest.raises(ValueError, match=r"^arithmetic out of range: "
+                                         r"the sample rate 1/dt is inf$"):
+        integrate_langevin(config, anthrax)
+
+
+def test_langevin_refuses_statistics_out_of_range(anthrax, monkeypatch):
+    # a run whose states all come out 0 returns no zero mean u^2
+    monkeypatch.setattr(_Stepper, "advance",
+                        lambda self, x, gen, span: np.zeros((span, 2)))
+    config = SdeRunConfig(timestep=1.0e-6, duration=1.5e-3, seed=1,
+                          ensemble_size=2, mode_omega=MODE_OMEGA,
+                          damping=DAMPING)
+    with pytest.raises(ValueError, match=r"^arithmetic out of range: "
+                                         r"the run's mean u\^2 is 0.0$"):
+        integrate_langevin(config, anthrax)
 
 
 def test_langevin_wall_time_in_metadata(anthrax):

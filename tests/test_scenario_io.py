@@ -3,6 +3,7 @@ import dataclasses
 import math
 import re
 import textwrap
+from pathlib import Path
 
 import pytest
 import yaml
@@ -21,7 +22,6 @@ from parsim.quantities import (
 )
 from parsim.scenario_io import (
     MAX_SCENARIO_CHARS,
-    SECTION_NAMES,
     ParseError,
     SchemaError,
     dumps_scenario,
@@ -195,11 +195,23 @@ def test_format_version_required_and_checked():
         loads_scenario(MINIMAL.replace("format_version: 1", "format_version: 99"))
 
 
+SPORE = (Path(__file__).parent / "golden" / "spore.yaml").read_text()
+
+
 def test_parse_error_carries_position():
     for text, message in [
             ("format_version: 1\ngas: [unclosed\n",
              "line 2, column 6: found '[': a value is a plain number"),
-            ("{a: 1", "line 1, column 1: expected a key, found '{'")]:
+            ("{a: 1", "line 1, column 1: expected a key, found '{'"),
+            # one edit each to a file the reader accepts
+            (SPORE.replace("  pressure_pa:", "\tpressure_pa:"),
+             "line 3, column 1: found a tab"),
+            (SPORE.replace("  pressure_pa:", "  pressure_pa ="),
+             "line 3, column 14: expected ':' after the key"),
+            (SPORE.replace("  pressure_pa: ", "  pressure_pa:"),
+             "line 3, column 15: expected a space after ':'"),
+            (SPORE.replace("  temperature_k:", "    temperature_k:"),
+             "line 4, column 5: unexpected indentation")]:
         with pytest.raises(ParseError) as caught:
             loads_scenario(text)
         assert str(caught.value) == message
@@ -237,7 +249,7 @@ def test_validation_runs_by_default():
 def test_every_scenario_field_can_be_set_from_a_file():
     # a field that no file key reaches is a knob only code can turn
     assert ([f.name for f in dataclasses.fields(Scenario)]
-            == [*SECTION_NAMES, *(attr for attr, *_ in schema(Scenario))])
+            == [*COMPONENTS, *(attr for attr, *_ in schema(Scenario))])
     for cls in COMPONENTS.values():
         assert ([attr for attr, *_ in schema(cls)]
                 == [f.name for f in dataclasses.fields(cls)]), cls.__name__

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .quantities import CellGeometry, GasProperties, in_range, sound_speed
+from .quantities import CellGeometry, GasProperties, Refusal, in_range, sound_speed
 
 __all__ = [
     "AcousticMode",
@@ -118,19 +118,19 @@ def cylinder_modes(cell: CellGeometry, gas: GasProperties, max_axial: int,
     of more than MAX_MODES modes, caps beyond the root table (a radial cap
     above 4, or an azimuthal cap above 4 with radial modes), or a sound
     speed or a mode frequency that leaves the range of a double, raises
-    ValueError, the last two through quantities.in_range.
+    quantities.Refusal, the last two through quantities.in_range.
     """
     if max_axial < 0 or max_radial < 0 or max_azimuthal < 0:
-        raise ValueError("mode index cutoffs must be non-negative")
+        raise Refusal("mode index cutoffs must be non-negative")
     count = (max_axial + 1) * (1 + max_radial * (max_azimuthal + 1))
     if count > MAX_MODES:
-        raise ValueError(f"a table of {count} modes is above the limit of "
-                         f"{MAX_MODES}")
+        raise Refusal(f"a table of {count} modes is above the limit of "
+                      f"{MAX_MODES}")
     if max_radial > 0 and (max_azimuthal >= len(_RADIAL_TABLE)
                            or max_radial > len(_RADIAL_TABLE[0])):
-        raise ValueError(f"the root table holds azimuthal orders up to "
-                         f"{len(_RADIAL_TABLE) - 1} and radial indices up to "
-                         f"{len(_RADIAL_TABLE[0])}")
+        raise Refusal(f"the root table holds azimuthal orders up to "
+                      f"{len(_RADIAL_TABLE) - 1} and radial indices up to "
+                      f"{len(_RADIAL_TABLE[0])}")
     c = in_range("sound speed is", sound_speed(gas))
     a, l = cell.radius, cell.length
 

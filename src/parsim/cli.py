@@ -18,7 +18,10 @@ Every command writes its output to stdout and reads its scenario from
 
 Exit codes: 0 success, 1 a validation subcommand found a mismatch,
 2 bad usage, an invalid scenario, a scenario file that cannot be read, a
-run too large to start or mode caps beyond the built-in root table.
+run too large to start or mode caps beyond the built-in root table: a
+``quantities.Refusal``, an ``OSError`` or a file that is not UTF-8, each
+printed as one ``error:`` line.  Any other exception is a parsim bug; it
+ends in a traceback and exit 1.
 """
 
 from __future__ import annotations
@@ -33,10 +36,10 @@ from . import __version__
 from .detection import min_density
 from .noise import thermal_variance
 from .presets import ANTHRAX_STP_SUMMARY, anthrax_stp
-from .quantities import (COMPONENTS, Scenario, ScenarioValidationError, in_range,
-                         sound_speed, validate_scenario)
+from .quantities import (COMPONENTS, Refusal, Scenario, ScenarioValidationError,
+                         in_range, sound_speed, validate_scenario)
 from .raman import LINEWIDTH_CONVENTIONS
-from .scenario_io import SchemaError, load_scenario, scenario_hash
+from .scenario_io import load_scenario, scenario_hash
 
 __all__ = ["main"]
 
@@ -133,38 +136,38 @@ def _parse_sweep(spec: str):
 
     head, sep, tail = spec.partition("=")
     if not sep:
-        raise ValueError("sweep spec needs the form path=lin|log:lo:hi:n")
+        raise Refusal("sweep spec needs the form path=lin|log:lo:hi:n")
     paths = [p.strip() for p in head.split(",") if p.strip()]
     if not paths:
-        raise ValueError("sweep spec names no scenario path")
+        raise Refusal("sweep spec names no scenario path")
     twice = next((p for i, p in enumerate(paths) if p in paths[:i]), None)
     if twice is not None:
-        raise ValueError(f"sweep path {twice!r} given twice")
+        raise Refusal(f"sweep path {twice!r} given twice")
     parts = tail.split(":")
     if len(parts) != 4:
-        raise ValueError("sweep range needs the form lin|log:lo:hi:n")
+        raise Refusal("sweep range needs the form lin|log:lo:hi:n")
     kind, lo_s, hi_s, n_s = parts
     if kind not in ("lin", "log"):
-        raise ValueError(f"unknown sweep spacing {kind!r} (use lin or log)")
+        raise Refusal(f"unknown sweep spacing {kind!r} (use lin or log)")
     try:
         lo, hi = float(lo_s), float(hi_s)
     except ValueError:
-        raise ValueError(f"sweep endpoints must be numbers, "
-                         f"got {lo_s!r} and {hi_s!r}") from None
+        raise Refusal(f"sweep endpoints must be numbers, "
+                      f"got {lo_s!r} and {hi_s!r}") from None
     try:
         n = int(n_s)
     except ValueError:
-        raise ValueError(f"sweep point count must be an integer, "
-                         f"got {n_s!r}") from None
+        raise Refusal(f"sweep point count must be an integer, "
+                      f"got {n_s!r}") from None
     if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError(f"sweep endpoints must be finite, got {lo!r} and {hi!r}")
+        raise Refusal(f"sweep endpoints must be finite, got {lo!r} and {hi!r}")
     if n < 2:
-        raise ValueError("sweep needs at least 2 points")
+        raise Refusal("sweep needs at least 2 points")
     if kind == "log" and (lo <= 0.0 or hi <= 0.0):
-        raise ValueError("log sweeps need positive endpoints")
+        raise Refusal("log sweeps need positive endpoints")
     if kind == "lin" and not math.isfinite(hi - lo):
-        raise ValueError(f"sweep range from {lo!r} to {hi!r} is wider than "
-                         "the range of a double")
+        raise Refusal(f"sweep range from {lo!r} to {hi!r} is wider than "
+                      "the range of a double")
     # numpy words its refusal of more than sys.maxsize bytes its own way,
     # and from 2^60 - 64 points on, which linspace counts as 2^60 doubles
     try:
@@ -172,19 +175,19 @@ def _parse_sweep(spec: str):
             raise MemoryError
         values = (np.geomspace if kind == "log" else np.linspace)(lo, hi, n)
     except MemoryError:
-        raise ValueError(f"sweep of {n} points does not fit in memory") from None
+        raise Refusal(f"sweep of {n} points does not fit in memory") from None
     return paths, values
 
 
 def _with_value(scenario: Scenario, path: str, value) -> Scenario:
     section, sep, attr = path.partition(".")
     if not sep or section not in COMPONENTS:
-        raise ValueError(
+        raise Refusal(
             f"unknown sweep path {path!r}; use section.attribute with "
             f"section one of {', '.join(COMPONENTS)}")
     component = getattr(scenario, section)
     if attr not in {f.name for f in dataclasses.fields(component)}:
-        raise ValueError(f"{section} has no attribute {attr!r}")
+        raise Refusal(f"{section} has no attribute {attr!r}")
     replaced = dataclasses.replace(component, **{attr: value})
     return dataclasses.replace(scenario, **{section: replaced})
 
@@ -207,7 +210,7 @@ def _cmd_sweep(args) -> int:
     try:
         validate_scenario(points)
     except ScenarioValidationError as exc:
-        raise SchemaError(
+        raise Refusal(
             f"sweep point {args.vary.partition('=')[0]}="
             f"{float(values[exc.point])!r} invalid: {exc}") from exc
     report = min_density(points, snr=args.snr,
@@ -241,8 +244,8 @@ def _cmd_modes(args) -> int:
     try:
         max_axial, max_azimuthal, max_radial = map(int, args.max_modes.split(","))
     except ValueError:
-        raise ValueError(f"--max-modes needs three comma-separated integers "
-                         f"axial,azimuthal,radial, got {args.max_modes!r}") from None
+        raise Refusal(f"--max-modes needs three comma-separated integers "
+                      f"axial,azimuthal,radial, got {args.max_modes!r}") from None
     modes = cylinder_modes(scenario.cell, scenario.gas,
                            max_axial=max_axial,
                            max_radial=max_radial,
@@ -280,10 +283,10 @@ def _cmd_validate_noise(args) -> int:
     from .oracle import STABILITY_LIMIT, SdeRunConfig, integrate_langevin, series_variance
 
     if not (0.0 < args.duration_dampings < math.inf):
-        raise ValueError("--duration-dampings must be positive and finite, "
-                         f"got {args.duration_dampings!r}")
+        raise Refusal("--duration-dampings must be positive and finite, "
+                      f"got {args.duration_dampings!r}")
     if args.seed < 0:
-        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
+        raise Refusal(f"--seed must be a non-negative integer, got {args.seed}")
     scenario, origin = _load(args)
     # refused before integrating: the comparison divides by it
     try:
@@ -310,8 +313,8 @@ def _cmd_validate_noise(args) -> int:
     try:
         stats = integrate_langevin(config, scenario)
     except MemoryError:
-        raise ValueError(f"an ensemble of {args.members} members does not "
-                         "fit in memory") from None
+        raise Refusal(f"an ensemble of {args.members} members does not "
+                      "fit in memory") from None
     meta = stats.metadata
     print(f"langevin: {stats.n_members} members, {meta['n_steps']} steps each "
           f"at dt {meta['timestep']!r} s, wall {meta['wall_s']:.3f} s",
@@ -415,9 +418,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    # OSError: a file that is missing, a directory or not permitted.
-    # ValueError covers the scenario errors and a file that is not UTF-8
-    except (ValueError, OSError) as exc:
+    # OSError: a file that is missing, a directory or not permitted
+    except (Refusal, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

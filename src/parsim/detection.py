@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import noise, raman, thermal
-from .quantities import (Scenario, errstate, first_failure, in_range,
+from .quantities import (Refusal, Scenario, errstate, first_failure, in_range,
                          is_array, value_at, xp)
 
 if TYPE_CHECKING:
@@ -170,7 +170,7 @@ def min_density(scenario: Scenario, snr: float = 1.0,
     except ArithmeticError as exc:
         # math and Python float powers raise OverflowError or ZeroDivisionError
         detail = "overflow" if isinstance(exc, OverflowError) else exc
-        raise ValueError(f"arithmetic out of range: {detail}") from exc
+        raise Refusal(f"arithmetic out of range: {detail}") from exc
     # an overflow to inf, or an invalid nan, raises nothing there
     _require_finite(report)
     # nor does a rho_min that underflows to 0
@@ -181,7 +181,7 @@ def min_density(scenario: Scenario, snr: float = 1.0,
 def _min_density(scenario: Scenario, snr: float,
                  linewidth_convention: str) -> DetectionReport:
     if not (0.0 < snr < math.inf):
-        raise ValueError(f"snr must be positive and finite, got {snr!r}")
+        raise Refusal(f"snr must be positive and finite, got {snr!r}")
     laser = scenario.laser
     gain = raman.gain_coefficient(scenario, linewidth_convention)
     deposition = raman.heat_source_density(scenario, gain)
@@ -194,7 +194,7 @@ def _min_density(scenario: Scenario, snr: float,
                           * scenario.cell.detector_coverage)
     point = first_failure(signal_per_density > 0.0)
     if point is not None:
-        raise ValueError(_no_heating(scenario, point))
+        raise Refusal(_no_heating(scenario, point))
     rho_min = snr * floor.h_nep * root_bw / signal_per_density
 
     # the one place where each warning code meets its condition

@@ -54,7 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .quantities import K_BOLTZMANN, Scenario, sound_speed, xp
+from .quantities import K_BOLTZMANN, Refusal, Scenario, sound_speed, xp
 
 if TYPE_CHECKING:
     import numpy as np
@@ -88,11 +88,11 @@ class SpectrumSeries:
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "values", np.asarray(self.values))
         if omega.ndim != 1 or len(omega) != len(self.values):
-            raise ValueError("omega and values must be 1-D and equal length")
+            raise Refusal("omega and values must be 1-D and equal length")
         if len(omega) > 1 and not np.all(np.diff(omega) > 0.0):
-            raise ValueError("frequency grid must be strictly increasing")
+            raise Refusal("frequency grid must be strictly increasing")
         if np.any(self.values < 0.0):
-            raise ValueError("power density cannot be negative")
+            raise Refusal("power density cannot be negative")
 
 
 def thermal_variance(scenario: Scenario) -> float:
@@ -113,7 +113,7 @@ def noise_spectrum(mode_omega: float, scenario: Scenario,
     import numpy as np
 
     if mode_omega < 0.0:
-        raise ValueError("mode frequency cannot be negative")
+        raise Refusal("mode frequency cannot be negative")
     w = np.asarray(omega_grid, dtype=float)
     damping = scenario.detector.noise_damping
     return SpectrumSeries(w, thermal_variance(scenario) * mode_omega**2 * damping

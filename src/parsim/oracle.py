@@ -73,7 +73,7 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .quantities import K_BOLTZMANN, Scenario, in_range, sound_speed
+from .quantities import K_BOLTZMANN, Refusal, Scenario, in_range, sound_speed
 
 if TYPE_CHECKING:
     import numpy as np
@@ -84,11 +84,6 @@ __all__ = [
     "SdeRunConfig",
     "TrajectoryStats",
     "DrivenModeResult",
-    "StabilityGuardViolated",
-    "InsufficientStatistics",
-    "SegmentTooShort",
-    "RunTooLong",
-    "NotConverged",
     "transition",
     "integrate_langevin",
     "estimate_psd",
@@ -120,26 +115,6 @@ _PERIODS_PER_WINDOW = 20   # drive periods per demodulation window
 _UNIT_TOLERANCE = 1.0e-6
 
 
-class StabilityGuardViolated(ValueError):
-    """Timestep too coarse for the fastest rate in the dynamics."""
-
-
-class InsufficientStatistics(ValueError):
-    """Ensemble or duration too small for stationary statistics."""
-
-
-class SegmentTooShort(ValueError):
-    """Not enough samples for the requested spectral segment length."""
-
-
-class RunTooLong(ValueError):
-    """More member-steps than MAX_MEMBER_STEPS."""
-
-
-class NotConverged(RuntimeError):
-    """Driven steady state still drifting between demodulation windows."""
-
-
 @dataclass(frozen=True)
 class SdeRunConfig:
     """One stochastic integration run.
@@ -163,19 +138,19 @@ class SdeRunConfig:
 
     def validate(self) -> None:
         if not (0.0 < self.timestep < math.inf) or not (0.0 < self.duration < math.inf):
-            raise ValueError("timestep and duration must be positive and finite")
+            raise Refusal("timestep and duration must be positive and finite")
         if not (self.damping > 0.0) or not (self.mode_omega >= 0.0):
-            raise ValueError("damping must be positive, mode_omega non-negative")
+            raise Refusal("damping must be positive, mode_omega non-negative")
         rate = max(self.damping, self.mode_omega)
         if self.timestep * rate > STABILITY_LIMIT * (1.0 + 1e-12):
-            raise StabilityGuardViolated(
+            raise Refusal(
                 f"timestep {self.timestep:g} times fastest rate {rate:g} "
                 f"exceeds the stability limit {STABILITY_LIMIT}")
         if self.ensemble_size < 2:
-            raise InsufficientStatistics(
+            raise Refusal(
                 "need at least 2 ensemble members to estimate errors")
         if self.duration * self.damping < MIN_STATIONARY_DURATIONS:
-            raise InsufficientStatistics(
+            raise Refusal(
                 f"duration {self.duration:g} s is below "
                 f"{MIN_STATIONARY_DURATIONS:g}/damping; stationary "
                 "statistics would not be trustworthy")
@@ -288,13 +263,13 @@ def _expm(a) -> list[list[float]]:
     a is any square sequence of rows of numbers; the result is a list of
     rows of floats.  The balanced matrix is scaled by 2^-s into the range of
     the Pade-13 approximant r13 = (V - U)^-1 (V + U), which is then squared
-    s times.  A non-finite entry, or entries whose sum overflows, raise
-    ValueError.
+    s times.  A non-finite entry, or entries whose sum overflows, are
+    refused.
     """
     a = [[float(x) for x in row] for row in a]
     if not math.isfinite(sum(abs(x) for row in a for x in row)):
-        raise ValueError("matrix exponential needs finite entries with a "
-                         "finite sum")
+        raise Refusal("matrix exponential needs finite entries with a "
+                      "finite sum")
     b, d = _balance(a)
     n = len(b)
     norm = max(sum(abs(row[j]) for row in b) for j in range(n))
@@ -350,7 +325,7 @@ def integrate_langevin(config: SdeRunConfig, scenario: Scenario) -> TrajectorySt
 
     Every chunk of kept states is reduced as soon as it is produced; see the
     module docstring.  A run of more than MAX_MEMBER_STEPS member-steps
-    raises RunTooLong before anything is allocated.  quantities.in_range
+    is refused before anything is allocated.  quantities.in_range
     refuses, before the run, a thermal force strength 2 D / (rho0 V)^2, a
     velocity variance k T / (rho0 V) or its square, and with a PSD a
     sample rate 1/dt or a pressure factor rho0 c w_j outside (0, inf);
@@ -372,7 +347,7 @@ def integrate_langevin(config: SdeRunConfig, scenario: Scenario) -> TrajectorySt
     except OverflowError:   # an int member count beyond the double range
         member_steps = math.inf
     if not member_steps <= MAX_MEMBER_STEPS:
-        raise RunTooLong(
+        raise Refusal(
             f"{m} members of {steps:.3g} steps each are "
             f"{member_steps:.3g} member-steps, above the limit of "
             f"{MAX_MEMBER_STEPS:.3g}")
@@ -380,9 +355,8 @@ def integrate_langevin(config: SdeRunConfig, scenario: Scenario) -> TrajectorySt
     n_keep = int(round(config.duration / config.timestep))
 
     # 2 D / (rho0 V)^2 with D = rho0 V Gamma k T.  The cell volume and the
-    # square raise OverflowError past the double range (rho0 V stays inf
-    # when the volume does), the division ZeroDivisionError when the square
-    # underflows to 0
+    # square raise OverflowError past the double range, the division
+    # ZeroDivisionError when the square underflows to 0
     rho_v = math.inf
     try:
         rho_v = gas.density * scenario.cell.volume
@@ -565,9 +539,9 @@ class _Welch:
         import numpy as np
 
         if nperseg < 8:
-            raise SegmentTooShort("nperseg below 8 cannot resolve anything")
+            raise Refusal("nperseg below 8 cannot resolve anything")
         if nperseg > n:
-            raise SegmentTooShort(
+            raise Refusal(
                 f"nperseg {nperseg} exceeds the {n} samples available")
         self.nperseg = nperseg
         self.step = nperseg - nperseg // 2
@@ -648,15 +622,15 @@ def estimate_psd(samples, sample_rate: float, nperseg: int) -> SpectrumSeries:
 def series_variance(series: SpectrumSeries) -> float:
     """2 / pi times the sum of the values times the step of a uniform
     non-negative grid, such as the PSDs here have; any other grid, or one
-    point, raises ValueError."""
+    point, is refused."""
     import numpy as np
 
     omega = series.omega
     values = np.asarray(series.values, dtype=float)
     step = np.diff(omega)
     if len(omega) < 2 or not np.allclose(step, step[0], rtol=1e-9):
-        raise ValueError(f"series_variance needs a uniform grid of at least "
-                         f"two points, got {len(omega)} points")
+        raise Refusal(f"series_variance needs a uniform grid of at least "
+                      f"two points, got {len(omega)} points")
     return 2.0 / math.pi * float(np.sum(values) * step[0])
 
 
@@ -689,19 +663,19 @@ def integrate_driven(mode_omega: float, damping: float, drive_strength: float,
     30/damping; then P = expm(M dt) steps the state one sample at a time
     through two consecutive windows of 20 drive periods, each demodulated
     against the state's own (cos, sin) by the trapezoid rule.  Non-finite
-    arguments raise ValueError, and so do a damping so low that after the
+    arguments are refused, and so are a damping so low that after the
     settle time the drive oscillator (cos, sin) is more than
     _UNIT_TOLERANCE from unit length and a drive frequency so low that the
     generator over one sample spacing overflows.
-    Raises NotConverged if the phasor still drifts by more than 0.1%
-    between windows, or if the drift is not a number.
+    A phasor that still drifts by more than 0.1% between windows, or
+    whose drift is not a number, is refused too.
     """
     started = time.perf_counter()
     if not (math.isfinite(mode_omega * mode_omega) and math.isfinite(drive_strength)):
-        raise ValueError("mode_omega, its square and drive_strength must be "
-                         f"finite, got {mode_omega!r} and {drive_strength!r}")
+        raise Refusal("mode_omega, its square and drive_strength must be "
+                      f"finite, got {mode_omega!r} and {drive_strength!r}")
     if not (0.0 < drive_omega < math.inf) or not (0.0 < damping < math.inf):
-        raise ValueError("drive frequency and damping must be positive and finite")
+        raise Refusal("drive frequency and damping must be positive and finite")
     settle_time = 30.0 / damping
     period = 2.0 * math.pi / drive_omega
 
@@ -725,13 +699,13 @@ def integrate_driven(mode_omega: float, damping: float, drive_strength: float,
         a, v, c, s = (row[2] for row in _expm(settle))
         length = math.hypot(c, s)
     if not abs(length - 1.0) <= _UNIT_TOLERANCE:
-        raise ValueError(
+        raise Refusal(
             f"damping {damping!r} is too low: after the settle time "
             f"30/damping = {settle_time!r} s the drive oscillator has "
             f"length {length!r}, not 1")
     step = [[x * sample_dt for x in row] for row in generator]
     if not math.isfinite(sum(abs(x) for row in step for x in row)):
-        raise ValueError(
+        raise Refusal(
             f"drive_omega {drive_omega!r} is too low for mode_omega "
             f"{mode_omega!r} and damping {damping!r}: over its sample spacing "
             f"of {sample_dt!r} s the generator leaves the range of a double")
@@ -753,7 +727,7 @@ def integrate_driven(mode_omega: float, damping: float, drive_strength: float,
                for lo, hi in ((0, half + 1), (half, n_eval))]
     drift = abs(phasors[1] - phasors[0]) / max(abs(phasors[1]), 1e-300)
     if not drift <= 1e-3:
-        raise NotConverged(
+        raise Refusal(
             f"steady state drifting {drift:.2e} between windows")
     return DrivenModeResult(amplitude=phasors[1], drift=drift,
                             drive_omega=drive_omega, n_samples=n_eval,

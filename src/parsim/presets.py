@@ -26,6 +26,7 @@ from .quantities import (
     GasProperties,
     LaserDrive,
     ParticleSpec,
+    Refusal,
     Scenario,
     validate_scenario,
 )
@@ -104,5 +105,5 @@ def anthrax_stp() -> Scenario:
 def build_preset(name: str) -> Scenario:
     """The built-in scenario of that name; anthrax_stp is the only one."""
     if name != "anthrax_stp":
-        raise ValueError(f"unknown preset {name!r}; available: anthrax_stp")
+        raise Refusal(f"unknown preset {name!r}; available: anthrax_stp")
     return anthrax_stp()

@@ -67,6 +67,7 @@ __all__ = [
     "COMPONENTS",
     "schema",
     "Violation",
+    "Refusal",
     "ScenarioValidationError",
     "validate_scenario",
     "sound_speed",
@@ -142,8 +143,9 @@ class CellGeometry:
 
     @property
     def volume(self) -> float:
-        """Cell volume pi r^2 l, recomputed on read so it can never go stale."""
-        return math.pi * self.radius**2 * self.length
+        """Cell volume pi r^2 l, recomputed on read so it can never go stale;
+        one that underflows to 0 or overflows to inf is refused."""
+        return in_range("the cell volume is", math.pi * self.radius**2 * self.length)
 
 
 @dataclass(frozen=True)
@@ -268,7 +270,16 @@ class Violation:
         return f"{self.field}: {self.message} [{self.code}]"
 
 
-class ScenarioValidationError(ValueError):
+class Refusal(ValueError):
+    """parsim's one refusal: input it will not compute, worded for the user.
+
+    Every deliberate raise in the package raises it (or its subclass
+    ScenarioValidationError); the CLI turns it into exit 2.  Any other
+    exception out of parsim is a bug.
+    """
+
+
+class ScenarioValidationError(Refusal):
     """Raised with the complete list of violations, not just the first.
 
     point is the index of the first invalid point of a scenario holding
@@ -328,14 +339,14 @@ def value_at(value, point: int):
 def in_range(what: str, value, ok=None):
     """value if ok holds (a bool, or a bool array over a sweep), by default
     0 < value < inf.  Otherwise the one wording of arithmetic past the
-    double range: ValueError "arithmetic out of range: {what} {value!r}",
+    double range: Refusal "arithmetic out of range: {what} {value!r}",
     of the first failing point, with " at sweep point k" for an array."""
     point = first_failure((value > 0.0) & (value < math.inf) if ok is None else ok)
     if point is None:
         return value
     where = f" at sweep point {point}" if is_array(value) else ""
-    raise ValueError(f"arithmetic out of range: {what} "
-                     f"{value_at(value, point)!r}{where}")
+    raise Refusal(f"arithmetic out of range: {what} "
+                  f"{value_at(value, point)!r}{where}")
 
 
 def _require(out: list, ok, code: str, field: str, message: str,

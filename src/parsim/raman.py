@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .quantities import HBAR, K_BOLTZMANN, SPEED_OF_LIGHT, Scenario, xp
+from .quantities import HBAR, K_BOLTZMANN, SPEED_OF_LIGHT, Refusal, Scenario, xp
 
 __all__ = [
     "RamanGainResult",
@@ -87,8 +87,8 @@ def gain_coefficient(scenario: Scenario,
                      linewidth_convention: str = "ordinary") -> RamanGainResult:
     """Stimulated Raman gain coefficient for the scenario's beams and medium."""
     if linewidth_convention not in LINEWIDTH_CONVENTIONS:
-        raise ValueError(f"unknown linewidth convention {linewidth_convention!r}; "
-                         f"expected one of {LINEWIDTH_CONVENTIONS}")
+        raise Refusal(f"unknown linewidth convention {linewidth_convention!r}; "
+                      f"expected one of {LINEWIDTH_CONVENTIONS}")
     laser = scenario.laser
     particle = scenario.particle
 

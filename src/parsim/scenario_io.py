@@ -21,13 +21,13 @@ The grammar:
   ``-.inf`` or ``.nan`` (also as ``.Inf``, ``.INF``, ``.NaN``, ``.NAN``),
   and may be followed by `` # comment``.
 
-Any other line is a ``ParseError`` reading ``line L, column C: ...``: flow
-collections, quotes, anchors, aliases, tags, block scalars, ``? `` keys,
-merge keys and document markers among them, and a key given twice in one
-section.  A value that is one plain word but not a number (``warm``,
-``true``, ``inf``, ``1_000``, ``010``, ``0x1F``) is a ``SchemaError``
-naming its key, and so is an integer whose value is beyond the range of a
-double.
+Any other line is refused (``quantities.Refusal``) reading ``line L,
+column C: ...``: flow collections, quotes, anchors, aliases, tags, block
+scalars, ``? `` keys, merge keys and document markers among them, and a
+key given twice in one section.  A value that is one plain word but not a
+number (``warm``, ``true``, ``inf``, ``1_000``, ``010``, ``0x1F``) is
+refused naming its key, and so is an integer whose value is beyond the
+range of a double.
 
 Loading is strict: unknown keys are an error, and every missing required
 key is reported in one message.  A key is required exactly when its field
@@ -48,11 +48,9 @@ import hashlib
 import math
 import re
 
-from .quantities import COMPONENTS, Scenario, schema, validate_scenario
+from .quantities import COMPONENTS, Refusal, Scenario, schema, validate_scenario
 
 __all__ = [
-    "ParseError",
-    "SchemaError",
     "LoadResult",
     "load_scenario",
     "loads_scenario",
@@ -75,14 +73,6 @@ _NUMBER = re.compile(r"[-+]?(?:(?:0|[1-9][0-9]*)(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][-
 _NOT_PLAIN = "[]{}'\"&*!|>%@`,"
 
 
-class ParseError(ValueError):
-    """Text outside the scenario grammar, with its line and column."""
-
-
-class SchemaError(ValueError):
-    """Text in the grammar that does not describe a scenario."""
-
-
 @dataclasses.dataclass(frozen=True)
 class LoadResult:
     scenario: Scenario
@@ -90,19 +80,19 @@ class LoadResult:
 
 def _coerce_number(value, where: str) -> float:
     if not isinstance(value, str) or not _NUMBER.fullmatch(value):
-        raise SchemaError(f"{where}: expected a number, got {value!r}")
+        raise Refusal(f"{where}: expected a number, got {value!r}")
     if value[-1].isalpha():   # .inf, -.inf, .nan
         return float(value.replace(".", ""))
     number = float(value)
     if value.lstrip("+-").isdigit():
         if math.isinf(number):
-            raise SchemaError(f"{where}: an integer beyond the range of a double")
+            raise Refusal(f"{where}: an integer beyond the range of a double")
         return number or 0.0   # an integer has no sign of zero: -0 is 0
     return number
 
 
-def _error(row: int, index: int, problem: str) -> ParseError:
-    return ParseError(f"line {row}, column {index + 1}: {problem}")
+def _error(row: int, index: int, problem: str) -> Refusal:
+    return Refusal(f"line {row}, column {index + 1}: {problem}")
 
 
 def _parse(text: str) -> dict:
@@ -152,14 +142,14 @@ def loads_scenario(text: str) -> LoadResult:
     module docstring for rules."""
     doc = _parse(text.removeprefix("\ufeff"))
     if not doc:
-        raise SchemaError("empty document")
+        raise Refusal("empty document")
 
     missing: list[str] = []
     version = doc.get("format_version")
     if version is None:
         missing.append("format_version")
     elif _coerce_number(version, "format_version") != FORMAT_VERSION:
-        raise SchemaError(
+        raise Refusal(
             f"format_version {version} not supported "
             f"(this reader handles {FORMAT_VERSION})")
 
@@ -173,7 +163,7 @@ def loads_scenario(text: str) -> LoadResult:
         if section is None:
             section = {}
         elif not isinstance(section, dict):
-            raise SchemaError(f"{name}: expected a mapping")
+            raise Refusal(f"{name}: expected a mapping")
         kwargs = _read_section(name, section, cls, unknown)
         # an omitted optional key takes its dataclass default
         sec_missing = [f"{name}.{f.metadata['key']}"
@@ -184,9 +174,9 @@ def loads_scenario(text: str) -> LoadResult:
             built[name] = cls(**kwargs)
 
     if unknown:
-        raise SchemaError("unknown keys: " + ", ".join(sorted(unknown)))
+        raise Refusal("unknown keys: " + ", ".join(sorted(unknown)))
     if missing:
-        raise SchemaError("missing required keys: " + ", ".join(missing))
+        raise Refusal("missing required keys: " + ", ".join(missing))
 
     for attr, key, _, _ in top:
         if doc.get(key) is not None:
@@ -210,7 +200,7 @@ def _read_section(name: str, section: dict, cls, unknown: list) -> dict:
             continue
         attr, factor = hit
         if attr in seen:
-            raise SchemaError(
+            raise Refusal(
                 f"{name}: {key} and {seen[attr]} specify the same quantity")
         seen[attr] = key
         kwargs[attr] = _coerce_number(raw, f"{name}.{key}") * factor
@@ -222,8 +212,8 @@ def load_scenario(path) -> LoadResult:
     with open(path, encoding="utf-8") as file:
         text = file.read(MAX_SCENARIO_CHARS + 1)
     if len(text) > MAX_SCENARIO_CHARS:
-        raise ValueError(f"scenario file {str(path)!r} is longer than "
-                         f"{MAX_SCENARIO_CHARS} characters")
+        raise Refusal(f"scenario file {str(path)!r} is longer than "
+                      f"{MAX_SCENARIO_CHARS} characters")
     return loads_scenario(text)
 
 

@@ -137,13 +137,15 @@ def test_removed_flags_are_refused(capsys, monkeypatch, tmp_path, command, flag)
 
 
 def test_internal_key_error_is_not_a_usage_error(capsys, monkeypatch):
-    # a KeyError inside parsim is a bug: it must surface, not exit 2
-    def broken(args):
-        raise KeyError("internal")
+    # an exception inside parsim that is not a Refusal is a bug: it must
+    # surface, not exit 2, even a ValueError
+    for bug in (KeyError("internal"), ValueError("internal")):
+        def broken(args):
+            raise bug
 
-    monkeypatch.setattr(cli, "_cmd_report", broken)
-    with pytest.raises(KeyError, match="internal"):
-        main(["report"])
+        monkeypatch.setattr(cli, "_cmd_report", broken)
+        with pytest.raises(type(bug), match="internal"):
+            main(["report"])
 
 
 def test_missing_file_exits_2(capsys, tmp_path):
@@ -486,7 +488,13 @@ def test_sweep_names_the_collision_rate_that_overflows(capsys):
     pytest.param("particle.molecule_count", 1.0e-320, "lin:1e12:1e-320:3", 2,
                  "the collisional timescale is 0.0", id="molecule_count"),
     pytest.param("laser.modulation_omega", 1.0e-320, "log:1e-320:1:3", 0,
-                 "thermal.efficiency.modulation_time is inf", id="modulation")])
+                 "thermal.efficiency.modulation_time is inf", id="modulation"),
+    pytest.param("cell.radius", 1.0e-320, "log:1e-320:1:3", 0,
+                 "the cell volume is 0.0", id="radius"),
+    pytest.param("cell.radius", 1.0e-300, "lin:1:1e-300:3", 2,
+                 "the cell volume is 0.0", id="radius-squared"),
+    pytest.param("cell.length", 1.0e-320, "lin:1:1e-320:3", 2,
+                 "the cell volume is 0.0", id="length")])
 def test_report_and_sweep_refuse_an_underflow_alike(capsys, tmp_path, path, value,
                                                     spec, point, refusal):
     # one wording for both commands; the sweep adds the point it refuses

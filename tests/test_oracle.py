@@ -63,13 +63,8 @@ from parsim.oracle import (
     _BLOCK_STEPS,
     _CHUNK_STEPS,
     _SAMPLES_PER_PERIOD,
-    InsufficientStatistics,
-    NotConverged,
-    RunTooLong,
     SdeRunConfig,
     STABILITY_LIMIT,
-    SegmentTooShort,
-    StabilityGuardViolated,
     _expm,
     _noise_factor,
     _Stepper,
@@ -79,6 +74,7 @@ from parsim.oracle import (
     series_variance,
     transition,
 )
+from parsim.quantities import Refusal
 
 MODE_OMEGA = 4.0e4
 DAMPING = 5.0e4
@@ -237,7 +233,7 @@ def test_transition_covariance_positive():
 # configuration guards
 
 def test_stability_guard(anthrax):
-    with pytest.raises(StabilityGuardViolated):
+    with pytest.raises(Refusal):
         SdeRunConfig(timestep=1.0e-5, duration=1.0e-2, seed=1,
                      ensemble_size=4, mode_omega=MODE_OMEGA,
                      damping=DAMPING).validate()
@@ -248,11 +244,11 @@ def test_stability_guard(anthrax):
 
 
 def test_duration_guard():
-    with pytest.raises(InsufficientStatistics):
+    with pytest.raises(Refusal):
         SdeRunConfig(timestep=1.0e-6, duration=10.0 / DAMPING, seed=1,
                      ensemble_size=4, mode_omega=MODE_OMEGA,
                      damping=DAMPING).validate()
-    with pytest.raises(InsufficientStatistics):
+    with pytest.raises(Refusal):
         SdeRunConfig(timestep=1.0e-6, duration=1.0e-2, seed=1,
                      ensemble_size=1, mode_omega=MODE_OMEGA,
                      damping=DAMPING).validate()
@@ -630,7 +626,7 @@ def test_run_too_long_refused_before_allocating(anthrax):
                           damping=DAMPING)
     tracemalloc.start()
     try:
-        with pytest.raises(RunTooLong, match="member-steps"):
+        with pytest.raises(Refusal, match="member-steps"):
             integrate_langevin(config, anthrax)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -721,9 +717,9 @@ def test_welch_matches_scipy(nperseg, shape):
 
 
 def test_estimate_psd_guards():
-    with pytest.raises(SegmentTooShort):
+    with pytest.raises(Refusal):
         estimate_psd(np.zeros(16), 1.0, nperseg=32)
-    with pytest.raises(SegmentTooShort):
+    with pytest.raises(Refusal):
         estimate_psd(np.zeros(100), 1.0, nperseg=4)
 
 
@@ -744,7 +740,7 @@ def test_psd_in_run_requires_enough_samples(anthrax):
     config = SdeRunConfig(timestep=1.0e-6, duration=1.5e-3, seed=3,
                           ensemble_size=4, mode_omega=MODE_OMEGA,
                           damping=DAMPING, psd_nperseg=8192)
-    with pytest.raises(SegmentTooShort):
+    with pytest.raises(Refusal):
         integrate_langevin(config, anthrax)
 
 
@@ -837,7 +833,7 @@ def test_driven_not_converged_without_settling(monkeypatch):
         return exact(a) if len(calls) > 1 else exact([[0.0] * 4] * 4)
 
     monkeypatch.setattr(oracle, "_expm", no_settling)
-    with pytest.raises(NotConverged, match=r"drifting \d\.\d\de[+-]\d+ between"):
+    with pytest.raises(Refusal, match=r"drifting \d\.\d\de[+-]\d+ between"):
         integrate_driven(1.0e4, 10.0, 1.0, 1.0e4)
 
 
@@ -874,7 +870,7 @@ def test_driven_refuses_non_finite_arguments(index, value):
     last = _fresh_error("import sys",
                         "from parsim.oracle import integrate_driven",
                         "integrate_driven(*map(float, sys.argv[1:]))", args=args)
-    assert last.startswith("ValueError: "), last
+    assert last.startswith("parsim.quantities.Refusal: "), last
 
 
 def test_driven_refuses_a_mode_frequency_whose_square_overflows():
@@ -889,7 +885,7 @@ def test_expm_refuses_non_finite_entries(entry):
                         "from parsim.oracle import _expm",
                         "x = float(sys.argv[1])",
                         "_expm([[0.0, 1.0], [x, x]])", args=[entry])
-    assert last.startswith("ValueError: "), last
+    assert last.startswith("parsim.quantities.Refusal: "), last
 
 
 def test_driven_nan_drift_is_not_converged(monkeypatch):
@@ -904,7 +900,7 @@ def test_driven_nan_drift_is_not_converged(monkeypatch):
         return exact(a) if len(calls) == 1 else [[math.nan] * 4] * 4
 
     monkeypatch.setattr(oracle, "_expm", nan_after_settling)
-    with pytest.raises(NotConverged, match="nan"):
+    with pytest.raises(Refusal, match="nan"):
         integrate_driven(1.0e4, 100.0, 1.0e-3, 1.0e4)
 
 

@@ -15,6 +15,7 @@ from parsim.presets import anthrax_stp
 from parsim.quantities import (
     ATOMIC_MASS,
     COMPONENTS,
+    Refusal,
     Scenario,
     ScenarioValidationError,
     schema,
@@ -22,8 +23,6 @@ from parsim.quantities import (
 )
 from parsim.scenario_io import (
     MAX_SCENARIO_CHARS,
-    ParseError,
-    SchemaError,
     dumps_scenario,
     load_scenario,
     loads_scenario,
@@ -134,7 +133,7 @@ def test_alias_conflict_rejected():
     text = MINIMAL.replace(
         "  noise_mode_omega_rad_s: 4.0e4",
         "  noise_mode_omega_rad_s: 4.0e4\n  noise_mode_hz: 2.0e3")
-    with pytest.raises(SchemaError, match="same quantity"):
+    with pytest.raises(Refusal, match="same quantity"):
         loads_scenario(text)
 
 
@@ -142,36 +141,36 @@ def test_key_given_twice_rejected():
     # PyYAML alone keeps the last of two equal keys
     twice = MINIMAL.replace("  temperature_k: 300.0",
                             "  pressure_pa: 5.0e4\n  temperature_k: 300.0")
-    with pytest.raises(ParseError, match="^line 4, column 3: found "
+    with pytest.raises(Refusal, match="^line 4, column 3: found "
                                          "duplicate key 'pressure_pa'$"):
         loads_scenario(twice)
-    with pytest.raises(ParseError, match="found duplicate key 'gas'"):
+    with pytest.raises(Refusal, match="found duplicate key 'gas'"):
         loads_scenario(MINIMAL + "gas: {}\n")
     # a merge key and an explicit "? " key are not keys of the grammar
     merged = MINIMAL.replace("gas:\n", "gas:\n  <<: {pressure_pa: 1.0}\n")
-    with pytest.raises(ParseError, match="^line 3, column 3: expected a key, "
+    with pytest.raises(Refusal, match="^line 3, column 3: expected a key, "
                                          "found '<'$"):
         loads_scenario(merged)
-    with pytest.raises(ParseError, match="^line 3, column 3: expected a key, "
+    with pytest.raises(Refusal, match="^line 3, column 3: expected a key, "
                                          "found '\\?'$"):
         loads_scenario(MINIMAL.replace("gas:\n", "gas:\n  ? [a, b]\n  : 1\n"))
 
 
 def test_unknown_key_strict_vs_lenient():
     text = MINIMAL + "orientation: vertical\n"
-    with pytest.raises(SchemaError, match="unknown keys: orientation"):
+    with pytest.raises(Refusal, match="unknown keys: orientation"):
         loads_scenario(text)
 
     nested = MINIMAL.replace("  length_m: 0.1",
                              "  length_m: 0.1\n  color: red")
-    with pytest.raises(SchemaError, match="cell.color"):
+    with pytest.raises(Refusal, match="cell.color"):
         loads_scenario(nested)
 
 
 def test_missing_keys_reported_together():
     text = MINIMAL.replace("  pressure_pa: 101325.0\n", "")
     text = text.replace("  length_m: 0.1\n", "")
-    with pytest.raises(SchemaError) as err:
+    with pytest.raises(Refusal) as err:
         loads_scenario(text)
     message = str(err.value)
     assert "gas.pressure_pa" in message
@@ -180,7 +179,7 @@ def test_missing_keys_reported_together():
 
 def test_missing_section_lists_every_field():
     text = MINIMAL[:MINIMAL.index("detector:\n")]
-    with pytest.raises(SchemaError) as err:
+    with pytest.raises(Refusal) as err:
         loads_scenario(text)
     message = str(err.value)
     for key in ("detector.noise_mode_omega_rad_s", "detector.noise_damping_rad_s",
@@ -189,9 +188,9 @@ def test_missing_section_lists_every_field():
 
 
 def test_format_version_required_and_checked():
-    with pytest.raises(SchemaError, match="format_version"):
+    with pytest.raises(Refusal, match="format_version"):
         loads_scenario(MINIMAL.replace("format_version: 1\n", ""))
-    with pytest.raises(SchemaError, match="not supported"):
+    with pytest.raises(Refusal, match="not supported"):
         loads_scenario(MINIMAL.replace("format_version: 1", "format_version: 99"))
 
 
@@ -212,16 +211,16 @@ def test_parse_error_carries_position():
              "line 3, column 15: expected a space after ':'"),
             (SPORE.replace("  temperature_k:", "    temperature_k:"),
              "line 4, column 5: unexpected indentation")]:
-        with pytest.raises(ParseError) as caught:
+        with pytest.raises(Refusal) as caught:
             loads_scenario(text)
         assert str(caught.value) == message
 
 
 def test_empty_and_non_mapping_documents():
-    with pytest.raises(SchemaError, match="empty"):
+    with pytest.raises(Refusal, match="empty"):
         loads_scenario("")
     # a sequence is not a scenario file's syntax
-    with pytest.raises(ParseError, match="^line 1, column 1: expected a key, "
+    with pytest.raises(Refusal, match="^line 1, column 1: expected a key, "
                                          "found '-'$"):
         loads_scenario("- 1\n- 2\n")
     gas_block = ("gas:\n"
@@ -230,13 +229,13 @@ def test_empty_and_non_mapping_documents():
                  "  density_kg_m3: 1.3\n"
                  "  adiabatic_index: 1.4\n"
                  "  molecule_mass_kg: 4.649509386e-26\n")
-    with pytest.raises(SchemaError, match="gas"):
+    with pytest.raises(Refusal, match="gas"):
         loads_scenario(MINIMAL.replace(gas_block, "gas: 17\n"))
 
 
 def test_non_numeric_value_rejected():
     text = MINIMAL.replace("  temperature_k: 300.0", "  temperature_k: warm")
-    with pytest.raises(SchemaError, match="gas.temperature_k"):
+    with pytest.raises(Refusal, match="gas.temperature_k"):
         loads_scenario(text)
 
 
@@ -284,7 +283,7 @@ def test_every_scenario_field_can_be_set_from_a_file():
 ])
 def test_integer_beyond_double_range_refused(edit, key):
     # float() of such an int raises OverflowError, which used to escape
-    with pytest.raises(SchemaError, match=f"^{key}: an integer beyond the "
+    with pytest.raises(Refusal, match=f"^{key}: an integer beyond the "
                                           "range of a double$"):
         loads_scenario(MINIMAL.replace(*edit))
 
@@ -326,7 +325,7 @@ def test_byte_order_mark_is_skipped(tmp_path):
     path.write_bytes(b"\xef\xbb\xbf" + MINIMAL.encode("utf-8"))
     assert load_scenario(path).scenario == plain
     # one mark, not a run of them
-    with pytest.raises(ParseError, match=r"^line 1, column 1: expected a key, "
+    with pytest.raises(Refusal, match=r"^line 1, column 1: expected a key, "
                                          r"found '\\ufeff'$"):
         loads_scenario("\ufeff\ufeff" + MINIMAL)
 
@@ -347,7 +346,7 @@ def test_dumps_uses_canonical_keys(anthrax):
 def test_integer_of_any_length_beyond_double_range_refused(digits, edit, key):
     # past int()'s 4300 digits PyYAML raised Python's own advice, naming no key
     old, new = edit
-    with pytest.raises(SchemaError, match=f"^{key}: an integer beyond the "
+    with pytest.raises(Refusal, match=f"^{key}: an integer beyond the "
                                           "range of a double$"):
         loads_scenario(MINIMAL.replace(old, new + "0" * digits))
 
@@ -367,12 +366,12 @@ def test_nesting_deeper_than_the_limit_refused(opening, closing):
     # first character, before any recursion, however deep it goes
     found = re.escape(f"line 2, column 6: found {opening[0]!r}: a value is a plain number")
     for levels in (2, 100, 101, 1000):
-        with pytest.raises(ParseError, match=f"^{found}$"):
+        with pytest.raises(Refusal, match=f"^{found}$"):
             loads_scenario(_nested_gas(levels, opening, closing))
     # and a third level of keys where it opens, after the colon
     third = MINIMAL.replace("  pressure_pa: 101325.0\n",
                             "  pressure_pa:\n    value: 101325.0\n")
-    with pytest.raises(ParseError, match="^line 3, column 15: expected a value: "
+    with pytest.raises(Refusal, match="^line 3, column 15: expected a value: "
                                          "sections do not nest$"):
         loads_scenario(third)
 
@@ -462,7 +461,7 @@ def _outcome(load, text):
     or the refusal it raises."""
     try:
         return repr(load(text))
-    except (SchemaError, ScenarioValidationError) as exc:
+    except Refusal as exc:
         return type(exc).__name__, str(exc)
 
 
@@ -481,7 +480,7 @@ def test_yaml_only_spellings_refused(spelling):
     # the next three as True and None, and float() took inf, nan and
     # Infinity: the grammar reads none of them.  A '#' after no space
     # starts no comment.
-    with pytest.raises(SchemaError, match=re.escape(
+    with pytest.raises(Refusal, match=re.escape(
             f"gas.pressure_pa: expected a number, got {spelling!r}") + "$"):
         loads_scenario(MINIMAL.replace("pressure_pa: 101325.0", f"pressure_pa: {spelling}"))
 

@@ -23,14 +23,13 @@ its block's states.
 
 The reductions are streamed.  Runs go one member at a time, and each
 member a chunk of steps at a time: its states are reduced as soon as they
-are produced, into its sum of u^2 and the Welch segment powers, and only
-the samples of its unfinished Welch segment pass between chunks.  A
-member's generator is made when the member before it is done.  Every
-chunk-sized array is allocated once per run and reused for every member
-and chunk, so memory grows with neither the run length nor the ensemble,
-apart from each member's sum of u^2, 8 bytes.  The traced peak of a run
-with nperseg 1024 is about 2 MiB, and a ``validate-noise`` process peaks
-at 37-39 MB of resident memory from 4 to 16384 members, of which an
+are produced, into its sums of u^2 and q^2, and nothing but the state
+passes between chunks.  A member's generator is made when the member
+before it is done.  Every chunk-sized array is allocated once per run and
+reused for every member and chunk, so memory grows with neither the run
+length nor the ensemble, apart from each member's two sums, 16 bytes.
+The traced peak of a run is about 2 MiB, and a ``validate-noise`` process
+peaks at 37-39 MB of resident memory from 4 to 16384 members, of which an
 interpreter that has imported numpy and parsim takes about 33 MB.
 The trajectories are stored only on request.
 
@@ -57,10 +56,9 @@ summation over members so results do not depend on member order.
 PSD estimates follow the package convention (see ``noise``): two-sided in
 angular frequency, variance = two-sided integral of the PSD with measure
 dw / pi.  ``series_variance`` is the discrete counterpart used for
-Parseval checks.  The estimator is ``_Welch``, Welch's averaged periodogram
-(IEEE Trans. Audio Electroacoust. 15(2), 1967) with a periodic Hann window
-and half-overlapping segments; ``estimate_psd`` feeds it whole rows,
-``integrate_langevin`` one chunk of one member at a time.
+Parseval checks.  ``estimate_psd`` is Welch's averaged periodogram (IEEE
+Trans. Audio Electroacoust. 15(2), 1967) of kept samples, with a periodic
+Hann window and half-overlapping segments; no run computes a spectrum.
 
 The Langevin oracle and the Welch estimator import numpy when they run;
 the driven oracle and ``_expm`` use the standard library alone.
@@ -73,7 +71,7 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .quantities import K_BOLTZMANN, Refusal, Scenario, in_range, sound_speed
+from .quantities import K_BOLTZMANN, Refusal, Scenario, in_range
 
 if TYPE_CHECKING:
     import numpy as np
@@ -85,6 +83,7 @@ __all__ = [
     "TrajectoryStats",
     "DrivenModeResult",
     "transition",
+    "slowest_rate",
     "integrate_langevin",
     "estimate_psd",
     "series_variance",
@@ -103,7 +102,7 @@ MAX_MEMBER_STEPS = 1.0e10
 
 # steps per chunk.  Fixed, because it fixes the rounding: at 8192 each
 # member draws the same variates, but its mean u^2 moves by up to 4.4e-16
-# relative and the Welch PSD by up to 6e-15
+# relative and the run's mean q^2 by up to 2.2e-16
 _CHUNK_STEPS = 16384
 _BLOCK_STEPS = 32      # steps propagated by one matrix product
 
@@ -120,11 +119,10 @@ class SdeRunConfig:
     """One stochastic integration run.
 
     The thermal Langevin force of diffusion D = rho0 V Gamma k T drives the
-    mode from rest, and the run burns in for 10/damping before the kept
-    samples.  mode_omega may be zero, in which case the velocity is an
+    mode from rest, and the run burns in for 5 / ``slowest_rate`` before
+    the kept samples: 10/damping unless the mode is overdamped.
+    mode_omega may be zero, in which case the velocity is an
     Ornstein-Uhlenbeck process and the position a free integral of it.
-    psd_nperseg enables a Welch PSD of the run (pressure amplitude for
-    mode_omega > 0, velocity otherwise).
     """
 
     timestep: float
@@ -133,7 +131,6 @@ class SdeRunConfig:
     ensemble_size: int
     mode_omega: float
     damping: float
-    psd_nperseg: int | None = None
     keep_samples: bool = False
 
     def validate(self) -> None:
@@ -154,6 +151,21 @@ class SdeRunConfig:
                 f"duration {self.duration:g} s is below "
                 f"{MIN_STATIONARY_DURATIONS:g}/damping; stationary "
                 "statistics would not be trustworthy")
+
+
+def slowest_rate(mode_omega: float, damping: float) -> float:
+    """The mode's slowest relaxation rate, 1/s: damping/2, unless 2 w_j < Gamma
+    and the overdamped position relaxes at (Gamma - sqrt(Gamma^2 - 4 w_j^2))/2,
+    computed as w_j x / (1 + sqrt((1 - x)(1 + x))) with x = 2 w_j/Gamma, which
+    neither cancels nor overflows.  w_j = 0 takes damping/2, since its
+    position has no stationary state.  A rate outside (0, inf) is refused."""
+    if 2.0 * mode_omega >= damping or mode_omega == 0.0:
+        rate = 0.5 * damping
+    else:
+        x = 2.0 * mode_omega / damping
+        rate = mode_omega * x / (1.0 + math.sqrt((1.0 - x) * (1.0 + x)))
+    return in_range(f"the slowest relaxation rate for w_j = {mode_omega!r} "
+                    f"and Gamma = {damping!r} is", rate)
 
 
 def transition(mode_omega: float, damping: float, sigma2: float,
@@ -312,7 +324,7 @@ class TrajectoryStats:
     mean_u2_stderr: float
     equipartition_ratio: float     # rho0 V <u^2> / (k T)
     member_mean_u2: np.ndarray
-    psd: SpectrumSeries | None
+    mean_q2: float
     n_members: int
     n_samples: int
     metadata: dict
@@ -324,13 +336,14 @@ def integrate_langevin(config: SdeRunConfig, scenario: Scenario) -> TrajectorySt
     """Integrate the mode SDE and reduce the ensemble to statistics.
 
     Every chunk of kept states is reduced as soon as it is produced; see the
-    module docstring.  A run of more than MAX_MEMBER_STEPS member-steps
-    is refused before anything is allocated.  quantities.in_range
-    refuses, before the run, a thermal force strength 2 D / (rho0 V)^2, a
-    velocity variance k T / (rho0 V) or its square, and with a PSD a
-    sample rate 1/dt or a pressure factor rho0 c w_j outside (0, inf);
-    after it, a mean u^2, its standard error or an equipartition ratio
-    outside (0, inf).  metadata["wall_s"] is the wall time of the call.
+    module docstring.  mean_q2 is the ensemble's mean square position,
+    which for mode_omega = 0 is a random walk's and has no stationary
+    value.  A run of more than MAX_MEMBER_STEPS member-steps is refused
+    before anything is allocated.  quantities.in_range refuses, before
+    the run, a thermal force strength 2 D / (rho0 V)^2, or a velocity
+    variance k T / (rho0 V) or its square outside (0, inf); after it, a
+    mean u^2, its standard error or an equipartition ratio outside
+    (0, inf).  metadata["wall_s"] is the wall time of the call.
     """
     import numpy as np
 
@@ -340,7 +353,7 @@ def integrate_langevin(config: SdeRunConfig, scenario: Scenario) -> TrajectorySt
     kt = K_BOLTZMANN * gas.temperature
     m = config.ensemble_size
 
-    burn_in = 10.0 / config.damping
+    burn_in = 5.0 / slowest_rate(config.mode_omega, config.damping)
     steps = (burn_in + config.duration) / config.timestep
     try:
         member_steps = m * steps
@@ -371,15 +384,7 @@ def integrate_langevin(config: SdeRunConfig, scenario: Scenario) -> TrajectorySt
     in_range(f"the square of the velocity variance {u2!r} is", u2 * u2)
 
     u2_sums = np.zeros(m)
-    n_row = min(_CHUNK_STEPS, n_keep)
-    welch = None
-    if config.psd_nperseg is not None:
-        sample_rate = in_range("the sample rate 1/dt is", 1.0 / config.timestep)
-        # the mode's pressure amplitude; the velocity for mode_omega = 0
-        pressure_per_q = (in_range("the pressure per unit position rho0 c w_j is",
-                                   gas.density * sound_speed(gas) * config.mode_omega)
-                          if config.mode_omega > 0.0 else None)
-        welch = _Welch(config.psd_nperseg, n_keep, n_row)
+    q2_sums = np.zeros(m)
     if config.keep_samples:
         q = np.empty((m, n_keep))
         u = np.empty((m, n_keep))
@@ -388,8 +393,8 @@ def integrate_langevin(config: SdeRunConfig, scenario: Scenario) -> TrajectorySt
                           config.timestep)
     total = n_burn + n_keep
     stepper = _Stepper(phi, _noise_factor(sig), min(_CHUNK_STEPS, total))
-    # u^2, then the pressure, of one member's kept steps in a chunk
-    row = np.empty(n_row)
+    # u^2, then q^2, of one member's kept steps in a chunk
+    row = np.empty(min(_CHUNK_STEPS, n_keep))
     x = np.empty(2)
     # spawn(1) member after member gives the children of one spawn(m)
     seeds = np.random.SeedSequence(config.seed)
@@ -409,15 +414,11 @@ def integrate_langevin(config: SdeRunConfig, scenario: Scenario) -> TrajectorySt
             # this chunk's kept positions and velocities
             q_c, u_c = states[keep:, 0], states[keep:, 1]
             u2_sums[member] += np.sum(np.multiply(u_c, u_c, out=row[:n]))
-            if welch is not None:
-                welch.feed(u_c if pressure_per_q is None else
-                           np.multiply(pressure_per_q, q_c, out=row[:n]))
+            q2_sums[member] += np.sum(np.multiply(q_c, q_c, out=row[:n]))
             if config.keep_samples:
                 dest = slice(done - n - n_burn, done - n_burn)
                 q[member, dest] = q_c
                 u[member, dest] = u_c
-        if welch is not None:
-            welch.end_row()
 
     member_mean_u2 = u2_sums / n_keep
     mean_u2 = in_range("the run's mean u^2 is",
@@ -431,7 +432,7 @@ def integrate_langevin(config: SdeRunConfig, scenario: Scenario) -> TrajectorySt
         equipartition_ratio=in_range("the run's equipartition ratio is",
                                      rho_v * mean_u2 / kt),
         member_mean_u2=member_mean_u2,
-        psd=welch.density(sample_rate) if welch is not None else None,
+        mean_q2=math.fsum((q2_sums / n_keep).tolist()) / m,
         n_members=m,
         n_samples=n_keep,
         metadata={
@@ -522,101 +523,43 @@ def _sum_powers(w: np.ndarray, p: np.ndarray) -> None:
         shift *= 2
 
 
-class _Welch:
-    """Welch's averaged periodogram of rows fed one after another in chunks.
-
-    Periodic Hann window, segments of nperseg samples starting every
-    nperseg - nperseg // 2 samples, no detrending: the estimate of
-    scipy.signal.welch(x, fs, "hann", nperseg, detrend=False) averaged over
-    rows.  The samples of the current row that do not yet complete a
-    segment are carried to its next chunk, and ``end_row`` drops them.
-    Segments are transformed through buffers allocated once, which hold
-    that carry and one chunk of at most ``chunk`` samples.  n is the row
-    length that will be fed.
-    """
-
-    def __init__(self, nperseg: int, n: int, chunk: int):
-        import numpy as np
-
-        if nperseg < 8:
-            raise Refusal("nperseg below 8 cannot resolve anything")
-        if nperseg > n:
-            raise Refusal(
-                f"nperseg {nperseg} exceeds the {n} samples available")
-        self.nperseg = nperseg
-        self.step = nperseg - nperseg // 2
-        self.window = 0.5 - 0.5 * np.cos(2.0 * math.pi / nperseg * np.arange(nperseg))
-        self.power = np.zeros(nperseg // 2 + 1)
-        self.count = 0
-        # the carry, shorter than one segment, leads the row buffer
-        self.carried = 0
-        self.row = np.empty(nperseg - 1 + chunk)
-        # every segment that the row buffer can hold, as views into it
-        self.row_segments = np.lib.stride_tricks.sliding_window_view(
-            self.row, nperseg)[::self.step]
-        most = len(self.row_segments)
-        self.segments = np.empty((most, nperseg))
-        self.spec = np.empty((most, nperseg // 2 + 1), dtype=complex)
-        self.terms = np.empty((2, most, nperseg // 2 + 1))
-
-    def feed(self, samples: np.ndarray) -> None:
-        """Feed the next chunk of the current row."""
-        import numpy as np
-
-        end = self.carried + len(samples)
-        self.row[self.carried:end] = samples
-        n_seg = max(0, (end - self.nperseg) // self.step + 1)
-        if n_seg:
-            segments = np.multiply(self.row_segments[:n_seg], self.window,
-                                   out=self.segments[:n_seg])
-            spec = np.fft.rfft(segments, axis=1, out=self.spec[:n_seg])
-            terms = np.square(spec.real, out=self.terms[0, :n_seg])
-            terms += np.square(spec.imag, out=self.terms[1, :n_seg])
-            self.power += np.sum(terms, axis=0)
-            self.count += n_seg
-        used = n_seg * self.step
-        self.carried = end - used
-        self.row[:self.carried] = self.row[used:end]
-
-    def end_row(self) -> None:
-        """End the current row: its carry starts no segment."""
-        self.carried = 0
-
-    def density(self, fs: float) -> SpectrumSeries:
-        """The density in the package's two-sided angular convention."""
-        import numpy as np
-
-        from .noise import SpectrumSeries
-
-        pxx = self.power / (self.count * fs * np.sum(self.window**2))
-        # fold the negative frequencies in; DC and an even length's Nyquist
-        # bin have no mirror
-        pxx[1:(self.nperseg + 1) // 2] *= 2.0
-        # one-sided per ordinary Hz to the two-sided dw/pi measure
-        return SpectrumSeries(2.0 * math.pi * np.fft.rfftfreq(self.nperseg, 1.0 / fs),
-                              pxx / 4.0)
-
-
 def estimate_psd(samples, sample_rate: float, nperseg: int) -> SpectrumSeries:
     """Welch PSD in the package's two-sided-angular convention.
 
-    samples may be (n,) or (members, n); member periodograms are averaged.
-    Segments of nperseg samples overlap by half and are tapered with a
-    periodic Hann window (see ``_Welch``).  The returned density
-    satisfies variance = integral PSD dw / pi (two-sided), i.e.
-    ``series_variance`` of the result approximates the time-domain
-    variance.  Segments are not detrended: the oracle's samples are
-    zero-mean fluctuations, and removing each segment's mean would take
+    samples may be (n,) or (members, n); member periodograms, one row at
+    a time, are averaged.  Segments of nperseg samples start every
+    nperseg - nperseg // 2 samples and are tapered with a periodic Hann
+    window: scipy.signal.welch(x, fs, "hann", nperseg, detrend=False)
+    averaged over rows.  ``series_variance`` of the result approximates the
+    time-domain variance.  Segments are not detrended: the oracle's samples
+    are zero-mean fluctuations, and removing each segment's mean would take
     the low-frequency part of their variance with it.
     """
     import numpy as np
 
+    from .noise import SpectrumSeries
+
     x = np.atleast_2d(np.asarray(samples, dtype=float))
-    welch = _Welch(nperseg, x.shape[1], x.shape[1])
+    n = x.shape[1]
+    if nperseg < 8:
+        raise Refusal("nperseg below 8 cannot resolve anything")
+    if nperseg > n:
+        raise Refusal(f"nperseg {nperseg} exceeds the {n} samples available")
+    step = nperseg - nperseg // 2
+    window = 0.5 - 0.5 * np.cos(2.0 * math.pi / nperseg * np.arange(nperseg))
+    power = np.zeros(nperseg // 2 + 1)
     for row in x:
-        welch.feed(row)
-        welch.end_row()
-    return welch.density(sample_rate)
+        spec = np.fft.rfft(np.lib.stride_tricks.sliding_window_view(
+            row, nperseg)[::step] * window, axis=1)
+        power += np.sum(np.square(spec.real) + np.square(spec.imag), axis=0)
+    count = len(x) * ((n - nperseg) // step + 1)
+    pxx = power / (count * sample_rate * np.sum(window**2))
+    # fold the negative frequencies in; DC and an even length's Nyquist
+    # bin have no mirror
+    pxx[1:(nperseg + 1) // 2] *= 2.0
+    # one-sided per ordinary Hz to the two-sided dw/pi measure
+    return SpectrumSeries(2.0 * math.pi * np.fft.rfftfreq(nperseg, 1.0 / sample_rate),
+                          pxx / 4.0)
 
 
 def series_variance(series: SpectrumSeries) -> float:

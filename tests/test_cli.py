@@ -561,7 +561,7 @@ NOISE_AND_MODES_OUT_OF_RANGE = [
     ("validate-noise", {"gas": {"density": 1.0e300}}),
     # the force strength underflows to 0, and so did the run's mean u^2
     ("validate-noise", {"gas": {"temperature": 1.0e-300}}),
-    # the sound speed overflows: the Welch variance came out nan
+    # the sound speed overflows, and with it the analytic variance
     ("validate-noise", {"gas": {"pressure": 1.7e308}}),
     # the cell volume underflows to 0
     ("validate-noise", {"cell": {"radius": 1.0e-310}}),
@@ -570,8 +570,6 @@ NOISE_AND_MODES_OUT_OF_RANGE = [
     ("modes", {"cell": {"radius": 1.0e-310}}),
     # (k T / (rho0 V))^2 underflows to 0: the run's standard error did
     ("validate-noise", {"gas": {"temperature": 2.45e-235}}),
-    # the sample rate 1/dt overflows: numpy's Welch frequencies divided by 0
-    ("validate-noise", {"detector": {"noise_damping": 1.7e308}}),
 ]
 
 
@@ -586,6 +584,19 @@ def test_noise_and_modes_refuse_arithmetic_out_of_range(tmp_path, anthrax,
     assert result.stderr.startswith("error: arithmetic out of range: ")
     assert result.stderr.count("\n") == 1
     assert "langevin:" not in result.stderr
+
+
+def test_validate_noise_refuses_a_damping_whose_run_cannot_finish(tmp_path, anthrax):
+    # the mode is overdamped and relaxes at about w_1^2 / Gamma = 1e-299 1/s,
+    # so its run would need more steps than any run may take
+    path = tmp_path / "damping.yaml"
+    fields = {"detector": {"noise_damping": 1.7e308}}
+    path.write_text(dumps_scenario(validate_scenario(_with_fields(anthrax, fields))))
+    result = _cli("validate-noise", "--scenario", str(path))
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith("error: ")
+    assert result.stderr.count("\n") == 1
+    assert "member-steps, above the limit of 1e+10" in result.stderr
 
 
 # fields an extreme draw may set; the detector's set the length of
@@ -686,30 +697,31 @@ def test_modes_refuses_an_oversized_table(caps, count):
 def test_validate_noise_passes(capsys):
     code, out, _ = run(capsys, "validate-noise")
     assert code == 0
-    assert "equipartition:" in out and "psd variance:" in out
+    assert "equipartition:" in out and "pressure variance:" in out
     assert out.count("PASS") == 3
     assert out.rstrip().endswith("overall: PASS")
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_validate_noise_welch_variance_unbiased(capsys, seed):
-    # per-segment detrending used to remove about 6% of the variance here
+    # the pressure variance is unbiased here, within 0.4% at these seeds.  The
+    # Welch estimate it replaced once lost about 6% to per-segment detrending
     code, out, _ = run(capsys, "validate-noise", "--members", "64",
                        "--duration-dampings", "2000", "--seed", str(seed))
     assert code == 0
-    line = next(l for l in out.splitlines() if l.startswith("psd variance:"))
+    line = next(l for l in out.splitlines() if l.startswith("pressure variance:"))
     rel_err = float(line.split("(rel err ", 1)[1].split("%", 1)[0])
     assert rel_err < 2.0
 
 
-# stdout of the default `validate-noise` as printed before the Langevin
-# reductions were streamed and the transition covariance came from one block
-# exponential; only the Welch variance, a sum of rounded terms, moved
+# stdout of the default `validate-noise`.  The run's pressure variance,
+# (rho0 c w_1)^2 <q^2>, is a sum of rounded terms, so it is compared to
+# rounding; the rest is pinned
 VALIDATE_NOISE_DEFAULT = """\
 noise model validation: preset:anthrax_stp
 seed 1234, 32 members, 4000 samples at dt 1e-06 s
 equipartition: ratio 0.9883 +- 0.0176 (z = 0.66, limit 4.0) PASS
-psd variance: welch 5.867137583519852e-08 vs analytic 5.87555891685e-08 (rel err 0.1%, limit 15%) PASS
+pressure variance: 5.95631304614288e-08 vs analytic 5.87555891685e-08 (rel err 1.4%, limit 15%) PASS
 overall: PASS
 """
 
@@ -717,10 +729,11 @@ overall: PASS
 def test_validate_noise_stdout_unchanged_run_metadata_on_stderr(capsys):
     code, out, err = run(capsys, "validate-noise")
     assert code == 0
-    welch = re.compile(r"welch (\S+) vs")
-    assert welch.sub("welch W vs", out) == welch.sub("welch W vs", VALIDATE_NOISE_DEFAULT)
-    assert math.isclose(float(welch.search(out)[1]),
-                        float(welch.search(VALIDATE_NOISE_DEFAULT)[1]), rel_tol=1e-12)
+    variance = re.compile(r"pressure variance: (\S+) vs")
+    assert (variance.sub("pressure variance: P vs", out)
+            == variance.sub("pressure variance: P vs", VALIDATE_NOISE_DEFAULT))
+    assert math.isclose(float(variance.search(out)[1]),
+                        float(variance.search(VALIDATE_NOISE_DEFAULT)[1]), rel_tol=1e-12)
     # 200 kept dampings and 10 of burn-in at 20 steps per damping time
     assert re.fullmatch(r"langevin: 32 members, 4200 steps each at dt 1e-06 s, "
                         r"wall \d+\.\d{3} s\n", err)
@@ -744,7 +757,7 @@ def test_validate_noise_bad_duration_exits_2_without_traceback(value):
 
 @pytest.mark.parametrize("argv", [["--sigmas", "3"], ["--psd-tolerance", "0.1"]])
 def test_validate_noise_limits_are_not_flags(capsys, argv):
-    # the verdict limits are cli.EQUIPARTITION_SIGMAS and PSD_VARIANCE_TOLERANCE
+    # the verdict limits are cli.EQUIPARTITION_SIGMAS and PRESSURE_VARIANCE_TOLERANCE
     with pytest.raises(SystemExit) as exc:
         main(["validate-noise", *argv])
     assert exc.value.code == 2
@@ -772,6 +785,34 @@ def test_validate_noise_refuses_runs_that_cannot_finish(argv):
     assert result.stderr.count("\n") == 1
     assert "Traceback" not in result.stderr
     assert "member-steps, above the limit of 1e+10" in result.stderr
+
+
+def test_validate_noise_pressure_variance_overflows_only_with_the_analytic(
+        capsys, tmp_path):
+    # at 1e300 Pa the pressure per unit position rho0 c w_1 is 5e154 Pa/m,
+    # whose square overflows, while rho0 c^2 k T / V is 5.8e287 Pa^2
+    spore = Path(__file__).parent / "golden" / "spore.yaml"
+    path = tmp_path / "pressure.yaml"
+    path.write_text(spore.read_text().replace("  pressure_pa: 101325.0\n",
+                                              "  pressure_pa: 1.0e+300\n"))
+    code, out, _ = run(capsys, "validate-noise", "--scenario", str(path))
+    assert code == 0
+    assert "pressure variance: 5.8" in out
+
+
+def test_validate_noise_passes_on_an_overdamped_mode(capsys, tmp_path):
+    # spore.yaml with w_1 = 1e4 rad/s at Gamma = 5e4 1/s: the position
+    # relaxes at 2087 1/s, so the run burns in for 5/2087 s and keeps
+    # 200/(2 x 2087) s.  With a burn-in and run of 10 and 200 over Gamma,
+    # the Welch variance read 15.9% high here, a FAIL
+    spore = Path(__file__).parent / "golden" / "spore.yaml"
+    path = tmp_path / "overdamped.yaml"
+    path.write_text(spore.read_text().replace(
+        "  noise_mode_omega_rad_s: 40000.0\n", "  noise_mode_omega_rad_s: 1.0e4\n"))
+    code, out, err = run(capsys, "validate-noise", "--scenario", str(path))
+    assert code == 0
+    assert out.count("PASS") == 3
+    assert err.startswith("langevin: 32 members, 50309 steps each at dt 1e-06 s")
 
 
 def test_validate_noise_ensemble_out_of_memory_exits_2(capsys, monkeypatch):
@@ -813,7 +854,7 @@ def test_cli_runs_blas_single_threaded_unless_told(preset, want):
 
 def test_validate_noise_detects_wrong_tolerance(capsys, monkeypatch):
     # an impossible tolerance must flip the exit code, not crash
-    monkeypatch.setattr(cli, "PSD_VARIANCE_TOLERANCE", 0.0)
+    monkeypatch.setattr(cli, "PRESSURE_VARIANCE_TOLERANCE", 0.0)
     code, out, _ = run(capsys, "validate-noise")
     assert code == 1
     assert "FAIL" in out

@@ -72,6 +72,7 @@ from parsim.oracle import (
     integrate_driven,
     integrate_langevin,
     series_variance,
+    slowest_rate,
     transition,
 )
 from parsim.quantities import Refusal
@@ -332,17 +333,40 @@ def test_free_decay_overdamped():
 
 
 # ---------------------------------------------------------------------------
+# the slowest relaxation rate, which sets the burn-in
+
+def test_slowest_rate():
+    # half the damping, exactly, unless the mode is overdamped; the free
+    # mode's position has no stationary state, and its velocity relaxes so
+    for mode_omega in (MODE_OMEGA, DAMPING / 2.0, 1.0e300, 0.0):
+        assert slowest_rate(mode_omega, DAMPING) == DAMPING / 2.0
+    # overdamped: the slow root (Gamma - sqrt(Gamma^2 - 4 w^2)) / 2
+    for mode_omega in (1.0e4, 2.0e3, 2.4e4):
+        want = (DAMPING - math.sqrt(DAMPING**2 - 4.0 * mode_omega**2)) / 2.0
+        assert math.isclose(slowest_rate(mode_omega, DAMPING), want, rel_tol=1e-12)
+    # where Gamma^2 overflows, and the rate is about w^2 / Gamma
+    assert math.isclose(slowest_rate(1.0e4, 1.7e308), 1.0e8 / 1.7e308, rel_tol=1e-15)
+    # a rate that underflows to 0 is refused
+    with pytest.raises(Refusal, match=r"^arithmetic out of range: the slowest "
+                                      r"relaxation rate .* is 0\.0$"):
+        slowest_rate(1.0e-170, DAMPING)
+
+
+# ---------------------------------------------------------------------------
 # blocked stepper against the per-step loop
 
 def _reference_trajectory(config, scenario):
     """Per-step loop x <- Phi x + L z over the engine's own draws, from rest
-    with the thermal force, burned in for 10/damping."""
+    with the thermal force, burned in for 5 over the slowest relaxation
+    rate: Gamma/2, or (Gamma - sqrt(Gamma^2 - 4 w_j^2))/2 when overdamped."""
     rho_v = scenario.gas.density * scenario.cell.volume
     kt = quantities.K_BOLTZMANN * scenario.gas.temperature
     m = config.ensemble_size
     sigma2 = 2.0 * config.damping * kt / rho_v
     x = np.zeros((2, m))
-    n_burn = int(round(10.0 / config.damping / config.timestep))
+    w, g = config.mode_omega, config.damping
+    slowest = (g - math.sqrt(g * g - 4.0 * w * w)) / 2.0 if 0.0 < 2.0 * w < g else g / 2.0
+    n_burn = int(round(5.0 / slowest / config.timestep))
     total = n_burn + int(round(config.duration / config.timestep))
     phi, sig = transition(config.mode_omega, config.damping, sigma2,
                           config.timestep)
@@ -384,8 +408,9 @@ def test_blocked_stepper_matches_per_step_loop(anthrax, mode_omega, forcing):
         pairs = zip(got.T, want.T)
     else:
         n_burn, q_ref, u_ref = _reference_trajectory(config, anthrax)
-        # the burn-in of 200 steps ends 8 steps into a block
-        assert n_burn == 200
+        # the burn-in of 200 steps ends 8 steps into a block; the overdamped
+        # mode's, 2396 steps at its slow rate of 2087 1/s, 28 steps
+        assert n_burn == (2396 if mode_omega == 1.0e4 else 200)
         stats = integrate_langevin(config, anthrax)
         assert stats.metadata["n_steps"] == n_burn + stats.n_samples
         assert stats.metadata["timestep"] == config.timestep
@@ -405,9 +430,15 @@ def thermal_run():
     scenario = anthrax_stp()
     config = SdeRunConfig(timestep=1.0e-6, duration=8.0e-3, seed=2026,
                           ensemble_size=64, mode_omega=MODE_OMEGA,
-                          damping=DAMPING, psd_nperseg=1024,
-                          keep_samples=True)
+                          damping=DAMPING, keep_samples=True)
     return scenario, config, integrate_langevin(config, scenario)
+
+
+def _pressure_psd(scenario, config, stats):
+    """Welch PSD of the kept pressure amplitude rho0 c w_j q, nperseg 1024."""
+    gas = scenario.gas
+    pressure = gas.density * quantities.sound_speed(gas) * config.mode_omega * stats.position
+    return estimate_psd(pressure, 1.0 / config.timestep, 1024)
 
 
 def test_equipartition(thermal_run):
@@ -423,7 +454,7 @@ def test_equipartition(thermal_run):
 
 def test_psd_matches_analytic_pointwise(thermal_run):
     scenario, config, stats = thermal_run
-    psd = stats.psd
+    psd = _pressure_psd(scenario, config, stats)
     grid = psd.omega
     keep = (grid >= MODE_OMEGA / 4.0) & (grid <= 4.0 * MODE_OMEGA)
     assert np.count_nonzero(keep) >= 10
@@ -435,11 +466,12 @@ def test_psd_matches_analytic_pointwise(thermal_run):
 
 
 def test_psd_variance_parseval(thermal_run):
-    scenario, _, stats = thermal_run
+    scenario, config, stats = thermal_run
     c = quantities.sound_speed(scenario.gas)
     analytic = (scenario.gas.density * c**2 * quantities.K_BOLTZMANN
                 * scenario.gas.temperature / scenario.cell.volume)
-    assert math.isclose(series_variance(stats.psd), analytic, rel_tol=0.10)
+    assert math.isclose(series_variance(_pressure_psd(scenario, config, stats)),
+                        analytic, rel_tol=0.10)
 
 
 def test_ou_velocity_psd_width_and_equipartition(anthrax):
@@ -447,9 +479,10 @@ def test_ou_velocity_psd_width_and_equipartition(anthrax):
     # whose PSD is the Lorentzian (k T / rho0 V) Gamma / (Gamma^2 + w^2)
     config = SdeRunConfig(timestep=1.0e-6, duration=8.0e-3, seed=77,
                           ensemble_size=64, mode_omega=0.0, damping=DAMPING,
-                          psd_nperseg=1024)
+                          keep_samples=True)
     stats = integrate_langevin(config, anthrax)
-    omega, values = stats.psd.omega, stats.psd.values
+    psd = estimate_psd(stats.velocity, 1.0 / config.timestep, 1024)
+    omega, values = psd.omega, psd.values
     # 1/PSD is linear in w^2: intercept Gamma/u2, slope 1/(Gamma u2).  Each
     # bin has about the same relative error, so the residuals are weighted
     # to relative ones
@@ -473,14 +506,14 @@ def test_ou_velocity_psd_width_and_equipartition(anthrax):
 def test_determinism_and_seed_sensitivity(anthrax):
     config = SdeRunConfig(timestep=1.0e-6, duration=1.5e-3, seed=42,
                           ensemble_size=8, mode_omega=MODE_OMEGA,
-                          damping=DAMPING, psd_nperseg=256)
+                          damping=DAMPING)
     first = integrate_langevin(config, anthrax)
     again = integrate_langevin(config, anthrax)
     assert first.mean_u2 == again.mean_u2
-    assert np.array_equal(first.psd.values, again.psd.values)
+    assert first.mean_q2 == again.mean_q2
     other = integrate_langevin(dataclasses.replace(config, seed=43), anthrax)
     assert other.mean_u2 != first.mean_u2
-    assert not np.array_equal(other.psd.values, first.psd.values)
+    assert other.mean_q2 != first.mean_q2
     assert first.metadata["rng"].startswith("numpy.random.Philox")
 
 
@@ -502,18 +535,18 @@ def test_member_reduction_uses_all_members(anthrax):
 STREAM_CASES = {
     # the burn-in of 200 steps is not a multiple of the block
     "underdamped": dict(ensemble_size=3, mode_omega=MODE_OMEGA,
-                        duration=4.0e-2, psd_nperseg=1024),
-    # segments start every 500 samples, so chunks end inside a segment at
-    # a different offset each time
+                        duration=4.0e-2),
+    # two more run lengths, whose last chunks end 1048 and 14664 steps in.
+    # The names are those of the Welch segment layouts the runs once covered
     "unaligned_segments": dict(ensemble_size=2, mode_omega=MODE_OMEGA,
-                               duration=5.0e-2, psd_nperseg=1000),
+                               duration=5.0e-2),
     "segment_beyond_chunk": dict(ensemble_size=2, mode_omega=MODE_OMEGA,
-                                 duration=8.0e-2, psd_nperseg=32768),
+                                 duration=8.0e-2),
     "zero_frequency_velocity": dict(ensemble_size=3, mode_omega=0.0,
-                                    duration=4.0e-2, psd_nperseg=2048),
+                                    duration=4.0e-2),
     # a burn-in of 20,000 steps: the first chunk keeps no state
     "burn_in_beyond_chunk": dict(ensemble_size=2, mode_omega=MODE_OMEGA,
-                                 damping=500.0, duration=0.1, psd_nperseg=1024),
+                                 damping=500.0, duration=0.1),
 }
 
 
@@ -532,23 +565,12 @@ def test_streamed_reductions_match_whole_arrays(kept_run):
     assert stats.metadata["n_steps"] > 2 * _CHUNK_STEPS
     want = np.mean(u**2, axis=1)
     assert np.all(np.abs(stats.member_mean_u2 - want) <= 1e-13 * want)
-    if config.mode_omega > 0.0:
-        gas = scenario.gas
-        samples = gas.density * quantities.sound_speed(gas) * config.mode_omega * q
-    else:
-        samples = u
-    want = estimate_psd(samples, 1.0 / config.timestep, config.psd_nperseg)
-    np.testing.assert_array_equal(stats.psd.omega, want.omega)
-    assert np.all(np.abs(stats.psd.values - want.values) <= 1e-13 * want.values)
+    assert math.isclose(stats.mean_q2, float(np.mean(q**2)), rel_tol=1e-13)
 
 
 def test_streamed_segments_cover_the_cases():
-    # the cases above reach a segment longer than one chunk, segment
-    # starts that chunk boundaries do not line up with, a thermal burn-in
-    # (10/damping at dt 1e-6 s) that ends inside a block, and one longer
-    # than a chunk
-    assert STREAM_CASES["segment_beyond_chunk"]["psd_nperseg"] > _CHUNK_STEPS
-    assert _CHUNK_STEPS % (STREAM_CASES["unaligned_segments"]["psd_nperseg"] // 2)
+    # the cases above reach a thermal burn-in (10/damping at dt 1e-6 s)
+    # that ends inside a block, and one longer than a chunk
     n_burn = round(10.0 / DAMPING / 1.0e-6)
     assert n_burn == 200 and n_burn % _BLOCK_STEPS == 8
     damping = STREAM_CASES["burn_in_beyond_chunk"]["damping"]
@@ -563,8 +585,7 @@ def test_kept_samples_do_not_change_statistics(kept_run):
     assert bare.mean_u2 == kept.mean_u2
     assert bare.mean_u2_stderr == kept.mean_u2_stderr
     assert np.array_equal(bare.member_mean_u2, kept.member_mean_u2)
-    assert np.array_equal(bare.psd.omega, kept.psd.omega)
-    assert np.array_equal(bare.psd.values, kept.psd.values)
+    assert bare.mean_q2 == kept.mean_q2
 
 
 def _traced_peak(config, scenario):
@@ -580,7 +601,7 @@ def test_langevin_memory_independent_of_run_length(anthrax):
     # whole (members, samples) arrays would add 2 x 8 x 1.9e5 doubles, 23 MiB
     config = SdeRunConfig(timestep=1.0e-6, duration=6.4e-2, seed=4,
                           ensemble_size=8, mode_omega=MODE_OMEGA,
-                          damping=DAMPING, psd_nperseg=1024)
+                          damping=DAMPING)
     integrate_langevin(config, anthrax)   # lazy imports are not the run's
     short = _traced_peak(config, anthrax)
     long = _traced_peak(dataclasses.replace(config, duration=2.56e-1), anthrax)
@@ -589,18 +610,17 @@ def test_langevin_memory_independent_of_run_length(anthrax):
 
 def test_langevin_memory_independent_of_ensemble_size(anthrax):
     # members are stepped one after another through buffers allocated once;
-    # each adds only its 8-byte sum of u^2.  Batched (members, chunk)
-    # arrays would add about 1 MB per member, and a Welch carry and a
-    # generator held for every member about 9 KiB at nperseg 1024
+    # each adds only its 8-byte sums of u^2 and q^2.  Batched (members,
+    # chunk) arrays would add about 1 MB per member, and a generator held
+    # for every member about 1 KiB
     config = SdeRunConfig(timestep=1.0e-6, duration=4.0e-2, seed=4,
                           ensemble_size=2, mode_omega=MODE_OMEGA,
-                          damping=DAMPING, psd_nperseg=256)
+                          damping=DAMPING)
     integrate_langevin(config, anthrax)   # lazy imports are not the run's
     few = _traced_peak(config, anthrax)
     many = _traced_peak(dataclasses.replace(config, ensemble_size=32), anthrax)
     assert many <= 1.1 * few
-    short = dataclasses.replace(config, duration=2.0e-3, ensemble_size=4,
-                                psd_nperseg=1024)
+    short = dataclasses.replace(config, duration=2.0e-3, ensemble_size=4)
     few = _traced_peak(short, anthrax)
     many = _traced_peak(dataclasses.replace(short, ensemble_size=1024), anthrax)
     assert many <= few + 256 * 2**10
@@ -611,7 +631,7 @@ def test_member_statistics_independent_of_ensemble_size(anthrax):
     # run ends in a short chunk of 433 steps
     config = SdeRunConfig(timestep=1.0e-6, duration=3.3e-2, seed=5,
                           ensemble_size=3, mode_omega=MODE_OMEGA,
-                          damping=DAMPING, psd_nperseg=256)
+                          damping=DAMPING)
     few = integrate_langevin(config, anthrax)
     many = integrate_langevin(dataclasses.replace(config, ensemble_size=8),
                               anthrax)
@@ -643,16 +663,6 @@ def test_langevin_refuses_a_cell_volume_that_overflows(anthrax):
     with pytest.raises(ValueError, match=r"^arithmetic out of range: .* "
                                          r"for rho0 V = inf and k T = "):
         integrate_langevin(config, dataclasses.replace(anthrax, cell=cell))
-
-
-def test_langevin_refuses_a_sample_rate_that_overflows(anthrax):
-    # 1/dt past the double range left numpy's Welch frequencies dividing by 0
-    config = SdeRunConfig(timestep=1.0e-310, duration=5.0e-307, seed=1,
-                          ensemble_size=2, mode_omega=MODE_OMEGA,
-                          damping=1.0e308, psd_nperseg=1024)
-    with pytest.raises(ValueError, match=r"^arithmetic out of range: "
-                                         r"the sample rate 1/dt is inf$"):
-        integrate_langevin(config, anthrax)
 
 
 def test_langevin_refuses_statistics_out_of_range(anthrax, monkeypatch):
@@ -734,14 +744,6 @@ def test_series_variance_sums_a_uniform_grid_and_refuses_others():
                    SpectrumSeries(np.array([0.0]), np.array([1.0]))):
         with pytest.raises(ValueError, match="uniform grid of at least two"):
             series_variance(series)
-
-
-def test_psd_in_run_requires_enough_samples(anthrax):
-    config = SdeRunConfig(timestep=1.0e-6, duration=1.5e-3, seed=3,
-                          ensemble_size=4, mode_omega=MODE_OMEGA,
-                          damping=DAMPING, psd_nperseg=8192)
-    with pytest.raises(Refusal):
-        integrate_langevin(config, anthrax)
 
 
 # ---------------------------------------------------------------------------

@@ -143,8 +143,7 @@ def test_oracle_engines_import_no_scipy():
 
 
 def test_validate_noise_loads_no_acoustics():
-    # the Langevin oracle's spectra are noise.SpectrumSeries; the mode
-    # solver stays unloaded
+    # the Langevin oracle needs no mode solver, which stays unloaded
     assert _modules_after(
         "parsim.acoustics",
         "with contextlib.redirect_stdout(io.StringIO()):",
@@ -261,8 +260,9 @@ NO_YAML_COMMANDS = {
     "sweep_scenario": ["sweep", "--scenario", str(GOLDEN_SPORE),
                        "--vary", "gas.pressure=log:1e3:1e5:5"],
     "modes_scenario": ["modes", "--scenario", str(GOLDEN_SPORE)],
-    "validate_noise_scenario": ["validate-noise", "--scenario", str(GOLDEN_SPORE),
-                                "--members", "4", "--duration-dampings", "50"],
+    # the command's defaults: at 4 members and 50 dampings the pressure
+    # variance misses its 15% limit at 71 of seeds 1-200, at the defaults at none
+    "validate_noise_scenario": ["validate-noise", "--scenario", str(GOLDEN_SPORE)],
 }
 
 
